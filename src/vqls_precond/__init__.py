@@ -12,9 +12,9 @@ from .embedding import (DegenerateBlockError, PauliTerm, QuantumSystem, build_sy
                         pad_to_power_of_two, pauli_decompose, pauli_reconstruct,
                         save_pauli_terms)
 from .ansatz import (AnsatzParams, GateCounter, StateVector, apply_cnot, apply_ry,
-                     prepare_state, shift_rule_tangent, shifted_state)
-from .vqls import (Adam, DegenerateOperatorError, TraceRecord, TrainResult, VqlsConfig,
-                   cost, cost_and_grad, cost_via_decomposition, grad_cost, residuals,
+                     prepare_state)
+from .vqls import (Adam, DegenerateOperatorError, DivergedError, TraceRecord, TrainResult,
+                   VqlsConfig, cost, cost_and_grad, cost_via_decomposition, residuals,
                    train, write_trace_csv)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -6,14 +6,15 @@ as layer * n_qubits + qubit, and that order is shared by gradients, the
 optimizer state and checkpoints. Gates are orthogonal maps on real
 amplitudes, so no complex storage is ever needed.
 
-The kernels operate on amplitude arrays of shape (2**n, batch); preparing
-many parameter variants of the same circuit (e.g. all shift-rule states of a
-gradient) is a single batched pass.
+The kernels operate on amplitude arrays of shape (2**n, batch). The forward
+pass runs one column; the adjoint walk carries the state and the cost's
+adjoint side by side as two columns of one buffer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -184,24 +185,41 @@ def prepare_state(params: AnsatzParams, initial: StateVector,
     return StateVector(params.n_qubits, out[:, 0])
 
 
-def shifted_state(params: AnsatzParams, index: int, shift: float,
-                  initial: StateVector) -> StateVector:
-    """prepare_state with one flattened angle replaced by theta_j + shift."""
-    if not 0 <= index < params.count:
-        raise IndexError(f"parameter index {index} out of range ({params.count} params)")
-    flat = params.flat()
-    flat[index] += shift
-    return prepare_state(params.with_flat(flat), initial)
+@lru_cache(maxsize=None)
+def _flip_tables(n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
+    """(flip, sign), each (n_qubits, 2**n): (J_q v)[i] = sign[q, i] * v[flip[q, i]].
 
-
-def shift_rule_tangent(params: AnsatzParams, index: int,
-                       initial: StateVector) -> np.ndarray:
-    """Exact d|x(theta)>/d theta_j from the two pi/2-shifted preparations.
-
-    The RY half-angle convention makes the state a frequency-1/2 trig
-    polynomial in each angle, so the exact divisor for +-pi/2 shifts is
-    4 sin(pi/4) = 2 sqrt(2).
+    J = [[0, -1], [1, 0]] is the derivative generator of RY:
+    d RY(a) / da = 0.5 * J @ RY(a).
     """
-    plus = shifted_state(params, index, +np.pi / 2, initial)
-    minus = shifted_state(params, index, -np.pi / 2, initial)
-    return (plus.amps - minus.amps) / (2.0 * np.sqrt(2.0))
+    index = np.arange(2 ** n_qubits)
+    masks = 1 << np.arange(n_qubits - 1, -1, -1)          # qubit 0 = MSB
+    flip = index[None, :] ^ masks[:, None]
+    sign = np.where(index[None, :] & masks[:, None], 1.0, -1.0)
+    return flip, sign
+
+
+def _adjoint_pass(theta: np.ndarray, state: np.ndarray, adjoint: np.ndarray) -> np.ndarray:
+    """Angle gradient sum_i adjoint[i] * d state[i] / d theta, flattened layer * n + qubit.
+
+    ``theta`` is the (D+1, n) angle table, ``state`` the circuit output and
+    ``adjoint`` the cost's derivative with respect to it. Walking layers
+    D..0, the RYs of a layer commute, so all n derivatives of layer d are
+    0.5 * adjoint^T J_q state at that point of the circuit (one gather). The
+    state and the adjoint are then carried back through the layer together:
+    RY with negated angles, and the CNOT chain in reverse order (each CNOT
+    is its own inverse).
+    """
+    n_layers, n_qubits = theta.shape
+    flip, sign = _flip_tables(n_qubits)
+    buf = np.column_stack((state, adjoint))
+    grad = np.empty((n_layers, n_qubits))
+    for d in range(n_layers - 1, -1, -1):
+        grad[d] = 0.5 * (sign * buf[flip, 0]) @ buf[:, 1]
+        if d == 0:
+            break
+        for q in range(n_qubits):
+            _ry_kernel(buf, q, -theta[d, q])
+        for q in range(n_qubits - 2, -1, -1):
+            _cnot_kernel(buf, q, q + 1)
+    return grad.ravel()

@@ -19,15 +19,17 @@ import numpy as np
 
 from .dense import SingularMatrixError
 from .embedding import DegenerateBlockError
-from .experiments import ExperimentConfig, ci_profile, paper_profile, run
+from .experiments import (ExperimentConfig, NoFactorableInstanceError, ci_profile,
+                          paper_profile, run)
 from .ilu import ZeroPivotError
-from .vqls import DegenerateOperatorError
+from .vqls import DegenerateOperatorError, DivergedError
 
 _KINDS = {"solve": "solve", "sweep-depth": "sweep_depth",
           "spectrum": "spectrum", "heat": "heat"}
 
 _NUMERICAL_ERRORS = (ZeroPivotError, SingularMatrixError, DegenerateBlockError,
-                     DegenerateOperatorError, np.linalg.LinAlgError, RuntimeError)
+                     DegenerateOperatorError, DivergedError, NoFactorableInstanceError,
+                     np.linalg.LinAlgError)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -118,6 +118,10 @@ def _apply_kind_defaults(cfg: ExperimentConfig) -> ExperimentConfig:
 # instance generation with zero-pivot skip logic
 
 
+class NoFactorableInstanceError(RuntimeError):
+    """Every draw within MAX_SKIP_ATTEMPTS seeds hit a zero pivot."""
+
+
 @dataclass
 class SeedStatus:
     requested: int
@@ -146,7 +150,8 @@ def generate_instance(cfg: ExperimentConfig, seed: int):
             s += 1
             continue
         return A, b, factors, SeedStatus(requested=seed, used=s, skipped_zero_pivot=skipped)
-    raise RuntimeError(f"no factorable instance within {MAX_SKIP_ATTEMPTS} draws from seed {seed}")
+    raise NoFactorableInstanceError(
+        f"no factorable instance within {MAX_SKIP_ATTEMPTS} draws from seed {seed}")
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,21 @@
-"""Variational solver: cost function, exact shift-rule gradient, Adam loop.
+"""Variational solver: cost function, exact adjoint gradient, Adam loop.
 
 The cost is computed exactly from statevectors:
 
     C(theta) = 1 - <rhs|op|x(theta)>^2 / <x(theta)|op^T op|x(theta)>
 
 with |x(theta)> = V(theta)|rhs> and all quantities real. Cauchy-Schwarz pins
-C into [0, 1]; nothing in the code clamps it.
+C into [0, 1]; rounding can take 1 - g^2/h a few ulps below 0 when the state
+solves the system, so the shared cost helper clamps it at 0.
 
-Gradients use the parameter-shift rule with 2P + 1 state preparations per
-step, evaluated as one batched circuit pass. With the RY(a/2) convention the
-state is a frequency-1/2 trig polynomial in each angle while quadratic
-functionals are frequency-1, so the exact +-pi/2 shift divisors differ:
-2 sqrt(2) for the linear overlap g and 2 for the quadratic norm h.
+Gradients use the adjoint (reverse-mode) method of Jones & Gacon
+(arXiv:2009.02823): one forward circuit pass gives x, the cost's adjoint is
+mu = dC/dx = op^T (-(2g/h) rhs + (2g^2/h^2) op x), and one backward walk over
+the layers carries x and mu together as a two-column buffer, reading off each
+layer's angle derivatives on the way (``ansatz._adjoint_pass``). A step costs
+about three one-column circuit passes, linear in depth. The parameter-shift
+rule, which is what hardware would measure, is kept in the test suite as the
+oracle this gradient is checked against.
 
 A term-by-term path summing Pauli-decomposition contributions is provided as
 a cross-check of what hardware Hadamard tests would estimate; the training
@@ -25,15 +29,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ansatz import AnsatzParams, StateVector, _run_circuit, prepare_state
+from .ansatz import AnsatzParams, StateVector, _adjoint_pass, _run_circuit, prepare_state
 from .embedding import PauliTerm, QuantumSystem, pauli_word_matrix
 from .sparse import STREAM_THETA
-
-SQRT2 = float(np.sqrt(2.0))
 
 
 class DegenerateOperatorError(RuntimeError):
     """op annihilates the prepared state; the cost is undefined."""
+
+
+class DivergedError(ArithmeticError):
+    """Training produced a non-finite cost or gradient."""
 
 
 @dataclass
@@ -125,12 +131,16 @@ class Adam:
 
 
 def _cost_from_state(x: np.ndarray, sys: QuantumSystem):
+    """(cost, g, h, op x) at the state x; the cost is clamped at 0."""
     y = sys.op @ x
     g = float(sys.rhs_state @ y)
     h = float(y @ y)
     if h < 1e-300:
         raise DegenerateOperatorError("operator norm of the prepared state underflowed")
-    return 1.0 - g * g / h, g, h
+    c = 1.0 - g * g / h
+    if c < 0.0:
+        c = 0.0
+    return c, g, h, y
 
 
 def cost(params: AnsatzParams, sys: QuantumSystem) -> float:
@@ -140,37 +150,23 @@ def cost(params: AnsatzParams, sys: QuantumSystem) -> float:
 
 
 def cost_and_grad(params: AnsatzParams, sys: QuantumSystem):
-    """(cost, gradient) from one batched pass of 2P + 1 state preparations.
+    """(cost, gradient) from one forward pass and one adjoint walk.
 
-    Column 0 is the unshifted circuit; columns 2j+1 / 2j+2 shift angle j by
-    +pi/2 / -pi/2. Exact derivatives:
-
-        dg_j = (g+ - g-) / (2 sqrt 2)        (g linear in the state)
-        dh_j = (h+ - h-) / 2                 (h quadratic in the state)
-        dC_j = -(2 g h dg_j - g^2 dh_j) / h^2
+    The seed of the walk is mu = dC/dx = op^T (-(2g/h) rhs + (2g^2/h^2) op x);
+    the gradient is flattened layer * n_qubits + qubit.
     """
-    n_params = params.count
-    flat = params.flat()
-    cols = np.repeat(flat[:, None], 2 * n_params + 1, axis=1)
-    idx = np.arange(n_params)
-    cols[idx, 2 * idx + 1] += np.pi / 2
-    cols[idx, 2 * idx + 2] -= np.pi / 2
-    states = _run_circuit(cols, params.n_qubits, params.depth, sys.rhs_state)
-    y = sys.op @ states
-    g_all = sys.rhs_state @ y
-    h_all = np.einsum("ib,ib->b", y, y)
-    g, h = float(g_all[0]), float(h_all[0])
-    if h < 1e-300:
-        raise DegenerateOperatorError("operator norm of the prepared state underflowed")
-    dg = (g_all[1::2] - g_all[2::2]) / (2.0 * SQRT2)
-    dh = (h_all[1::2] - h_all[2::2]) / 2.0
-    grad = -(2.0 * g * h * dg - g * g * dh) / (h * h)
-    return 1.0 - g * g / h, grad
+    x = _run_circuit(params.flat()[:, None], params.n_qubits, params.depth,
+                     sys.rhs_state)[:, 0]
+    c, g, h, y = _cost_from_state(x, sys)
+    mu = (-2.0 * g / h * sys.rhs_state + 2.0 * g * g / (h * h) * y) @ sys.op
+    return c, _adjoint_pass(params.theta, x, mu)
 
 
-def grad_cost(params: AnsatzParams, sys: QuantumSystem) -> np.ndarray:
-    """Exact gradient of the cost (see cost_and_grad)."""
-    return cost_and_grad(params, sys)[1]
+def _checked_step(params: AnsatzParams, sys: QuantumSystem, iteration: int):
+    c, grad = cost_and_grad(params, sys)
+    if not (np.isfinite(c) and np.isfinite(grad).all()):
+        raise DivergedError(f"non-finite cost or gradient at iteration {iteration}")
+    return c, grad
 
 
 def train(sys: QuantumSystem, cfg: VqlsConfig) -> TrainResult:
@@ -180,7 +176,8 @@ def train(sys: QuantumSystem, cfg: VqlsConfig) -> TrainResult:
     theta stream of cfg.seed. The trace records the cost after every
     ``trace_every``-th step (iteration 0 = initial angles, always kept, as is
     the final iteration); the reported solution is the final iterate, with
-    the best-cost iterate carried alongside.
+    the best-cost iterate carried alongside. Raises DivergedError at the
+    first non-finite cost or gradient.
     """
     rng = np.random.default_rng(np.random.SeedSequence([int(cfg.seed), STREAM_THETA]))
     params = AnsatzParams.random(sys.n_qubits, cfg.depth, cfg.init_scale, rng)
@@ -188,7 +185,7 @@ def train(sys: QuantumSystem, cfg: VqlsConfig) -> TrainResult:
 
     trace: list[TraceRecord] = []
     t0 = time.perf_counter()
-    c, grad = cost_and_grad(params, sys)
+    c, grad = _checked_step(params, sys, 0)
     trace.append(TraceRecord(0, c, float(np.linalg.norm(grad)), time.perf_counter() - t0))
     best_cost, best_params, best_iter = c, params, 0
 
@@ -196,7 +193,7 @@ def train(sys: QuantumSystem, cfg: VqlsConfig) -> TrainResult:
     for it in range(1, cfg.iterations + 1):
         flat = adam.step(flat, grad)
         params = params.with_flat(flat)
-        c, grad = cost_and_grad(params, sys)
+        c, grad = _checked_step(params, sys, it)
         if c < best_cost:
             best_cost, best_params, best_iter = c, params, it
         if it % cfg.trace_every == 0 or it == cfg.iterations:

@@ -1,9 +1,9 @@
 """Acceptance criteria, one test per criterion, at their stated tolerances.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see one pass line per
-criterion. Criterion 9 (the full paper-scale reproduction, ~15+ minutes) is
+criterion. Criterion 9 (the full paper-scale reproduction, ~3 minutes) is
 skipped unless VQLS_RUN_PAPER_PROFILE=1 is set; everything else runs by
-default, with criterion 8 the long pole (a few minutes).
+default, with criterion 8 the long pole (about a minute and a half).
 """
 
 import os
@@ -13,6 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from oracles import make_system
 from vqls_precond import (condition_number, cost, cost_and_grad,
                           cost_via_decomposition, ilu0, lu_solve, pauli_decompose,
                           pauli_reconstruct, poisson_1d, preconditioned_system,
@@ -39,14 +40,6 @@ class Stopwatch:
 
 def report(num, watch, message):
     print(f"\ncriterion {num:02d} PASS ({watch.elapsed:.2f} s): {message}")
-
-
-def make_quantum_system(op, rhs):
-    from vqls_precond import QuantumSystem
-    rhs = np.asarray(rhs, dtype=float)
-    return QuantumSystem(n_qubits=int(np.log2(len(rhs))), op=np.asarray(op, float),
-                         rhs_state=rhs / np.linalg.norm(rhs),
-                         scale=float(np.linalg.norm(rhs)), hermitized=False)
 
 
 def test_criterion_01_pattern_exactness():
@@ -101,7 +94,7 @@ def test_criterion_04_gradient_correctness():
         h = 1e-5
         for trial in range(20):
             A = rng.uniform(-1, 1, (8, 8)) + np.diag(rng.choice([-3.0, 3.0], 8))
-            sys = make_quantum_system(A, rng.normal(size=8))
+            sys = make_system(A, rng.normal(size=8))
             params = AnsatzParams.random(3, 2, np.pi / 2, rng)
             _, grad = cost_and_grad(params, sys)
             flat = params.flat()
@@ -116,7 +109,7 @@ def test_criterion_04_gradient_correctness():
                 rel = abs(grad[j] - fd) / abs(grad[j])
                 assert rel < 1e-5, f"trial {trial} param {j}: rel err {rel:.3e}"
     assert watch.elapsed < 10.0
-    report(4, watch, "shift-rule gradient matches central finite differences, 20 trials")
+    report(4, watch, "gradient matches central finite differences, 20 trials")
 
 
 def test_criterion_05_cost_bounds_and_scale_invariance():
@@ -128,12 +121,12 @@ def test_criterion_05_cost_bounds_and_scale_invariance():
             rhs = rng.normal(size=2 ** n)
             if np.linalg.norm(op @ (rhs / np.linalg.norm(rhs))) < 1e-3:
                 continue
-            sys = make_quantum_system(op, rhs)
+            sys = make_system(op, rhs)
             params = AnsatzParams.random(n, int(rng.integers(0, 3)), np.pi, rng)
             c = cost(params, sys)
             assert 0.0 <= c <= 1.0 + 1e-12
             for scale in (-2.0, 0.5, 10.0):
-                c_scaled = cost(params, make_quantum_system(scale * op, rhs))
+                c_scaled = cost(params, make_system(scale * op, rhs))
                 assert abs(c_scaled - c) <= 1e-12
     assert watch.elapsed < 30.0
     report(5, watch, "cost in [0, 1] and scale-invariant over 1000 fuzzed systems")
@@ -191,7 +184,7 @@ def test_criterion_08_depth_reduction_ci_scale(tmp_path):
 
 
 @pytest.mark.skipif(os.environ.get("VQLS_RUN_PAPER_PROFILE") != "1",
-                    reason="paper-scale run (~15+ min); set VQLS_RUN_PAPER_PROFILE=1")
+                    reason="paper-scale run (~3 min); set VQLS_RUN_PAPER_PROFILE=1")
 def test_criterion_09_paper_scale_reproduction(tmp_path):
     with Stopwatch() as watch:
         cfg = replace(paper_profile("solve"), output_dir=str(tmp_path))

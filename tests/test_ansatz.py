@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from oracles import shift_columns, shift_rule_tangent, shifted_state
 from vqls_precond import (AnsatzParams, GateCounter, StateVector, apply_cnot, apply_ry,
-                          prepare_state, shift_rule_tangent, shifted_state)
+                          prepare_state)
 from vqls_precond.ansatz import _run_circuit
 
 
@@ -155,14 +156,9 @@ def test_batched_kernel_matches_sequential_shifts():
     n, depth = 3, 2
     params = AnsatzParams.random(n, depth, 0.7, rng)
     init = random_state(n, rng)
-    P = params.count
-    cols = np.repeat(params.flat()[:, None], 2 * P + 1, axis=1)
-    idx = np.arange(P)
-    cols[idx, 2 * idx + 1] += np.pi / 2
-    cols[idx, 2 * idx + 2] -= np.pi / 2
-    batch = _run_circuit(cols, n, depth, init.amps)
+    batch = _run_circuit(shift_columns(params.flat()), n, depth, init.amps)
     np.testing.assert_array_equal(batch[:, 0], prepare_state(params, init).amps)
-    for j in range(P):
+    for j in range(params.count):
         plus = shifted_state(params, j, +np.pi / 2, init).amps
         minus = shifted_state(params, j, -np.pi / 2, init).amps
         np.testing.assert_array_equal(batch[:, 2 * j + 1], plus)

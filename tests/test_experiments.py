@@ -8,10 +8,10 @@ import pytest
 from vqls_precond import ZeroPivotError, lu_solve, poisson_1d
 from vqls_precond.cli import main
 from vqls_precond.experiments import (CI_SEEDS, DEFAULT_SEEDS, ExperimentConfig,
-                                      SeedStatus, ci_profile, cmd_heat, cmd_solve,
-                                      cmd_spectrum, cmd_sweep_depth, generate_instance,
-                                      mean_sem, paper_profile)
-from vqls_precond.vqls import VqlsConfig
+                                      NoFactorableInstanceError, SeedStatus, ci_profile,
+                                      cmd_heat, cmd_solve, cmd_spectrum, cmd_sweep_depth,
+                                      generate_instance, mean_sem, paper_profile)
+from vqls_precond.vqls import DivergedError, VqlsConfig
 
 
 def tiny_solve_config(out, **overrides):
@@ -199,6 +199,16 @@ def test_heat_pipeline(tmp_path):
     assert float(trace[-1][1]) < 1e-8
 
 
+def test_heat_costs_stay_in_range(tmp_path):
+    # The preconditioned arm starts at the exact solution, where 1 - g^2/h
+    # rounds to either side of 0.
+    cfg = ExperimentConfig(kind="heat", n=16, seeds=[1], output_dir=str(tmp_path),
+                           vqls=VqlsConfig(depth=0, iterations=1500, mode="direct"))
+    cmd_heat(cfg)
+    _, trace = read_csv(tmp_path / "trace_precond.csv")
+    assert all(0.0 <= float(row[1]) <= 1.0 for row in trace)
+
+
 def test_config_json_round_trip(tmp_path):
     cfg = ExperimentConfig(kind="sweep_depth", seeds=[4, 5], depths=[1, 3])
     data = cfg.to_dict()
@@ -293,3 +303,54 @@ def test_cli_numerical_failure_exit_code(tmp_path, monkeypatch):
     cfg_path.write_text(json.dumps({"n": 4, "seeds": [1],
                                     "vqls": {"depth": 1, "iterations": 5}}))
     assert main(["solve", "--config", str(cfg_path), "--out", str(tmp_path / "r")]) == 3
+
+
+def _write_tiny_config(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"n": 4, "instance": "identity", "seeds": [1],
+                                    "vqls": {"depth": 1, "iterations": 5}}))
+    return cfg_path
+
+
+def test_no_factorable_instance_exits_3(tmp_path, monkeypatch):
+    import vqls_precond.experiments as exp
+
+    def never_factors(A):
+        raise ZeroPivotError(0, 0.0)
+
+    monkeypatch.setattr(exp, "ilu0", never_factors)
+    cfg = ExperimentConfig(kind="solve", n=4, instance="identity", seeds=[1])
+    with pytest.raises(NoFactorableInstanceError):
+        generate_instance(cfg, 1)
+    cfg_path = _write_tiny_config(tmp_path)
+    assert main(["solve", "--config", str(cfg_path), "--out", str(tmp_path / "r")]) == 3
+
+
+def test_non_finite_operator_stops_training_and_exits_3(tmp_path, monkeypatch):
+    import vqls_precond.experiments as exp
+    real_build = exp.build_system
+
+    def poisoned_build(A, b, mode):
+        sys = real_build(A, b, mode)
+        sys.op[0, 1] = np.nan
+        return sys
+
+    monkeypatch.setattr(exp, "build_system", poisoned_build)
+    with pytest.raises(DivergedError):
+        cmd_solve(tiny_solve_config(tmp_path / "direct"))
+    cfg_path = _write_tiny_config(tmp_path)
+    out = tmp_path / "r"
+    assert main(["solve", "--config", str(cfg_path), "--out", str(out)]) == 3
+    assert not (out / "trace_plain.csv").exists()
+
+
+def test_unrelated_runtime_error_propagates(tmp_path, monkeypatch):
+    import vqls_precond.cli as cli
+
+    def buggy_run(cfg):
+        raise RuntimeError("not a numerical failure")
+
+    monkeypatch.setattr(cli, "run", buggy_run)
+    cfg_path = _write_tiny_config(tmp_path)
+    with pytest.raises(RuntimeError, match="not a numerical failure"):
+        main(["solve", "--config", str(cfg_path), "--out", str(tmp_path / "r")])

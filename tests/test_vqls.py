@@ -1,21 +1,13 @@
-"""Cost function, shift-rule gradient, Adam and the training loop."""
+"""Cost function, adjoint gradient, Adam and the training loop."""
 
 import numpy as np
 import pytest
 
-from vqls_precond import (Adam, AnsatzParams, DegenerateOperatorError, QuantumSystem,
+from oracles import make_system, shift_rule_cost_and_grad
+from vqls_precond import (Adam, AnsatzParams, DegenerateOperatorError, DivergedError,
                           VqlsConfig, cost, cost_and_grad, cost_via_decomposition,
-                          grad_cost, pauli_decompose, residuals, train,
-                          write_trace_csv)
-from vqls_precond.embedding import build_system, direct_system, hermitize
-
-
-def make_system(op, rhs):
-    rhs = np.asarray(rhs, dtype=float)
-    n = int(np.log2(len(rhs)))
-    return QuantumSystem(n_qubits=n, op=np.asarray(op, dtype=float),
-                         rhs_state=rhs / np.linalg.norm(rhs),
-                         scale=float(np.linalg.norm(rhs)), hermitized=False)
+                          pauli_decompose, residuals, train, write_trace_csv)
+from vqls_precond.embedding import build_system, hermitize
 
 
 def zero_params(n, depth=0):
@@ -78,7 +70,7 @@ def test_cost_degenerate_operator():
 def test_grad_zero_at_reachable_minimum():
     sys = make_system(np.diag([2.0, 1.0]), [1.0, 1.0])
     theta_star = 2.0 * np.arctan(2.0) - np.pi / 2.0
-    grad = grad_cost(AnsatzParams(1, 0, [[theta_star]]), sys)
+    _, grad = cost_and_grad(AnsatzParams(1, 0, [[theta_star]]), sys)
     assert np.abs(grad).max() < 1e-8
 
 
@@ -109,7 +101,7 @@ def test_grad_matches_finite_differences():
         A = rng.uniform(-1, 1, (8, 8)) + np.diag(rng.choice([-3.0, 3.0], 8))
         sys = make_system(A, rng.normal(size=8))
         params = AnsatzParams.random(n, depth, np.pi / 2, rng)
-        grad = grad_cost(params, sys)
+        _, grad = cost_and_grad(params, sys)
         fd = finite_difference_grad(params, sys)
         mask = np.abs(grad) > 1e-8
         assert np.all(np.abs(grad[mask] - fd[mask]) / np.abs(grad[mask]) < 1e-5)
@@ -120,10 +112,49 @@ def test_grad_matches_fd_hermitized():
     A = rng.uniform(-1, 1, (4, 4))
     sys = hermitize(A, rng.normal(size=4))
     params = AnsatzParams.random(3, 2, 0.4, rng)
-    grad = grad_cost(params, sys)
     fd = finite_difference_grad(params, sys)
-    mask = np.abs(grad) > 1e-8
-    assert np.all(np.abs(grad[mask] - fd[mask]) / np.abs(grad[mask]) < 1e-5)
+    # the shift-rule oracle is held to the same differences as the adjoint
+    for _, grad in (cost_and_grad(params, sys), shift_rule_cost_and_grad(params, sys)):
+        mask = np.abs(grad) > 1e-8
+        assert np.all(np.abs(grad[mask] - fd[mask]) / np.abs(grad[mask]) < 1e-5)
+
+
+@pytest.mark.parametrize("mode", ["direct", "hermitized"])
+@pytest.mark.parametrize("depth", [0, 1, 2, 6, 14, 20])
+def test_adjoint_matches_shift_rule_oracle(depth, mode):
+    rng = np.random.default_rng(100 + depth)
+    for n_qubits in range(3, 9):
+        dim = 2 ** n_qubits if mode == "direct" else 2 ** (n_qubits - 1)
+        A = rng.uniform(-1, 1, (dim, dim)) + np.diag(rng.choice([-3.0, 3.0], dim))
+        sys = build_system(A, rng.normal(size=dim), mode)
+        params = AnsatzParams.random(n_qubits, depth, np.pi, rng)
+        c, grad = cost_and_grad(params, sys)
+        _, oracle = shift_rule_cost_and_grad(params, sys)
+        assert c == cost(params, sys)
+        assert np.abs(grad - oracle).max() <= 1e-12 * np.abs(oracle).max(), n_qubits
+
+
+def test_cost_clamped_at_zero_when_solved():
+    # op = I at zero angles: x = rhs exactly, so g = h and 1 - g^2/h is 0 up
+    # to rounding, on either side of it
+    rng = np.random.default_rng(16)
+    rounded_below = 0
+    for _ in range(200):
+        sys = make_system(np.eye(8), rng.normal(size=8))
+        h = float(sys.rhs_state @ sys.rhs_state)
+        raw = 1.0 - h * h / h
+        rounded_below += raw < 0.0
+        c, _ = cost_and_grad(zero_params(3), sys)
+        assert c == cost(zero_params(3), sys) == max(raw, 0.0)
+    assert rounded_below > 0
+
+
+def test_train_raises_at_first_non_finite_cost():
+    op = np.eye(4)
+    op[1, 2] = np.nan
+    sys = make_system(op, [1.0, 2.0, 3.0, 4.0])
+    with pytest.raises(DivergedError, match="iteration 0"):
+        train(sys, VqlsConfig(depth=1, iterations=5, mode="direct"))
 
 
 def test_adam_first_step_zero_gradient():
