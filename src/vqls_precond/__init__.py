@@ -11,8 +11,7 @@ from .embedding import (DegenerateBlockError, PauliTerm, QuantumSystem, build_sy
                         direct_system, extract_solution, hermitize,
                         pad_to_power_of_two, pauli_decompose, pauli_reconstruct,
                         save_pauli_terms)
-from .ansatz import (AnsatzParams, GateCounter, StateVector, apply_cnot, apply_ry,
-                     prepare_state)
+from .ansatz import AnsatzParams, StateVector, prepare_state
 from .vqls import (Adam, DegenerateOperatorError, DivergedError, TraceRecord, TrainResult,
                    VqlsConfig, cost, cost_and_grad, cost_via_decomposition, residuals,
                    train, write_trace_csv)

@@ -37,14 +37,6 @@ class StateVector:
         amps[0] = 1.0
         return cls(n_qubits, amps)
 
-    @classmethod
-    def from_amplitudes(cls, vec) -> "StateVector":
-        vec = np.asarray(vec, dtype=float)
-        n = len(vec).bit_length() - 1
-        if 2 ** n != len(vec):
-            raise ValueError("amplitude length must be a power of two")
-        return cls(n, vec.copy())
-
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
 
@@ -82,14 +74,6 @@ class AnsatzParams:
                    rng.uniform(-scale, scale, size=(depth + 1, n_qubits)))
 
 
-@dataclass
-class GateCounter:
-    """Optional instrumentation: counts gates applied by prepare_state."""
-
-    ry: int = 0
-    cnot: int = 0
-
-
 def _ry_kernel(amps: np.ndarray, qubit: int, angle) -> None:
     """In-place RY on one qubit of a (dim, batch) buffer.
 
@@ -123,7 +107,7 @@ def _cnot_kernel(amps: np.ndarray, control: int, target: int) -> None:
 
 
 def _run_circuit(theta_cols: np.ndarray, n_qubits: int, depth: int,
-                 initial: np.ndarray, counter: GateCounter | None = None) -> np.ndarray:
+                 initial: np.ndarray) -> np.ndarray:
     """Apply the full ansatz for every angle column.
 
     theta_cols has shape (P, batch) with P = n_qubits * (depth + 1); column b
@@ -136,42 +120,15 @@ def _run_circuit(theta_cols: np.ndarray, n_qubits: int, depth: int,
     amps = np.repeat(initial[:, None], batch, axis=1)
     for q in range(n_qubits):
         _ry_kernel(amps, q, theta_cols[q])
-    if counter:
-        counter.ry += n_qubits
     for d in range(1, depth + 1):
         for q in range(n_qubits - 1):
             _cnot_kernel(amps, q, q + 1)
         for q in range(n_qubits):
             _ry_kernel(amps, q, theta_cols[d * n_qubits + q])
-        if counter:
-            counter.cnot += n_qubits - 1
-            counter.ry += n_qubits
     return amps
 
 
-def apply_ry(state: StateVector, qubit: int, angle: float) -> StateVector:
-    """RY(angle) on one qubit; returns a new state."""
-    if not 0 <= qubit < state.n_qubits:
-        raise IndexError(f"qubit {qubit} out of range for {state.n_qubits} qubits")
-    amps = state.amps[:, None].copy()
-    _ry_kernel(amps, qubit, angle)
-    return StateVector(state.n_qubits, amps[:, 0])
-
-
-def apply_cnot(state: StateVector, control: int, target: int) -> StateVector:
-    """CNOT with the given control and target; returns a new state."""
-    n = state.n_qubits
-    if not (0 <= control < n and 0 <= target < n):
-        raise IndexError(f"qubit pair ({control},{target}) out of range for {n} qubits")
-    if control == target:
-        raise ValueError("control and target must differ")
-    amps = state.amps[:, None].copy()
-    _cnot_kernel(amps, control, target)
-    return StateVector(n, amps[:, 0])
-
-
-def prepare_state(params: AnsatzParams, initial: StateVector,
-                  counter: GateCounter | None = None) -> StateVector:
+def prepare_state(params: AnsatzParams, initial: StateVector) -> StateVector:
     """V(theta) applied to ``initial``.
 
     Row 0 of the angle table is the leading RY layer; each of the D blocks
@@ -181,7 +138,7 @@ def prepare_state(params: AnsatzParams, initial: StateVector,
     if initial.n_qubits != params.n_qubits:
         raise ValueError("initial state size does not match the ansatz")
     out = _run_circuit(params.flat()[:, None], params.n_qubits, params.depth,
-                       initial.amps, counter)
+                       initial.amps)
     return StateVector(params.n_qubits, out[:, 0])
 
 

@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
@@ -57,7 +58,7 @@ def _load_config(args) -> ExperimentConfig:
     kind = _KINDS[args.command]
     base = ci_profile(kind) if args.profile == "ci" else paper_profile(kind)
     if args.config:
-        data = json.loads(open(args.config).read())
+        data = json.loads(Path(args.config).read_text())
         data.setdefault("kind", kind)
         merged = base.to_dict()
         vqls_overrides = data.pop("vqls", {})

@@ -5,8 +5,11 @@ manifest recording the config snapshot, per-seed status (including zero
 pivot skips and their replacement lineage) and the emitted files. Outputs
 are deterministic per config; files are written atomically.
 
-The seed x depth x arm grid runs on a small task pool capped by the
-VQLS_THREADS environment variable (default 1, i.e. serial).
+Every command compares the same named arms of each instance: ``plain``
+(A, b) and ``precond`` (M^-1 A, M^-1 b). ``_arms`` builds that list once
+per instance, and every command iterates it to train, to take spectra and
+to lay out its CSV columns; ``--no-precond`` drops the ``precond`` arm
+there. Cells run serially, depth-major, in config order.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ import dataclasses
 import json
 import os
 import statistics
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -26,7 +28,8 @@ from .ansatz import StateVector, prepare_state
 from .dense import condition_number, lu_solve, singular_values
 from .embedding import build_system, extract_solution
 from .ilu import IluFactors, ZeroPivotError, ilu0, preconditioned_system
-from .sparse import CsrMatrix, poisson_1d, random_rhs, random_sparse, save_matrix_market
+from .sparse import (CsrMatrix, check_random_sparse, poisson_1d, random_rhs, random_sparse,
+                     save_matrix_market)
 from .vqls import TrainResult, VqlsConfig, residuals, train, write_trace_csv
 
 DEFAULT_SEEDS = list(range(1, 11))   # the 10 committed paper-scale seeds
@@ -63,8 +66,19 @@ class ExperimentConfig:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
         if self.instance not in ("random", "identity"):
             raise ValueError(f"unknown instance kind {self.instance!r}")
-        if not self.seeds:
-            raise ValueError("at least one seed is required")
+        if not _is_int(self.n) or self.n < 1:
+            raise ValueError(f"n must be an integer >= 1, got {self.n!r}")
+        if not self.seeds or not all(_is_int(s) for s in self.seeds):
+            raise ValueError("seeds must be a non-empty list of integers")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ValueError(f"seeds must be distinct, got {self.seeds}")
+        if self.kind == "sweep_depth" and len(self.seeds) < 2:
+            raise ValueError("the depth sweep needs at least 2 seeds")
+        if not self.depths or not all(_is_int(d) and d >= 0 for d in self.depths):
+            raise ValueError(f"depths must be a non-empty list of integers >= 0, "
+                             f"got {self.depths}")
+        if self.instance == "random" and self.kind != "heat":
+            check_random_sparse(self.n, self.density, self.diag_offset)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -88,6 +102,10 @@ class ExperimentConfig:
     def to_dict(self) -> dict:
         out = dataclasses.asdict(self)
         return out
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def ci_profile(kind: str) -> ExperimentConfig:
@@ -155,7 +173,25 @@ def generate_instance(cfg: ExperimentConfig, seed: int):
 
 
 # ---------------------------------------------------------------------------
-# single-instance solve pipeline (shared by the solve and heat commands)
+# arms: the systems every command compares on one instance
+
+
+def _arms(A: CsrMatrix, b: np.ndarray, factors: IluFactors, cfg: ExperimentConfig) -> dict:
+    """The named dense systems of one instance: plain (A, b), then ILU(0)-preconditioned.
+
+    Every command iterates this dict, so its order fixes the column order of
+    every output; ``no_precond`` drops the preconditioned arm here only.
+    """
+    arms = {"plain": (A.to_dense(), b)}
+    if not cfg.no_precond:
+        arms["precond"] = preconditioned_system(A, b, factors)
+    return arms
+
+
+def _train_arm(system: tuple, vqls_cfg: VqlsConfig) -> tuple:
+    """Embed one arm's (A, b) and train on it; returns (QuantumSystem, TrainResult)."""
+    sys = build_system(*system, vqls_cfg.mode)
+    return sys, train(sys, vqls_cfg)
 
 
 @dataclass
@@ -165,38 +201,24 @@ class ArmResult:
     x_best: np.ndarray    # unit norm, minimum-cost iterate
 
 
-@dataclass
-class SolveOutcome:
-    x_exact: np.ndarray
-    plain: ArmResult
-    precond: ArmResult | None
-
-
-def _run_arm(A_dense: np.ndarray, b: np.ndarray, vqls_cfg: VqlsConfig,
-             original_n: int) -> ArmResult:
-    sys = build_system(A_dense, b, vqls_cfg.mode)
-    result = train(sys, vqls_cfg)
-    x_final = prepare_state(result.params, StateVector(sys.n_qubits, sys.rhs_state.copy()))
-    x_best = prepare_state(result.best_params, StateVector(sys.n_qubits, sys.rhs_state.copy()))
-    return ArmResult(result=result,
-                     x_final=extract_solution(x_final.amps, sys, original_n),
-                     x_best=extract_solution(x_best.amps, sys, original_n))
-
-
 def solve_instance(A: CsrMatrix, b: np.ndarray, factors: IluFactors,
-                   cfg: ExperimentConfig, seed: int,
-                   depth: int | None = None) -> SolveOutcome:
-    """Train the plain and preconditioned arms on one instance."""
-    vqls_cfg = replace(cfg.vqls, seed=seed,
-                       **({"depth": depth} if depth is not None else {}))
-    A_dense = A.to_dense()
-    x_exact = lu_solve(A_dense, b)
-    plain = _run_arm(A_dense, b, replace(vqls_cfg, preconditioned=False), A.n)
-    precond = None
-    if not cfg.no_precond:
-        A_tilde, b_tilde = preconditioned_system(A, b, factors)
-        precond = _run_arm(A_tilde, b_tilde, replace(vqls_cfg, preconditioned=True), A.n)
-    return SolveOutcome(x_exact=x_exact, plain=plain, precond=precond)
+                   cfg: ExperimentConfig, seed: int) -> tuple:
+    """Train every arm on one instance; returns (x_exact, {arm name: ArmResult})."""
+    vqls_cfg = replace(cfg.vqls, seed=seed)
+    arms = _arms(A, b, factors, cfg)
+    x_exact = lu_solve(arms["plain"][0], b)
+    results = {}
+    for name, system in arms.items():
+        sys, result = _train_arm(system, vqls_cfg)
+        results[name] = ArmResult(result=result,
+                                  x_final=_unit_solution(sys, result.params, A.n),
+                                  x_best=_unit_solution(sys, result.best_params, A.n))
+    return x_exact, results
+
+
+def _unit_solution(sys, params, original_n: int) -> np.ndarray:
+    state = prepare_state(params, StateVector(sys.n_qubits, sys.rhs_state))
+    return extract_solution(state.amps, sys, original_n)
 
 
 # ---------------------------------------------------------------------------
@@ -247,60 +269,38 @@ def _write_manifest(out: Path, cfg: ExperimentConfig, statuses: list,
     _write_atomic(out / "manifest.json", json.dumps(manifest, indent=2) + "\n")
 
 
-def _task_pool_size() -> int:
-    try:
-        return max(1, int(os.environ.get("VQLS_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _run_grid(keys, fn):
-    """Evaluate fn over the keys, optionally on a thread pool; order-stable."""
-    workers = _task_pool_size()
-    if workers == 1:
-        return {key: fn(key) for key in keys}
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        values = list(pool.map(fn, keys))
-    return dict(zip(keys, values))
-
-
 # ---------------------------------------------------------------------------
 # commands
 
 
 def cmd_solve(cfg: ExperimentConfig) -> list:
-    """One instance, both arms: traces, solutions and residuals (Fig. 2 data)."""
+    """One instance, every arm: traces, solutions and residuals (Fig. 2 data)."""
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     A, b, factors, status = generate_instance(cfg, cfg.seeds[0])
-    outcome = solve_instance(A, b, factors, cfg, status.used)
-    return _emit_solve_outputs(out, cfg, A, outcome, [status])
+    x_exact, arms = solve_instance(A, b, factors, cfg, status.used)
+    return _emit_solve_outputs(out, cfg, A, x_exact, arms, [status])
 
 
 def _emit_solve_outputs(out: Path, cfg: ExperimentConfig, A: CsrMatrix,
-                        outcome: SolveOutcome, statuses: list,
+                        x_exact: np.ndarray, arms: dict, statuses: list,
                         extra_artifacts: list | None = None) -> list:
     artifacts = list(extra_artifacts or [])
-    write_trace_csv(outcome.plain.result.trace, out / "trace_plain.csv")
-    artifacts.append("trace_plain.csv")
-    arms = [("plain", outcome.plain)]
-    if outcome.precond is not None:
-        write_trace_csv(outcome.precond.result.trace, out / "trace_precond.csv")
-        artifacts.append("trace_precond.csv")
-        arms.append(("precond", outcome.precond))
+    for name, arm in arms.items():
+        write_trace_csv(arm.result.trace, out / f"trace_{name}.csv")
+        artifacts.append(f"trace_{name}.csv")
 
-    x_exact = outcome.x_exact
     for fname, pick in (("solution.csv", lambda a: a.x_final),
                         ("solution_best.csv", lambda a: a.x_best)):
-        header = ["index", "x_exact"] + [f"x_vqls_{name}" for name, _ in arms]
-        cols = [_aligned(pick(arm), x_exact) for _, arm in arms]
+        header = ["index", "x_exact"] + [f"x_vqls_{name}" for name in arms]
+        cols = [_aligned(pick(arm), x_exact) for arm in arms.values()]
         rows = [[i, float(x_exact[i])] + [float(c[i]) for c in cols]
                 for i in range(A.n)]
         _write_csv(out / fname, header, rows)
         artifacts.append(fname)
 
-    header = ["index"] + [f"residual_{name}" for name, _ in arms]
-    res = [residuals(arm.x_final, x_exact) for _, arm in arms]
+    header = ["index"] + [f"residual_{name}" for name in arms]
+    res = [residuals(arm.x_final, x_exact) for arm in arms.values()]
     rows = [[i] + [float(r[i]) for r in res] for i in range(A.n)]
     _write_csv(out / "residuals.csv", header, rows)
     artifacts.append("residuals.csv")
@@ -314,67 +314,38 @@ def _emit_solve_outputs(out: Path, cfg: ExperimentConfig, A: CsrMatrix,
 
 def cmd_sweep_depth(cfg: ExperimentConfig) -> list:
     """Final cost vs depth, averaged over seeds (Fig. 3(a) data)."""
-    if len(cfg.seeds) < 2:
-        raise ValueError("the depth sweep needs at least 2 seeds")
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    instances = {}
-    statuses = []
+    instances, statuses = [], []
     for seed in cfg.seeds:
         A, b, factors, status = generate_instance(cfg, seed)
-        pre = None if cfg.no_precond else preconditioned_system(A, b, factors)
-        instances[seed] = (A.to_dense(), b, pre)
+        instances.append(_arms(A, b, factors, cfg))
         statuses.append(status)
+    names = list(instances[0])
 
-    def run_cell(key):
-        seed, depth = key
-        A_dense, b, pre = instances[seed]
-        status = next(s for s in statuses if s.requested == seed)
-        vqls_cfg = replace(cfg.vqls, seed=status.used, depth=depth)
-        cell = {}
-        sys_plain = build_system(A_dense, b, vqls_cfg.mode)
-        cell["plain"] = train(sys_plain, replace(vqls_cfg, preconditioned=False)).final_cost
-        if pre is not None:
-            sys_pre = build_system(pre[0], pre[1], vqls_cfg.mode)
-            cell["precond"] = train(sys_pre, replace(vqls_cfg, preconditioned=True)).final_cost
-        return cell
-
-    keys = [(seed, depth) for depth in cfg.depths for seed in cfg.seeds]
-    cells = _run_grid(keys, run_cell)
-
-    raw_header = ["depth", "seed", "final_cost_plain"]
-    if not cfg.no_precond:
-        raw_header.append("final_cost_precond")
+    # One row per (depth, seed) cell, depth-major: the rows of one depth are
+    # consecutive, which the aggregates below rely on.
     raw_rows = []
     for depth in cfg.depths:
-        for seed in cfg.seeds:
-            cell = cells[(seed, depth)]
-            row = [depth, seed, cell["plain"]]
-            if not cfg.no_precond:
-                row.append(cell["precond"])
-            raw_rows.append(row)
-    _write_csv(out / "sweep_raw.csv", raw_header, raw_rows)
+        for status, arms in zip(statuses, instances):
+            vqls_cfg = replace(cfg.vqls, seed=status.used, depth=depth)
+            raw_rows.append([depth, status.requested]
+                            + [_train_arm(system, vqls_cfg)[1].final_cost
+                               for system in arms.values()])
+    _write_csv(out / "sweep_raw.csv",
+               ["depth", "seed"] + [f"final_cost_{name}" for name in names], raw_rows)
 
-    header = ["depth", "mean_cost_plain", "sem_plain"]
-    if not cfg.no_precond:
-        header += ["mean_cost_precond", "sem_precond"]
-    header += ["n_seeds", "median_cost_plain"]
-    if not cfg.no_precond:
-        header.append("median_cost_precond")
+    n_seeds = len(cfg.seeds)
     rows = []
-    for depth in cfg.depths:
-        plain_costs = [cells[(seed, depth)]["plain"] for seed in cfg.seeds]
-        mean_p, sem_p = mean_sem(plain_costs)
-        row = [depth, mean_p, sem_p]
-        if not cfg.no_precond:
-            pre_costs = [cells[(seed, depth)]["precond"] for seed in cfg.seeds]
-            mean_q, sem_q = mean_sem(pre_costs)
-            row += [mean_q, sem_q]
-        row += [len(cfg.seeds), statistics.median(plain_costs)]
-        if not cfg.no_precond:
-            row.append(statistics.median(pre_costs))
-        rows.append(row)
+    for i, depth in enumerate(cfg.depths):
+        # costs[j]: arm j's final costs over the seeds at this depth
+        costs = list(zip(*(row[2:] for row in raw_rows[i * n_seeds:(i + 1) * n_seeds])))
+        rows.append([depth] + [v for arm_costs in costs for v in mean_sem(arm_costs)]
+                    + [n_seeds] + [statistics.median(arm_costs) for arm_costs in costs])
+    header = (["depth"]
+              + [col for name in names for col in (f"mean_cost_{name}", f"sem_{name}")]
+              + ["n_seeds"] + [f"median_cost_{name}" for name in names])
     _write_csv(out / "sweep.csv", header, rows)
 
     artifacts = ["sweep.csv", "sweep_raw.csv"]
@@ -383,50 +354,36 @@ def cmd_sweep_depth(cfg: ExperimentConfig) -> list:
 
 
 def cmd_spectrum(cfg: ExperimentConfig) -> list:
-    """Singular-value spectra and condition numbers, before/after (Fig. 3(b) data)."""
+    """Singular-value spectra and condition numbers, per arm (Fig. 3(b) data)."""
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     statuses = []
-    sigma_plain, sigma_pre, cond_rows = [], [], []
+    sigma, cond = {}, {}      # arm name -> one entry per seed
     for seed in cfg.seeds:
         A, b, factors, status = generate_instance(cfg, seed)
         statuses.append(status)
-        A_dense = A.to_dense()
-        A_tilde, _ = preconditioned_system(A, b, factors)
-        sp = singular_values(A_dense)
-        sq = singular_values(A_tilde)
-        sigma_plain.append(sp)
-        sigma_pre.append(sq)
-        cond_rows.append([status.used, condition_number(A_dense), condition_number(A_tilde)])
+        for name, (M, _) in _arms(A, b, factors, cfg).items():
+            sigma.setdefault(name, []).append(singular_values(M))
+            cond.setdefault(name, []).append(float(condition_number(M)))
+    seeds = [status.used for status in statuses]
 
-    raw_rows = []
-    for status, sp, sq in zip(statuses, sigma_plain, sigma_pre):
-        for rank in range(cfg.n):
-            raw_rows.append([status.used, rank, float(sp[rank]), float(sq[rank])])
+    raw_rows = [[seed, rank] + [float(sigma[name][i][rank]) for name in sigma]
+                for i, seed in enumerate(seeds) for rank in range(cfg.n)]
     _write_csv(out / "spectrum_raw.csv",
-               ["seed", "rank", "sigma_plain", "sigma_precond"], raw_rows)
+               ["seed", "rank"] + [f"sigma_{name}" for name in sigma], raw_rows)
 
     # Raw and sigma_i / sigma_max spectra, averaged rank-by-rank across seeds.
-    norm_plain = [sp / sp[0] for sp in sigma_plain]
-    norm_pre = [sq / sq[0] for sq in sigma_pre]
-    rows = []
-    for rank in range(cfg.n):
-        row = [rank]
-        for group in (sigma_plain, sigma_pre, norm_plain, norm_pre):
-            mean, sem = mean_sem([float(s[rank]) for s in group])
-            row += [mean, sem]
-        rows.append(row)
+    groups = {f"sigma_{name}": s for name, s in sigma.items()}
+    groups.update({f"sigma_norm_{name}": [v / v[0] for v in s] for name, s in sigma.items()})
+    rows = [[rank] + [v for group in groups.values()
+                      for v in mean_sem([float(s[rank]) for s in group])]
+            for rank in range(cfg.n)]
     _write_csv(out / "spectrum.csv",
-               ["rank",
-                "mean_sigma_plain", "sem_sigma_plain",
-                "mean_sigma_precond", "sem_sigma_precond",
-                "mean_sigma_norm_plain", "sem_sigma_norm_plain",
-                "mean_sigma_norm_precond", "sem_sigma_norm_precond"],
-               rows)
+               ["rank"] + [f"{stat}_{g}" for g in groups for stat in ("mean", "sem")], rows)
 
-    _write_csv(out / "condition.csv", ["seed", "cond_plain", "cond_precond"],
-               [[s, float(cp), float(cq)] for s, cp, cq in cond_rows])
+    _write_csv(out / "condition.csv", ["seed"] + [f"cond_{name}" for name in cond],
+               [[seed] + [cond[name][i] for name in cond] for i, seed in enumerate(seeds)])
 
     artifacts = ["spectrum.csv", "spectrum_raw.csv", "condition.csv"]
     _write_manifest(out, cfg, statuses, artifacts)
@@ -446,7 +403,7 @@ def cmd_heat(cfg: ExperimentConfig) -> list:
     factors = ilu0(A)
     seed = cfg.seeds[0]
     status = SeedStatus(requested=seed, used=seed, skipped_zero_pivot=[])
-    outcome = solve_instance(A, b, factors, cfg, seed)
+    x_exact, arms = solve_instance(A, b, factors, cfg, seed)
 
     dh = cfg.rod_length / (cfg.n + 1)
     rows = []
@@ -456,7 +413,7 @@ def cmd_heat(cfg: ExperimentConfig) -> list:
         rows.append([i, float(x_pos), float(u)])
     _write_csv(out / "parabola.csv", ["index", "position", "u_exact"], rows)
 
-    return _emit_solve_outputs(out, cfg, A, outcome, [status],
+    return _emit_solve_outputs(out, cfg, A, x_exact, arms, [status],
                                extra_artifacts=["parabola.csv"])
 
 

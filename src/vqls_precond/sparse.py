@@ -115,6 +115,19 @@ class CsrMatrix:
         return cls(n, np.arange(n + 1), np.arange(n), np.ones(n))
 
 
+def check_random_sparse(n: int, density: float, diag_offset: float) -> None:
+    """Raise ValueError unless random_sparse can draw an instance from these arguments."""
+    if n < 2:
+        raise ValueError("n must be >= 2")
+    if not 0.0 < density <= 1.0:
+        raise ValueError("density must lie in (0, 1]")
+    if diag_offset < 0.0:
+        raise ValueError("diag_offset must be nonnegative")
+    if density * n * n < n:
+        raise DensityTooLowError(
+            f"density {density} cannot host the {n} mandatory diagonal entries")
+
+
 def random_sparse(n: int, density: float, seed: int,
                   diag_offset: float = 3.0) -> CsrMatrix:
     """Random sparse matrix: full diagonal plus Bernoulli off-diagonal pattern.
@@ -133,15 +146,7 @@ def random_sparse(n: int, density: float, seed: int,
 
     Deterministic in seed: the same seed reproduces the matrix bit for bit.
     """
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    if not 0.0 < density <= 1.0:
-        raise ValueError("density must lie in (0, 1]")
-    if diag_offset < 0.0:
-        raise ValueError("diag_offset must be nonnegative")
-    if density * n * n < n:
-        raise DensityTooLowError(
-            f"density {density} cannot host the {n} mandatory diagonal entries")
+    check_random_sparse(n, density, diag_offset)
     p_off = (density * n * n - n) / (n * n - n)
     rng = _rng(seed, STREAM_MATRIX)
     mask = rng.random((n, n)) < p_off

@@ -49,8 +49,8 @@ class VqlsConfig:
     Defaults follow the reference protocol: learning rate 0.001, 10,000
     iterations, depth 20, standard Adam moments. ``mode`` selects the
     embedding ('hermitized' adds the ancilla block, 'direct' uses the
-    operator as-is); ``preconditioned`` is carried as metadata so a run
-    records which system it optimized.
+    operator as-is); ``preconditioned`` is metadata that training never
+    reads.
     """
 
     depth: int = 20

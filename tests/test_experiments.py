@@ -156,9 +156,9 @@ def test_sweep_depth_outputs_and_aggregates(tmp_path):
 
 
 def test_sweep_needs_two_seeds(tmp_path):
-    cfg = ExperimentConfig(kind="sweep_depth", n=8, seeds=[1], depths=[1],
-                           output_dir=str(tmp_path))
     with pytest.raises(ValueError):
+        cfg = ExperimentConfig(kind="sweep_depth", n=8, seeds=[1], depths=[1],
+                               output_dir=str(tmp_path))
         cmd_sweep_depth(cfg)
 
 
@@ -244,17 +244,6 @@ def test_profiles():
     assert paper.vqls.iterations == 10_000
 
 
-def test_run_grid_parallel_matches_serial(monkeypatch):
-    from vqls_precond.experiments import _run_grid
-    keys = [(s, d) for s in (1, 2) for d in (3, 4)]
-    fn = lambda key: key[0] * 10 + key[1]
-    monkeypatch.setenv("VQLS_THREADS", "1")
-    serial = _run_grid(keys, fn)
-    monkeypatch.setenv("VQLS_THREADS", "2")
-    parallel = _run_grid(keys, fn)
-    assert serial == parallel
-
-
 def test_cli_solve_smoke(tmp_path, capsys):
     cfg = {"n": 4, "instance": "identity", "seeds": [3],
            "vqls": {"depth": 1, "iterations": 50, "mode": "direct"}}
@@ -292,6 +281,57 @@ def test_cli_config_error_exit_code(tmp_path):
     assert main(["solve", "--config", str(worse)]) == 2
 
 
+@pytest.mark.parametrize("command, config, flags", [
+    ("solve", {"n": 4, "seeds": [1]}, []),                           # density too low for n
+    ("sweep-depth", None, ["--profile", "ci", "--seed", "1"]),        # one seed
+    ("sweep-depth", {"n": 8, "seeds": [1, 2], "depths": [1, -1]}, []),
+    ("solve", {"n": "128", "seeds": [1]}, []),
+    ("sweep-depth", {"n": 8, "seeds": [1, 1], "depths": [1]}, []),    # one instance twice
+    ("heat", {"n": 0, "seeds": [1]}, []),
+], ids=["density-too-low", "sweep-one-seed", "negative-depth", "n-not-int",
+        "repeated-seed", "heat-no-nodes"])
+def test_bad_config_exits_2_before_any_work(tmp_path, capsys, command, config, flags):
+    if config is not None:
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        flags = flags + ["--config", str(cfg_path)]
+    out = tmp_path / "run"
+    assert main([command, "--out", str(out)] + flags) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+_TOY_CONFIGS = {
+    "solve": {"n": 8, "seeds": [2], "vqls": {"depth": 1, "iterations": 20}},
+    "sweep-depth": {"n": 8, "seeds": [1, 2], "depths": [1, 2], "vqls": {"iterations": 10}},
+    "spectrum": {"n": 8, "seeds": [1, 2]},
+    "heat": {"n": 8, "seeds": [1], "vqls": {"iterations": 50}},
+}
+
+
+def _columns(path):
+    header, rows = read_csv(path)
+    return {name: [row[j] for row in rows] for j, name in enumerate(header)
+            if name != "elapsed_s"}
+
+
+@pytest.mark.parametrize("command", sorted(_TOY_CONFIGS))
+def test_no_precond_drops_exactly_the_precond_arm(tmp_path, command):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_TOY_CONFIGS[command]))
+    both, plain = tmp_path / "both", tmp_path / "plain"
+    assert main([command, "--config", str(cfg_path), "--out", str(both)]) == 0
+    assert main([command, "--config", str(cfg_path), "--out", str(plain), "--no-precond"]) == 0
+    csvs = sorted(path.name for path in plain.glob("*.csv"))
+    assert csvs == sorted(path.name for path in both.glob("*.csv")
+                          if "precond" not in path.name)
+    for name in csvs:
+        columns = _columns(plain / name)
+        assert not [col for col in columns if "precond" in col]
+        two_arm = _columns(both / name)
+        assert columns == {col: two_arm[col] for col in columns}
+
+
 def test_cli_numerical_failure_exit_code(tmp_path, monkeypatch):
     import vqls_precond.experiments as exp
 
@@ -300,7 +340,7 @@ def test_cli_numerical_failure_exit_code(tmp_path, monkeypatch):
 
     monkeypatch.setattr(exp, "generate_instance", always_fails)
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"n": 4, "seeds": [1],
+    cfg_path.write_text(json.dumps({"n": 8, "seeds": [1],
                                     "vqls": {"depth": 1, "iterations": 5}}))
     assert main(["solve", "--config", str(cfg_path), "--out", str(tmp_path / "r")]) == 3
 
