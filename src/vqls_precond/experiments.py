@@ -79,6 +79,8 @@ class ExperimentConfig:
                              f"got {self.depths}")
         if self.instance == "random" and self.kind != "heat":
             check_random_sparse(self.n, self.density, self.diag_offset)
+        if self.kind == "heat" and self.rod_length <= 0:
+            raise ValueError(f"rod_length must be positive, got {self.rod_length!r}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":

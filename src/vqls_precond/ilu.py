@@ -1,10 +1,16 @@
 """Zero-fill incomplete LU factorization and preconditioner application.
 
-The factorization runs IKJ Gaussian elimination restricted to the stored
-pattern of A: updates landing outside the pattern are discarded, so L and U
-together occupy exactly the pattern of A (L's unit diagonal is implicit and
-never stored). On patterns where elimination creates no fill, the result is
-the exact LU factorization.
+The factorization runs right-looking (KIJ) Gaussian elimination on a dense
+n x n copy of A, restricted to the stored pattern: step k scales the stored
+entries below the pivot and updates the rows and columns that column k and
+row k store. Values that land outside the pattern are never read back, so L
+and U together occupy exactly the pattern of A (L's unit diagonal is
+implicit and never stored). Each stored entry receives the same updates in
+the same order as in row-by-row (IKJ) elimination, so the factors agree with
+it bit for bit. On patterns where elimination creates no fill, the result is
+the exact LU factorization. The workspace costs O(n^2) memory, which is
+small at workbench sizes (n <= 256), where preconditioned_system builds
+dense n x n matrices anyway.
 """
 
 from __future__ import annotations
@@ -46,60 +52,40 @@ def ilu0(A: CsrMatrix) -> IluFactors:
     (L U)[i, j] equals A[i, j] exactly for every stored (i, j).
     """
     n = A.n
-    work = A.vals.copy()
-    diag_pos = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        lo, hi = A.row_ptr[i], A.row_ptr[i + 1]
-        pos = np.searchsorted(A.col_idx[lo:hi], i)
-        if pos == hi - lo or A.col_idx[lo + pos] != i:
-            raise ValueError(f"diagonal position ({i},{i}) missing from the pattern")
-        diag_pos[i] = lo + pos
+    row_of = np.repeat(np.arange(n), np.diff(A.row_ptr))
+    pattern = np.zeros((n, n), dtype=bool)
+    pattern[row_of, A.col_idx] = True
+    missing = np.flatnonzero(~pattern.diagonal())
+    if len(missing):
+        i = int(missing[0])
+        raise ValueError(f"diagonal position ({i},{i}) missing from the pattern")
 
-    for i in range(n):
-        lo, hi = A.row_ptr[i], A.row_ptr[i + 1]
-        cols_i = A.col_idx[lo:hi]
-        row_i = work[lo:hi]
-        n_lower = int(np.searchsorted(cols_i, i))
-        for t in range(n_lower):
-            k = cols_i[t]
-            u_kk = work[diag_pos[k]]
-            if abs(u_kk) < PIVOT_FLOOR:
-                raise ZeroPivotError(int(k), float(u_kk))
-            l_ik = row_i[t] / u_kk
-            row_i[t] = l_ik
-            # subtract l_ik * U[k, j] wherever row i stores a j > k
-            k_up_lo, k_up_hi = diag_pos[k] + 1, A.row_ptr[k + 1]
-            cols_k = A.col_idx[k_up_lo:k_up_hi]
-            pos = np.searchsorted(cols_i, cols_k)
-            hit = (pos < hi - lo)
-            hit[hit] = cols_i[pos[hit]] == cols_k[hit]
-            row_i[pos[hit]] -= l_ik * work[k_up_lo:k_up_hi][hit]
-        if abs(work[diag_pos[i]]) < PIVOT_FLOOR:
-            raise ZeroPivotError(i, float(work[diag_pos[i]]))
+    # Step k updates the whole block rows x cols, stored or not. Updates that
+    # land off the pattern are scratch: every later read (l, u_kj, the pivot)
+    # is of a stored position, so they never reach a factor entry.
+    W = A.to_dense()
+    for k in range(n):
+        u_kk = W[k, k]
+        if abs(u_kk) < PIVOT_FLOOR:
+            raise ZeroPivotError(k, float(u_kk))
+        rows = k + 1 + np.flatnonzero(pattern[k + 1:, k])
+        if not len(rows):
+            continue
+        l = W[rows, k] / u_kk
+        W[rows, k] = l
+        cols = k + 1 + np.flatnonzero(pattern[k, k + 1:])
+        W[np.ix_(rows, cols)] -= np.outer(l, W[k, cols])
 
-    return IluFactors(L=_take_lower(A, work, diag_pos), U=_take_upper(A, work, diag_pos))
+    vals = W[row_of, A.col_idx]
+    lower = A.col_idx < row_of
+    return IluFactors(L=_select(A, row_of, vals, lower), U=_select(A, row_of, vals, ~lower))
 
 
-def _take_lower(A: CsrMatrix, work: np.ndarray, diag_pos: np.ndarray) -> CsrMatrix:
+def _select(A: CsrMatrix, row_of: np.ndarray, vals: np.ndarray, keep: np.ndarray) -> CsrMatrix:
+    """The stored positions of A flagged by keep, carrying vals."""
     row_ptr = np.zeros(A.n + 1, dtype=np.int64)
-    cols, vals = [], []
-    for i in range(A.n):
-        lo = A.row_ptr[i]
-        cols.append(A.col_idx[lo:diag_pos[i]])
-        vals.append(work[lo:diag_pos[i]])
-        row_ptr[i + 1] = row_ptr[i] + (diag_pos[i] - lo)
-    return CsrMatrix(A.n, row_ptr, np.concatenate(cols), np.concatenate(vals))
-
-
-def _take_upper(A: CsrMatrix, work: np.ndarray, diag_pos: np.ndarray) -> CsrMatrix:
-    row_ptr = np.zeros(A.n + 1, dtype=np.int64)
-    cols, vals = [], []
-    for i in range(A.n):
-        hi = A.row_ptr[i + 1]
-        cols.append(A.col_idx[diag_pos[i]:hi])
-        vals.append(work[diag_pos[i]:hi])
-        row_ptr[i + 1] = row_ptr[i] + (hi - diag_pos[i])
-    return CsrMatrix(A.n, row_ptr, np.concatenate(cols), np.concatenate(vals))
+    np.cumsum(np.bincount(row_of[keep], minlength=A.n), out=row_ptr[1:])
+    return CsrMatrix(A.n, row_ptr, A.col_idx[keep], vals[keep])
 
 
 def apply_minv(factors: IluFactors, v) -> np.ndarray:

@@ -55,10 +55,12 @@ class CsrMatrix:
             raise ValueError("col_idx and vals must have equal length")
         if self.nnz and (self.col_idx.min() < 0 or self.col_idx.max() >= self.n):
             raise ValueError("column indices out of range")
-        for i in range(self.n):
-            cols = self.col_idx[self.row_ptr[i]:self.row_ptr[i + 1]]
-            if np.any(np.diff(cols) <= 0):
-                raise ValueError(f"columns in row {i} must be strictly increasing")
+        # a step between neighbouring entries of one row must increase
+        row_of = np.repeat(np.arange(self.n), np.diff(self.row_ptr))
+        bad = (np.diff(self.col_idx) <= 0) & (row_of[1:] == row_of[:-1])
+        if bad.any():
+            i = int(row_of[np.argmax(bad)])
+            raise ValueError(f"columns in row {i} must be strictly increasing")
 
     @property
     def nnz(self) -> int:
@@ -153,11 +155,9 @@ def random_sparse(n: int, density: float, seed: int,
     np.fill_diagonal(mask, True)
     vals = rng.uniform(-1.0, 1.0, size=int(mask.sum()))
     A = CsrMatrix.from_mask(mask, vals)
-    for i in range(n):
-        cols, row_vals = A.row(i)
-        pos = int(np.searchsorted(cols, i))
-        u = row_vals[pos]
-        row_vals[pos] = u + diag_offset if u >= 0 else u - diag_offset
+    diag = np.flatnonzero(A.col_idx == np.repeat(np.arange(n), np.diff(A.row_ptr)))
+    u = A.vals[diag]
+    A.vals[diag] = np.where(u >= 0, u + diag_offset, u - diag_offset)
     return A
 
 

@@ -1,18 +1,26 @@
-"""Reference gradients the tests check the adjoint gradient against.
+"""Reference implementations the tests check the production paths against.
 
-The parameter-shift rule (Schuld et al., arXiv:1811.11184) is what a device
-would measure: every derivative comes from two whole-circuit preparations
-with one angle shifted by +-pi/2. With the RY(a/2) convention the state is a
-frequency-1/2 trig polynomial in each angle while quadratic functionals are
-frequency-1, so the exact +-pi/2 shift divisors differ: 2 sqrt(2) for the
-linear overlap g and 2 for the quadratic norm h. The batched form runs all
-2P + 1 preparations of one gradient as a single circuit pass.
+Shift-rule gradients. The parameter-shift rule (Schuld et al.,
+arXiv:1811.11184) is what a device would measure: every derivative comes
+from two whole-circuit preparations with one angle shifted by +-pi/2. With
+the RY(a/2) convention the state is a frequency-1/2 trig polynomial in each
+angle while quadratic functionals are frequency-1, so the exact +-pi/2 shift
+divisors differ: 2 sqrt(2) for the linear overlap g and 2 for the quadratic
+norm h. The batched form runs all 2P + 1 preparations of one gradient as a
+single circuit pass.
+
+IKJ ILU(0). ``ilu0_ikj`` is the row-by-row sparse elimination that the
+dense right-looking ``ilu.ilu0`` replaced. It touches only stored positions,
+locating each row's matching upper entries with ``searchsorted``; ``ilu0``
+must reproduce its factors bit for bit and its zero pivots row for row.
 """
 
 import numpy as np
 
 from vqls_precond import AnsatzParams, QuantumSystem, StateVector, prepare_state
 from vqls_precond.ansatz import _run_circuit
+from vqls_precond.ilu import PIVOT_FLOOR, IluFactors, ZeroPivotError
+from vqls_precond.sparse import CsrMatrix
 
 SQRT2 = float(np.sqrt(2.0))
 
@@ -76,3 +84,65 @@ def shift_rule_cost_and_grad(params: AnsatzParams, sys: QuantumSystem):
     grad = -(2.0 * g * h * dg - g * g * dh) / (h * h)
     return 1.0 - g * g / h, grad
 
+
+def ilu0_ikj(A: CsrMatrix) -> IluFactors:
+    """Incomplete LU with zero fill on the pattern of A.
+
+    Requires every diagonal position to be stored. Defining property:
+    (L U)[i, j] equals A[i, j] exactly for every stored (i, j).
+    """
+    n = A.n
+    work = A.vals.copy()
+    diag_pos = np.empty(n, dtype=np.int64)
+    for i in range(n):
+        lo, hi = A.row_ptr[i], A.row_ptr[i + 1]
+        pos = np.searchsorted(A.col_idx[lo:hi], i)
+        if pos == hi - lo or A.col_idx[lo + pos] != i:
+            raise ValueError(f"diagonal position ({i},{i}) missing from the pattern")
+        diag_pos[i] = lo + pos
+
+    for i in range(n):
+        lo, hi = A.row_ptr[i], A.row_ptr[i + 1]
+        cols_i = A.col_idx[lo:hi]
+        row_i = work[lo:hi]
+        n_lower = int(np.searchsorted(cols_i, i))
+        for t in range(n_lower):
+            k = cols_i[t]
+            u_kk = work[diag_pos[k]]
+            if abs(u_kk) < PIVOT_FLOOR:
+                raise ZeroPivotError(int(k), float(u_kk))
+            l_ik = row_i[t] / u_kk
+            row_i[t] = l_ik
+            # subtract l_ik * U[k, j] wherever row i stores a j > k
+            k_up_lo, k_up_hi = diag_pos[k] + 1, A.row_ptr[k + 1]
+            cols_k = A.col_idx[k_up_lo:k_up_hi]
+            pos = np.searchsorted(cols_i, cols_k)
+            hit = (pos < hi - lo)
+            hit[hit] = cols_i[pos[hit]] == cols_k[hit]
+            row_i[pos[hit]] -= l_ik * work[k_up_lo:k_up_hi][hit]
+        if abs(work[diag_pos[i]]) < PIVOT_FLOOR:
+            raise ZeroPivotError(i, float(work[diag_pos[i]]))
+
+    return IluFactors(L=_take_lower(A, work, diag_pos), U=_take_upper(A, work, diag_pos))
+
+
+def _take_lower(A: CsrMatrix, work: np.ndarray, diag_pos: np.ndarray) -> CsrMatrix:
+    row_ptr = np.zeros(A.n + 1, dtype=np.int64)
+    cols, vals = [], []
+    for i in range(A.n):
+        lo = A.row_ptr[i]
+        cols.append(A.col_idx[lo:diag_pos[i]])
+        vals.append(work[lo:diag_pos[i]])
+        row_ptr[i + 1] = row_ptr[i] + (diag_pos[i] - lo)
+    return CsrMatrix(A.n, row_ptr, np.concatenate(cols), np.concatenate(vals))
+
+
+def _take_upper(A: CsrMatrix, work: np.ndarray, diag_pos: np.ndarray) -> CsrMatrix:
+    row_ptr = np.zeros(A.n + 1, dtype=np.int64)
+    cols, vals = [], []
+    for i in range(A.n):
+        hi = A.row_ptr[i + 1]
+        cols.append(A.col_idx[diag_pos[i]:hi])
+        vals.append(work[diag_pos[i]:hi])
+        row_ptr[i + 1] = row_ptr[i] + (hi - diag_pos[i])
+    return CsrMatrix(A.n, row_ptr, np.concatenate(cols), np.concatenate(vals))

@@ -288,8 +288,9 @@ def test_cli_config_error_exit_code(tmp_path):
     ("solve", {"n": "128", "seeds": [1]}, []),
     ("sweep-depth", {"n": 8, "seeds": [1, 1], "depths": [1]}, []),    # one instance twice
     ("heat", {"n": 0, "seeds": [1]}, []),
+    ("heat", {"n": 8, "seeds": [1], "rod_length": 0}, []),
 ], ids=["density-too-low", "sweep-one-seed", "negative-depth", "n-not-int",
-        "repeated-seed", "heat-no-nodes"])
+        "repeated-seed", "heat-no-nodes", "heat-rod-length-zero"])
 def test_bad_config_exits_2_before_any_work(tmp_path, capsys, command, config, flags):
     if config is not None:
         cfg_path = tmp_path / "cfg.json"

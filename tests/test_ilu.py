@@ -4,8 +4,9 @@ preconditioned-system assembly and the dense-LU oracle on no-fill patterns."""
 import numpy as np
 import pytest
 
+from oracles import ilu0_ikj
 from vqls_precond import (CsrMatrix, ZeroPivotError, apply_minv, condition_number,
-                          ilu0, lu_solve, preconditioned_system, random_rhs,
+                          ilu0, lu_solve, poisson_1d, preconditioned_system, random_rhs,
                           random_sparse)
 
 SEEDS = list(range(1, 11))
@@ -93,7 +94,10 @@ def test_ilu0_zero_fill_in():
 
 def test_ilu0_requires_diagonal_in_pattern():
     A = CsrMatrix.from_dense(np.array([[0.0, 1.0], [1.0, 0.0]]))  # no diagonal stored
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"\(0,0\) missing"):
+        ilu0(A)
+    A = CsrMatrix.from_dense(np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
+    with pytest.raises(ValueError, match=r"\(1,1\) missing"):      # rows 1 and 2 lack it
         ilu0(A)
 
 
@@ -112,6 +116,52 @@ def test_ilu0_pivot_lost_during_elimination():
     with pytest.raises(ZeroPivotError) as info:
         ilu0(A)
     assert info.value.row == 1
+
+
+def _outcome(factor, A):
+    """Every byte of the factors, or the zero pivot's row and value."""
+    try:
+        F = factor(A)
+    except ZeroPivotError as exc:
+        return ("zero pivot", exc.row, np.float64(exc.value).tobytes())
+    return tuple(arr.tobytes() for M in (F.L, F.U) for arr in (M.row_ptr, M.col_idx, M.vals))
+
+
+def _integer_instances():
+    """Random patterns with small integer values: exact cancellations give
+    zero pivots at many rows, and stored zeros are common."""
+    rng = np.random.default_rng(2024)
+    for _ in range(300):
+        n = int(rng.integers(1, 9))
+        mask = rng.random((n, n)) < rng.uniform(0.3, 1.0)
+        np.fill_diagonal(mask, True)
+        yield CsrMatrix.from_mask(mask, rng.integers(-2, 3, size=int(mask.sum())))
+
+
+def _oracle_corpus():
+    for n, density in [(16, 0.2), (16, 1.0), (32, 0.5), (64, 0.2), (128, 0.2), (128, 0.6)]:
+        for diag_offset in (0.0, 1.0, 3.0):
+            for seed in (1, 2, 3):
+                yield random_sparse(n, density, seed, diag_offset)
+    yield from _integer_instances()
+    yield CsrMatrix(3, np.array([0, 2, 4, 6]), np.array([0, 2, 0, 1, 1, 2]),
+                    np.array([2.0, 0.0, 0.0, 3.0, 0.0, 4.0]))      # stored zeros
+    yield CsrMatrix.identity(1)
+    yield CsrMatrix(1, np.array([0, 1]), np.array([0]), np.array([-7.5]))
+    yield CsrMatrix.identity(6)
+    yield poisson_1d(16)[0]
+    yield poisson_1d(128)[0]
+
+
+def test_ilu0_matches_ikj_oracle_bit_for_bit():
+    zero_pivot_rows = set()
+    for A in _oracle_corpus():
+        got = _outcome(ilu0, A)
+        assert got == _outcome(ilu0_ikj, A)
+        if got[0] == "zero pivot":
+            zero_pivot_rows.add(got[1])
+    # zero pivots must turn up at several rows, not only at the first pivot
+    assert {0, 1, 2, 3} <= zero_pivot_rows
 
 
 def test_apply_minv_identity_and_diagonal():

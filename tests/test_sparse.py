@@ -55,6 +55,34 @@ def test_csr_validation():
         CsrMatrix(2, np.array([0, 2, 2]), np.array([1, 0]), np.array([1.0, 2.0]))
 
 
+def _csr(rows):
+    """CsrMatrix with the given per-row column lists, all values 1."""
+    row_ptr = np.cumsum([0] + [len(cols) for cols in rows])
+    col_idx = [c for cols in rows for c in cols]
+    return CsrMatrix(len(rows), row_ptr, np.array(col_idx, dtype=np.int64),
+                     np.ones(len(col_idx)))
+
+
+@pytest.mark.parametrize("rows, bad_row", [
+    ([[0, 1], [1, 2], [0, 3], [1, 4, 2], [4]], 3),     # descending pair inside row 3
+    ([[0], [1, 1], [2]], 1),                            # repeated column
+    ([[], [], [0, 2], [], [3, 0], []], 4),              # empty rows before the bad one
+], ids=["descending", "repeated", "after-empty-rows"])
+def test_csr_validation_names_the_offending_row(rows, bad_row):
+    with pytest.raises(ValueError, match=f"row {bad_row} must be strictly increasing"):
+        _csr(rows)
+
+
+def test_csr_validation_accepts_empty_rows_and_drops_at_row_boundaries():
+    rows = [[], [3, 4], [], [0, 2], [1], [], [0, 1, 2, 3, 4], [0], []]
+    A = _csr(rows)
+    assert A.nnz == sum(len(cols) for cols in rows)
+    for i, cols in enumerate(rows):
+        np.testing.assert_array_equal(A.row(i)[0], cols)
+    _csr([[], [], []])      # no stored entries at all
+    _csr([[1], [0]])        # the column drops from 1 to 0 across the boundary
+
+
 def test_random_sparse_has_full_diagonal():
     A = random_sparse(128, 0.2, seed=1)
     dense = A.to_dense()
