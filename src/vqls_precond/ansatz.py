@@ -6,9 +6,12 @@ as layer * n_qubits + qubit, and that order is shared by gradients, the
 optimizer state and checkpoints. Gates are orthogonal maps on real
 amplitudes, so no complex storage is ever needed.
 
-The kernels operate on amplitude arrays of shape (2**n, batch). The forward
-pass runs one column; the adjoint walk carries the state and the cost's
-adjoint side by side as two columns of one buffer.
+The kernels operate on amplitude arrays of shape (2**n, batch), one column
+per circuit. Training runs B circuits of one shape in lockstep: the forward
+pass moves B columns, each with its own angles and start state, and the
+adjoint walk carries the B states and their B cost adjoints side by side in
+one (2**n, 2B) buffer. A layer's CNOT chain is one fixed permutation of the
+basis, applied as a single gather.
 """
 
 from __future__ import annotations
@@ -74,6 +77,23 @@ class AnsatzParams:
                    rng.uniform(-scale, scale, size=(depth + 1, n_qubits)))
 
 
+@dataclass
+class AngleTable:
+    """Angles of B circuits of one shape, side by side.
+
+    ``table`` has shape (P, B) with P = n_qubits * (depth + 1); column b is
+    circuit b's angles in the ``AnsatzParams.flat()`` order.
+    """
+
+    n_qubits: int
+    depth: int
+    table: np.ndarray
+
+    def column(self, b: int) -> AnsatzParams:
+        return AnsatzParams(self.n_qubits, self.depth,
+                            self.table[:, b].reshape(self.depth + 1, self.n_qubits).copy())
+
+
 def _ry_kernel(amps: np.ndarray, qubit: int, angle) -> None:
     """In-place RY on one qubit of a (dim, batch) buffer.
 
@@ -106,23 +126,43 @@ def _cnot_kernel(amps: np.ndarray, control: int, target: int) -> None:
         view[:, 1, :, 1] = tmp
 
 
+@lru_cache(maxsize=None)
+def _cnot_chain(n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
+    """(forward, inverse) basis permutations of one layer's CNOT chain.
+
+    ``amps[forward]`` applies the ascending chain (control q, target q+1)
+    and ``amps[inverse]`` undoes it. Both come from running ``_cnot_kernel``
+    over a column of basis indices, the inverse with the chain reversed
+    (each CNOT is its own inverse), so the gate is defined in one place.
+    """
+    forward = np.arange(2 ** n_qubits)[:, None]
+    inverse = forward.copy()
+    for q in range(n_qubits - 1):
+        _cnot_kernel(forward, q, q + 1)
+        _cnot_kernel(inverse, n_qubits - 2 - q, n_qubits - 1 - q)
+    forward.flags.writeable = inverse.flags.writeable = False   # shared by the cache
+    return forward[:, 0], inverse[:, 0]
+
+
 def _run_circuit(theta_cols: np.ndarray, n_qubits: int, depth: int,
                  initial: np.ndarray) -> np.ndarray:
     """Apply the full ansatz for every angle column.
 
     theta_cols has shape (P, batch) with P = n_qubits * (depth + 1); column b
-    of the returned (dim, batch) array is the circuit run with angle set b,
-    starting from the shared ``initial`` amplitudes.
+    of the returned (dim, batch) array is the circuit run with angle set b.
+    ``initial`` is one (dim,) start shared by every column, or a (dim, batch)
+    array of per-column starts.
     """
     n_params, batch = theta_cols.shape
     if n_params != n_qubits * (depth + 1):
         raise ValueError("angle table does not match circuit size")
-    amps = np.repeat(initial[:, None], batch, axis=1)
+    amps = np.empty((len(initial), batch))
+    amps[:] = initial.reshape(len(initial), -1)
     for q in range(n_qubits):
         _ry_kernel(amps, q, theta_cols[q])
+    chain, _ = _cnot_chain(n_qubits)
     for d in range(1, depth + 1):
-        for q in range(n_qubits - 1):
-            _cnot_kernel(amps, q, q + 1)
+        amps = amps[chain]
         for q in range(n_qubits):
             _ry_kernel(amps, q, theta_cols[d * n_qubits + q])
     return amps
@@ -156,27 +196,35 @@ def _flip_tables(n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
     return flip, sign
 
 
-def _adjoint_pass(theta: np.ndarray, state: np.ndarray, adjoint: np.ndarray) -> np.ndarray:
-    """Angle gradient sum_i adjoint[i] * d state[i] / d theta, flattened layer * n + qubit.
+def _adjoint_pass(angles: AngleTable, states: np.ndarray,
+                  adjoints: np.ndarray) -> np.ndarray:
+    """(P, B) angle gradients: column b is sum_i adjoints[i, b] * d states[i, b] / d angles.
 
-    ``theta`` is the (D+1, n) angle table, ``state`` the circuit output and
-    ``adjoint`` the cost's derivative with respect to it. Walking layers
-    D..0, the RYs of a layer commute, so all n derivatives of layer d are
-    0.5 * adjoint^T J_q state at that point of the circuit (one gather). The
-    state and the adjoint are then carried back through the layer together:
-    RY with negated angles, and the CNOT chain in reverse order (each CNOT
-    is its own inverse).
+    ``states`` holds the B circuit outputs and ``adjoints`` the costs'
+    derivatives with respect to them, both (dim, B). Walking layers D..0,
+    the RYs of a layer commute, so all n derivatives of layer d are
+    0.5 * adjoint^T J_q state at that point of the circuit: one gather for
+    every column, then one matrix-vector product per column. The states and
+    adjoints are then carried back through the layer together in one
+    (dim, 2B) buffer: RY with negated angles, then the inverse CNOT
+    permutation.
     """
-    n_layers, n_qubits = theta.shape
+    n_qubits, batch = angles.n_qubits, angles.table.shape[1]
     flip, sign = _flip_tables(n_qubits)
-    buf = np.column_stack((state, adjoint))
-    grad = np.empty((n_layers, n_qubits))
-    for d in range(n_layers - 1, -1, -1):
-        grad[d] = 0.5 * (sign * buf[flip, 0]) @ buf[:, 1]
+    _, inverse = _cnot_chain(n_qubits)
+    undo = -np.concatenate((angles.table, angles.table), axis=1)
+    buf = np.concatenate((states, adjoints), axis=1)
+    grad = np.empty((angles.depth + 1, n_qubits, batch))
+    for d in range(angles.depth, -1, -1):
+        # (B, n, dim) @ (B, dim, 1) on C-ordered operands: per column, the
+        # same BLAS product as a one-column walk. A strided operand may be
+        # summed in another order.
+        rows = buf.T.copy()
+        gathered = sign * np.take(rows[:batch], flip, axis=1)
+        grad[d] = 0.5 * np.matmul(gathered, rows[batch:, :, None])[:, :, 0].T
         if d == 0:
             break
         for q in range(n_qubits):
-            _ry_kernel(buf, q, -theta[d, q])
-        for q in range(n_qubits - 2, -1, -1):
-            _cnot_kernel(buf, q, q + 1)
-    return grad.ravel()
+            _ry_kernel(buf, q, undo[d * n_qubits + q])
+        buf = buf[inverse]
+    return grad.reshape(-1, batch)

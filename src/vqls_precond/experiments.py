@@ -9,7 +9,9 @@ Every command compares the same named arms of each instance: ``plain``
 (A, b) and ``precond`` (M^-1 A, M^-1 b). ``_arms`` builds that list once
 per instance, and every command iterates it to train, to take spectra and
 to lay out its CSV columns; ``--no-precond`` drops the ``precond`` arm
-there. Cells run serially, depth-major, in config order.
+there. Training is lockstep (``vqls.train``): ``sweep-depth`` embeds every
+(seed, arm) system once and trains all of them together at each depth, in
+config order; ``solve`` and ``heat`` train their arms together.
 """
 
 from __future__ import annotations
@@ -190,10 +192,14 @@ def _arms(A: CsrMatrix, b: np.ndarray, factors: IluFactors, cfg: ExperimentConfi
     return arms
 
 
-def _train_arm(system: tuple, vqls_cfg: VqlsConfig) -> tuple:
-    """Embed one arm's (A, b) and train on it; returns (QuantumSystem, TrainResult)."""
-    sys = build_system(*system, vqls_cfg.mode)
-    return sys, train(sys, vqls_cfg)
+def _embedded_arms(A: CsrMatrix, b: np.ndarray, factors: IluFactors,
+                   cfg: ExperimentConfig) -> dict:
+    """{arm name: QuantumSystem}: ``_arms`` embedded per cfg.vqls.mode.
+
+    The dense arm copies are dropped once embedded.
+    """
+    return {name: build_system(*system, cfg.vqls.mode)
+            for name, system in _arms(A, b, factors, cfg).items()}
 
 
 @dataclass
@@ -206,16 +212,14 @@ class ArmResult:
 def solve_instance(A: CsrMatrix, b: np.ndarray, factors: IluFactors,
                    cfg: ExperimentConfig, seed: int) -> tuple:
     """Train every arm on one instance; returns (x_exact, {arm name: ArmResult})."""
-    vqls_cfg = replace(cfg.vqls, seed=seed)
-    arms = _arms(A, b, factors, cfg)
-    x_exact = lu_solve(arms["plain"][0], b)
-    results = {}
-    for name, system in arms.items():
-        sys, result = _train_arm(system, vqls_cfg)
-        results[name] = ArmResult(result=result,
-                                  x_final=_unit_solution(sys, result.params, A.n),
-                                  x_best=_unit_solution(sys, result.best_params, A.n))
-    return x_exact, results
+    x_exact = lu_solve(A.to_dense(), b)
+    systems = _embedded_arms(A, b, factors, cfg)
+    trained = train(list(systems.values()), [replace(cfg.vqls, seed=seed)] * len(systems),
+                    [f"seed {seed}, arm {name}" for name in systems])
+    return x_exact, {name: ArmResult(result=result,
+                                     x_final=_unit_solution(sys, result.params, A.n),
+                                     x_best=_unit_solution(sys, result.best_params, A.n))
+                     for (name, sys), result in zip(systems.items(), trained)}
 
 
 def _unit_solution(sys, params, original_n: int) -> np.ndarray:
@@ -319,22 +323,26 @@ def cmd_sweep_depth(cfg: ExperimentConfig) -> list:
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    instances, statuses = [], []
+    statuses, instances = [], []     # instances: {arm name: QuantumSystem} per seed
     for seed in cfg.seeds:
         A, b, factors, status = generate_instance(cfg, seed)
-        instances.append(_arms(A, b, factors, cfg))
         statuses.append(status)
+        instances.append(_embedded_arms(A, b, factors, cfg))
     names = list(instances[0])
+    # One lockstep column per (seed, arm), seed-major.
+    systems = [sys for arms in instances for sys in arms.values()]
+    labels = [f"seed {status.used}, arm {name}" for status in statuses for name in names]
 
     # One row per (depth, seed) cell, depth-major: the rows of one depth are
     # consecutive, which the aggregates below rely on.
     raw_rows = []
     for depth in cfg.depths:
-        for status, arms in zip(statuses, instances):
-            vqls_cfg = replace(cfg.vqls, seed=status.used, depth=depth)
-            raw_rows.append([depth, status.requested]
-                            + [_train_arm(system, vqls_cfg)[1].final_cost
-                               for system in arms.values()])
+        cfgs = [replace(cfg.vqls, seed=status.used, depth=depth)
+                for status in statuses for _ in names]
+        costs = [result.final_cost for result in train(systems, cfgs, labels)]
+        k = len(names)
+        raw_rows += [[depth, status.requested] + costs[i * k:(i + 1) * k]
+                     for i, status in enumerate(statuses)]
     _write_csv(out / "sweep_raw.csv",
                ["depth", "seed"] + [f"final_cost_{name}" for name in names], raw_rows)
 

@@ -11,11 +11,19 @@ solves the system, so the shared cost helper clamps it at 0.
 Gradients use the adjoint (reverse-mode) method of Jones & Gacon
 (arXiv:2009.02823): one forward circuit pass gives x, the cost's adjoint is
 mu = dC/dx = op^T (-(2g/h) rhs + (2g^2/h^2) op x), and one backward walk over
-the layers carries x and mu together as a two-column buffer, reading off each
-layer's angle derivatives on the way (``ansatz._adjoint_pass``). A step costs
-about three one-column circuit passes, linear in depth. The parameter-shift
-rule, which is what hardware would measure, is kept in the test suite as the
+the layers carries x and mu together, reading off each layer's angle
+derivatives on the way (``ansatz._adjoint_pass``). The parameter-shift rule,
+which is what hardware would measure, is kept in the test suite as the
 oracle this gradient is checked against.
+
+Training is lockstep: ``train`` moves B columns, each one (system, config)
+pair of the same circuit shape, with one forward pass over a (dim, B)
+buffer, one adjoint walk over a (dim, 2B) buffer and one Adam step on the
+(P, B) angle table per iteration. A step costs about three circuit passes
+over its B columns, linear in depth, and pays the per-gate Python overhead
+once for all of them. Each column's operator is applied on its own, so
+every column's numbers are bit for bit those of training it alone; a single
+system is the B = 1 case.
 
 A term-by-term path summing Pauli-decomposition contributions is provided as
 a cross-check of what hardware Hadamard tests would estimate; the training
@@ -24,12 +32,14 @@ loop never pays its 4^m cost.
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .ansatz import AnsatzParams, StateVector, _adjoint_pass, _run_circuit, prepare_state
+from .ansatz import (AngleTable, AnsatzParams, StateVector, _adjoint_pass, _run_circuit,
+                     prepare_state)
 from .embedding import PauliTerm, QuantumSystem, pauli_word_matrix
 from .sparse import STREAM_THETA
 
@@ -149,58 +159,106 @@ def cost(params: AnsatzParams, sys: QuantumSystem) -> float:
     return _cost_from_state(x.amps, sys)[0]
 
 
-def cost_and_grad(params: AnsatzParams, sys: QuantumSystem):
-    """(cost, gradient) from one forward pass and one adjoint walk.
+def cost_and_grad(angles: AngleTable, systems: list[QuantumSystem]):
+    """(costs (B,), gradients (P, B)) of B columns: angle column b on systems[b].
 
-    The seed of the walk is mu = dC/dx = op^T (-(2g/h) rhs + (2g^2/h^2) op x);
-    the gradient is flattened layer * n_qubits + qubit.
+    One forward pass runs every column from its own right-hand side; the
+    seed of the adjoint walk is mu = dC/dx = op^T (-(2g/h) rhs + (2g^2/h^2)
+    op x), formed column by column with that column's operator. Gradient
+    rows are flattened layer * n_qubits + qubit.
     """
-    x = _run_circuit(params.flat()[:, None], params.n_qubits, params.depth,
-                     sys.rhs_state)[:, 0]
-    c, g, h, y = _cost_from_state(x, sys)
-    mu = (-2.0 * g / h * sys.rhs_state + 2.0 * g * g / (h * h) * y) @ sys.op
-    return c, _adjoint_pass(params.theta, x, mu)
+    states = _run_circuit(angles.table, angles.n_qubits, angles.depth,
+                          np.column_stack([sys.rhs_state for sys in systems]))
+    costs = np.empty(len(systems))
+    adjoints = np.empty_like(states)
+    for b, (x, sys) in enumerate(zip(states.T.copy(), systems)):
+        costs[b], g, h, y = _cost_from_state(x, sys)
+        adjoints[:, b] = (-2.0 * g / h * sys.rhs_state + 2.0 * g * g / (h * h) * y) @ sys.op
+    return costs, _adjoint_pass(angles, states, adjoints)
 
 
-def _checked_step(params: AnsatzParams, sys: QuantumSystem, iteration: int):
-    c, grad = cost_and_grad(params, sys)
-    if not (np.isfinite(c) and np.isfinite(grad).all()):
-        raise DivergedError(f"non-finite cost or gradient at iteration {iteration}")
-    return c, grad
+# Config fields every column of one lockstep run must share.
+_LOCKSTEP_FIELDS = ("depth", "iterations", "learning_rate", "adam_beta1", "adam_beta2",
+                    "adam_epsilon", "trace_every")
 
 
-def train(sys: QuantumSystem, cfg: VqlsConfig) -> TrainResult:
-    """Run the Adam loop from a uniform [-init_scale, init_scale] start.
+def _checked_step(angles: AngleTable, systems: list, iteration: int, labels: list):
+    costs, grads = cost_and_grad(angles, systems)
+    finite = np.isfinite(costs) & np.isfinite(grads).all(axis=0)
+    if not finite.all():
+        raise DivergedError(f"non-finite cost or gradient at iteration {iteration} "
+                            f"in {labels[int(np.argmin(finite))]}")
+    return costs, grads
 
-    Deterministic given (sys, cfg): the angle initialization draws from the
-    theta stream of cfg.seed. The trace records the cost after every
-    ``trace_every``-th step (iteration 0 = initial angles, always kept, as is
-    the final iteration); the reported solution is the final iterate, with
-    the best-cost iterate carried alongside. Raises DivergedError at the
-    first non-finite cost or gradient.
+
+def _record(traces: list, iteration: int, costs, grads, elapsed: float) -> None:
+    for b, trace in enumerate(traces):
+        trace.append(TraceRecord(iteration, float(costs[b]),
+                                 float(np.linalg.norm(grads[:, b])), elapsed))
+
+
+def train(systems, cfgs, labels=None):
+    """Run the Adam loop on every column from a uniform [-init_scale, init_scale] start.
+
+    ``systems`` and ``cfgs`` are equal-length lists, one (system, config)
+    column each, and the result is one TrainResult per column in the same
+    order; a single QuantumSystem with a single VqlsConfig gives a single
+    TrainResult. Columns train in lockstep, so they must share the qubit
+    count and every field of ``_LOCKSTEP_FIELDS``; seeds, start scales and
+    operators may differ.
+
+    Deterministic given (system, config) per column: each column's angle
+    initialization draws from the theta stream of its cfg.seed, and its
+    numbers do not depend on the other columns. The trace records the cost
+    after every ``trace_every``-th step (iteration 0 = initial angles,
+    always kept, as is the final iteration); the reported solution is the
+    final iterate, with the best-cost iterate carried alongside. Raises
+    DivergedError at the first non-finite cost or gradient in any column,
+    naming that column by its entry of ``labels`` (default: its index and
+    seed).
     """
-    rng = np.random.default_rng(np.random.SeedSequence([int(cfg.seed), STREAM_THETA]))
-    params = AnsatzParams.random(sys.n_qubits, cfg.depth, cfg.init_scale, rng)
+    if isinstance(systems, QuantumSystem):
+        return train([systems], [cfgs], labels)[0]
+    if len(cfgs) != len(systems):
+        raise ValueError("train needs one config per system")
+    cfg = cfgs[0]
+    if any(getattr(c, f) != getattr(cfg, f) for c in cfgs for f in _LOCKSTEP_FIELDS):
+        raise ValueError(f"lockstep columns must share {', '.join(_LOCKSTEP_FIELDS)}")
+    n_qubits = systems[0].n_qubits
+    if any(sys.n_qubits != n_qubits for sys in systems):
+        raise ValueError("lockstep columns must share the qubit count")
+    if labels is None:
+        labels = [f"column {b} (seed {c.seed})" for b, c in enumerate(cfgs)]
+
+    starts = [AnsatzParams.random(
+        n_qubits, cfg.depth, c.init_scale,
+        np.random.default_rng(np.random.SeedSequence([int(c.seed), STREAM_THETA])))
+        for c in cfgs]
+    angles = AngleTable(n_qubits, cfg.depth, np.column_stack([p.flat() for p in starts]))
     adam = Adam(cfg.learning_rate, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_epsilon)
 
-    trace: list[TraceRecord] = []
+    traces: list[list[TraceRecord]] = [[] for _ in systems]
     t0 = time.perf_counter()
-    c, grad = _checked_step(params, sys, 0)
-    trace.append(TraceRecord(0, c, float(np.linalg.norm(grad)), time.perf_counter() - t0))
-    best_cost, best_params, best_iter = c, params, 0
+    costs, grads = _checked_step(angles, systems, 0, labels)
+    _record(traces, 0, costs, grads, time.perf_counter() - t0)
+    best_costs, best_table = costs.copy(), angles.table
+    best_iters = np.zeros(len(systems), dtype=int)
 
-    flat = params.flat()
     for it in range(1, cfg.iterations + 1):
-        flat = adam.step(flat, grad)
-        params = params.with_flat(flat)
-        c, grad = _checked_step(params, sys, it)
-        if c < best_cost:
-            best_cost, best_params, best_iter = c, params, it
+        angles = AngleTable(n_qubits, cfg.depth, adam.step(angles.table, grads))
+        costs, grads = _checked_step(angles, systems, it, labels)
+        better = costs < best_costs
+        if better.any():
+            best_costs = np.where(better, costs, best_costs)
+            best_table = np.where(better, angles.table, best_table)
+            best_iters[better] = it
         if it % cfg.trace_every == 0 or it == cfg.iterations:
-            trace.append(TraceRecord(it, c, float(np.linalg.norm(grad)),
-                                     time.perf_counter() - t0))
-    return TrainResult(params=params, trace=trace, best_params=best_params,
-                       best_cost=best_cost, best_iteration=best_iter)
+            _record(traces, it, costs, grads, time.perf_counter() - t0)
+
+    best = AngleTable(n_qubits, cfg.depth, best_table)
+    return [TrainResult(params=angles.column(b), trace=traces[b], best_params=best.column(b),
+                        best_cost=float(best_costs[b]), best_iteration=int(best_iters[b]))
+            for b in range(len(systems))]
 
 
 def residuals(x_vqls, x_exact) -> np.ndarray:
@@ -239,9 +297,15 @@ def cost_via_decomposition(params: AnsatzParams, sys: QuantumSystem,
 
 
 def write_trace_csv(trace: list[TraceRecord], path) -> None:
-    """Trace export with the canonical header iteration,cost,grad_norm,elapsed_s."""
+    """Trace export with the canonical header iteration,cost,grad_norm,elapsed_s.
+
+    Written to a sibling temporary file that then replaces ``path``, so an
+    existing trace is never left half-written.
+    """
     lines = ["iteration,cost,grad_norm,elapsed_s"]
     for rec in trace:
         lines.append(f"{rec.iteration},{rec.cost!r},{rec.grad_norm!r},{rec.elapsed:.6f}")
-    with open(path, "w") as fh:
+    tmp = f"{os.fspath(path)}.tmp"
+    with open(tmp, "w") as fh:
         fh.write("\n".join(lines) + "\n")
+    os.replace(tmp, path)

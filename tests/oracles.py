@@ -13,14 +13,25 @@ IKJ ILU(0). ``ilu0_ikj`` is the row-by-row sparse elimination that the
 dense right-looking ``ilu.ilu0`` replaced. It touches only stored positions,
 locating each row's matching upper entries with ``searchsorted``; ``ilu0``
 must reproduce its factors bit for bit and its zero pivots row for row.
+
+Serial training. ``train_serial`` is the one-system training loop that
+lockstep ``vqls.train`` replaced: one column per circuit pass, the CNOT
+chain gate by gate, a two-column adjoint walk and Adam on a flat angle
+vector. Lockstep training must reproduce every column's numbers bit for
+bit. ``cost_and_grad_one`` runs the production step on a single column.
 """
+
+import time
 
 import numpy as np
 
 from vqls_precond import AnsatzParams, QuantumSystem, StateVector, prepare_state
-from vqls_precond.ansatz import _run_circuit
+from vqls_precond.ansatz import (AngleTable, _cnot_kernel, _flip_tables, _ry_kernel,
+                                 _run_circuit)
 from vqls_precond.ilu import PIVOT_FLOOR, IluFactors, ZeroPivotError
-from vqls_precond.sparse import CsrMatrix
+from vqls_precond.sparse import STREAM_THETA, CsrMatrix
+from vqls_precond.vqls import (Adam, DivergedError, TraceRecord, TrainResult,
+                               _cost_from_state, cost_and_grad)
 
 SQRT2 = float(np.sqrt(2.0))
 
@@ -83,6 +94,86 @@ def shift_rule_cost_and_grad(params: AnsatzParams, sys: QuantumSystem):
     dh = (h_all[1::2] - h_all[2::2]) / 2.0
     grad = -(2.0 * g * h * dg - g * g * dh) / (h * h)
     return 1.0 - g * g / h, grad
+
+
+def cost_and_grad_one(params: AnsatzParams, sys: QuantumSystem):
+    """(cost, flat gradient) of one column through the production lockstep step."""
+    costs, grads = cost_and_grad(
+        AngleTable(params.n_qubits, params.depth, params.flat()[:, None]), [sys])
+    return float(costs[0]), grads[:, 0]
+
+
+def run_circuit_serial(theta_cols: np.ndarray, n_qubits: int, depth: int,
+                       initial: np.ndarray) -> np.ndarray:
+    """The ansatz from one shared (dim,) start, the CNOT chain gate by gate."""
+    amps = np.repeat(initial[:, None], theta_cols.shape[1], axis=1)
+    for q in range(n_qubits):
+        _ry_kernel(amps, q, theta_cols[q])
+    for d in range(1, depth + 1):
+        for q in range(n_qubits - 1):
+            _cnot_kernel(amps, q, q + 1)
+        for q in range(n_qubits):
+            _ry_kernel(amps, q, theta_cols[d * n_qubits + q])
+    return amps
+
+
+def _adjoint_pass_serial(theta: np.ndarray, state: np.ndarray,
+                         adjoint: np.ndarray) -> np.ndarray:
+    n_layers, n_qubits = theta.shape
+    flip, sign = _flip_tables(n_qubits)
+    buf = np.column_stack((state, adjoint))
+    grad = np.empty((n_layers, n_qubits))
+    for d in range(n_layers - 1, -1, -1):
+        grad[d] = 0.5 * (sign * buf[flip, 0]) @ buf[:, 1]
+        if d == 0:
+            break
+        for q in range(n_qubits):
+            _ry_kernel(buf, q, -theta[d, q])
+        for q in range(n_qubits - 2, -1, -1):
+            _cnot_kernel(buf, q, q + 1)
+    return grad.ravel()
+
+
+def cost_and_grad_serial(params: AnsatzParams, sys: QuantumSystem):
+    """(cost, gradient) of one system from a one-column pass and a two-column walk."""
+    x = run_circuit_serial(params.flat()[:, None], params.n_qubits, params.depth,
+                            sys.rhs_state)[:, 0]
+    c, g, h, y = _cost_from_state(x, sys)
+    mu = (-2.0 * g / h * sys.rhs_state + 2.0 * g * g / (h * h) * y) @ sys.op
+    return c, _adjoint_pass_serial(params.theta, x, mu)
+
+
+def _checked_step_serial(params: AnsatzParams, sys: QuantumSystem, iteration: int):
+    c, grad = cost_and_grad_serial(params, sys)
+    if not (np.isfinite(c) and np.isfinite(grad).all()):
+        raise DivergedError(f"non-finite cost or gradient at iteration {iteration}")
+    return c, grad
+
+
+def train_serial(sys: QuantumSystem, cfg) -> TrainResult:
+    """The Adam loop on one system, as it ran before lockstep training."""
+    rng = np.random.default_rng(np.random.SeedSequence([int(cfg.seed), STREAM_THETA]))
+    params = AnsatzParams.random(sys.n_qubits, cfg.depth, cfg.init_scale, rng)
+    adam = Adam(cfg.learning_rate, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_epsilon)
+
+    trace: list[TraceRecord] = []
+    t0 = time.perf_counter()
+    c, grad = _checked_step_serial(params, sys, 0)
+    trace.append(TraceRecord(0, c, float(np.linalg.norm(grad)), time.perf_counter() - t0))
+    best_cost, best_params, best_iter = c, params, 0
+
+    flat = params.flat()
+    for it in range(1, cfg.iterations + 1):
+        flat = adam.step(flat, grad)
+        params = params.with_flat(flat)
+        c, grad = _checked_step_serial(params, sys, it)
+        if c < best_cost:
+            best_cost, best_params, best_iter = c, params, it
+        if it % cfg.trace_every == 0 or it == cfg.iterations:
+            trace.append(TraceRecord(it, c, float(np.linalg.norm(grad)),
+                                     time.perf_counter() - t0))
+    return TrainResult(params=params, trace=trace, best_params=best_params,
+                       best_cost=best_cost, best_iteration=best_iter)
 
 
 def ilu0_ikj(A: CsrMatrix) -> IluFactors:

@@ -1,11 +1,11 @@
-"""Gate semantics, circuit layering, shifted states and the batched kernel."""
+"""Gate semantics, circuit layering, shifted states and the batched kernels."""
 
 import numpy as np
 import pytest
 
-from oracles import shift_columns, shift_rule_tangent, shifted_state
+from oracles import run_circuit_serial, shift_columns, shift_rule_tangent, shifted_state
 from vqls_precond import AnsatzParams, StateVector, prepare_state
-from vqls_precond.ansatz import _cnot_kernel, _ry_kernel, _run_circuit
+from vqls_precond.ansatz import _cnot_chain, _cnot_kernel, _ry_kernel, _run_circuit
 
 
 def random_state(n_qubits, rng):
@@ -65,6 +65,31 @@ def test_cnot_involution():
     rng = np.random.default_rng(2)
     s = random_state(4, rng)
     np.testing.assert_array_equal(cnot(cnot(s.amps, 1, 3), 1, 3), s.amps)
+
+
+def test_cnot_chain_permutations_match_the_kernels():
+    rng = np.random.default_rng(20)
+    for n in range(1, 9):
+        amps = rng.normal(size=(2 ** n, 3))
+        chained = amps.copy()
+        for q in range(n - 1):
+            _cnot_kernel(chained, q, q + 1)
+        forward, inverse = _cnot_chain(n)
+        np.testing.assert_array_equal(amps[forward], chained)
+        np.testing.assert_array_equal(chained[inverse], amps)
+
+
+def test_run_circuit_columns_match_gate_by_gate_runs():
+    # per-column angles and per-column starts, against one-column runs that
+    # apply the CNOT chain gate by gate
+    rng = np.random.default_rng(21)
+    for n, depth, batch in ((1, 2, 3), (3, 0, 2), (4, 3, 5), (8, 6, 4)):
+        table = rng.uniform(-np.pi, np.pi, (n * (depth + 1), batch))
+        starts = rng.normal(size=(2 ** n, batch))
+        out = _run_circuit(table, n, depth, starts)
+        for b in range(batch):
+            one = run_circuit_serial(table[:, b:b + 1], n, depth, starts[:, b])[:, 0]
+            assert out[:, b].tobytes() == one.tobytes()
 
 
 def test_prepare_state_zero_angles():

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from vqls_precond import ZeroPivotError, lu_solve, poisson_1d
+from vqls_precond import ZeroPivotError, lu_solve, poisson_1d, random_rhs
 from vqls_precond.cli import main
 from vqls_precond.experiments import (CI_SEEDS, DEFAULT_SEEDS, ExperimentConfig,
                                       NoFactorableInstanceError, SeedStatus, ci_profile,
@@ -367,7 +367,7 @@ def test_no_factorable_instance_exits_3(tmp_path, monkeypatch):
     assert main(["solve", "--config", str(cfg_path), "--out", str(tmp_path / "r")]) == 3
 
 
-def test_non_finite_operator_stops_training_and_exits_3(tmp_path, monkeypatch):
+def test_non_finite_operator_stops_training_and_exits_3(tmp_path, monkeypatch, capsys):
     import vqls_precond.experiments as exp
     real_build = exp.build_system
 
@@ -383,6 +383,28 @@ def test_non_finite_operator_stops_training_and_exits_3(tmp_path, monkeypatch):
     out = tmp_path / "r"
     assert main(["solve", "--config", str(cfg_path), "--out", str(out)]) == 3
     assert not (out / "trace_plain.csv").exists()
+
+    # A two-seed sweep trains its four columns in one lockstep run; only
+    # seed 5's precond operator is poisoned, and the failure names it.
+    monkeypatch.setattr(exp, "build_system", real_build)
+    real_precond = exp.preconditioned_system
+
+    def poisoned_precond(A, b, factors):
+        A_tilde, b_tilde = real_precond(A, b, factors)
+        if np.array_equal(b, random_rhs(A.n, 5)):
+            A_tilde[0, 1] = np.nan
+        return A_tilde, b_tilde
+
+    monkeypatch.setattr(exp, "preconditioned_system", poisoned_precond)
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps({"n": 4, "instance": "identity", "seeds": [3, 5],
+                                    "depths": [1], "vqls": {"iterations": 5}}))
+    out = tmp_path / "sweep"
+    capsys.readouterr()
+    assert main(["sweep-depth", "--config", str(cfg_path), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "seed 5, arm precond" in err, err
+    assert not (out / "sweep_raw.csv").exists()
 
 
 def test_unrelated_runtime_error_propagates(tmp_path, monkeypatch):

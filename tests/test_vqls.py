@@ -1,11 +1,14 @@
 """Cost function, adjoint gradient, Adam and the training loop."""
 
+import os
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from oracles import make_system, shift_rule_cost_and_grad
+from oracles import cost_and_grad_one, make_system, shift_rule_cost_and_grad, train_serial
 from vqls_precond import (Adam, AnsatzParams, DegenerateOperatorError, DivergedError,
-                          VqlsConfig, cost, cost_and_grad, cost_via_decomposition,
+                          TraceRecord, VqlsConfig, cost, cost_via_decomposition,
                           pauli_decompose, residuals, train, write_trace_csv)
 from vqls_precond.embedding import build_system, hermitize
 
@@ -70,7 +73,7 @@ def test_cost_degenerate_operator():
 def test_grad_zero_at_reachable_minimum():
     sys = make_system(np.diag([2.0, 1.0]), [1.0, 1.0])
     theta_star = 2.0 * np.arctan(2.0) - np.pi / 2.0
-    _, grad = cost_and_grad(AnsatzParams(1, 0, [[theta_star]]), sys)
+    _, grad = cost_and_grad_one(AnsatzParams(1, 0, [[theta_star]]), sys)
     assert np.abs(grad).max() < 1e-8
 
 
@@ -78,7 +81,7 @@ def test_grad_closed_form_two_layer_identity():
     # op = I, rhs = e0: C = sin^2((t0+t1)/2), dC/dt0 = sin(t0+t1)/2 = 0.5 at pi/4, pi/4
     sys = make_system(np.eye(2), [1.0, 0.0])
     params = AnsatzParams(1, 1, [[np.pi / 4], [np.pi / 4]])
-    c, grad = cost_and_grad(params, sys)
+    c, grad = cost_and_grad_one(params, sys)
     assert c == pytest.approx(np.sin(np.pi / 4) ** 2, abs=1e-14)
     np.testing.assert_allclose(grad, [0.5, 0.5], atol=1e-13)
 
@@ -101,7 +104,7 @@ def test_grad_matches_finite_differences():
         A = rng.uniform(-1, 1, (8, 8)) + np.diag(rng.choice([-3.0, 3.0], 8))
         sys = make_system(A, rng.normal(size=8))
         params = AnsatzParams.random(n, depth, np.pi / 2, rng)
-        _, grad = cost_and_grad(params, sys)
+        _, grad = cost_and_grad_one(params, sys)
         fd = finite_difference_grad(params, sys)
         mask = np.abs(grad) > 1e-8
         assert np.all(np.abs(grad[mask] - fd[mask]) / np.abs(grad[mask]) < 1e-5)
@@ -114,7 +117,7 @@ def test_grad_matches_fd_hermitized():
     params = AnsatzParams.random(3, 2, 0.4, rng)
     fd = finite_difference_grad(params, sys)
     # the shift-rule oracle is held to the same differences as the adjoint
-    for _, grad in (cost_and_grad(params, sys), shift_rule_cost_and_grad(params, sys)):
+    for _, grad in (cost_and_grad_one(params, sys), shift_rule_cost_and_grad(params, sys)):
         mask = np.abs(grad) > 1e-8
         assert np.all(np.abs(grad[mask] - fd[mask]) / np.abs(grad[mask]) < 1e-5)
 
@@ -128,7 +131,7 @@ def test_adjoint_matches_shift_rule_oracle(depth, mode):
         A = rng.uniform(-1, 1, (dim, dim)) + np.diag(rng.choice([-3.0, 3.0], dim))
         sys = build_system(A, rng.normal(size=dim), mode)
         params = AnsatzParams.random(n_qubits, depth, np.pi, rng)
-        c, grad = cost_and_grad(params, sys)
+        c, grad = cost_and_grad_one(params, sys)
         _, oracle = shift_rule_cost_and_grad(params, sys)
         assert c == cost(params, sys)
         assert np.abs(grad - oracle).max() <= 1e-12 * np.abs(oracle).max(), n_qubits
@@ -144,7 +147,7 @@ def test_cost_clamped_at_zero_when_solved():
         h = float(sys.rhs_state @ sys.rhs_state)
         raw = 1.0 - h * h / h
         rounded_below += raw < 0.0
-        c, _ = cost_and_grad(zero_params(3), sys)
+        c, _ = cost_and_grad_one(zero_params(3), sys)
         assert c == cost(zero_params(3), sys) == max(raw, 0.0)
     assert rounded_below > 0
 
@@ -155,6 +158,66 @@ def test_train_raises_at_first_non_finite_cost():
     sys = make_system(op, [1.0, 2.0, 3.0, 4.0])
     with pytest.raises(DivergedError, match="iteration 0"):
         train(sys, VqlsConfig(depth=1, iterations=5, mode="direct"))
+
+
+def test_train_names_the_diverged_column():
+    ok = make_system(np.eye(4), [1.0, 2.0, 3.0, 4.0])
+    op = np.eye(4)
+    op[1, 2] = np.inf
+    bad = make_system(op, [1.0, 2.0, 3.0, 4.0])
+    cfgs = [VqlsConfig(depth=1, iterations=5, mode="direct", seed=s) for s in (7, 8, 9)]
+    with pytest.raises(DivergedError, match="iteration 0 in right"):
+        train([ok, ok, bad], cfgs, ["left", "middle", "right"])
+    with pytest.raises(DivergedError, match=r"iteration 0 in column 1 \(seed 8\)"):
+        train([ok, bad, ok], cfgs)
+
+
+def test_train_rejects_columns_that_cannot_run_in_lockstep():
+    sys3 = make_system(np.eye(8), np.ones(8))
+    sys2 = make_system(np.eye(4), np.ones(4))
+    cfg = VqlsConfig(depth=1, iterations=2, mode="direct")
+    with pytest.raises(ValueError, match="share"):
+        train([sys3, sys3], [cfg, replace(cfg, depth=2)])
+    with pytest.raises(ValueError, match="share"):
+        train([sys3, sys3], [cfg, replace(cfg, trace_every=2)])
+    with pytest.raises(ValueError, match="qubit count"):
+        train([sys3, sys2], [cfg, cfg])
+    with pytest.raises(ValueError, match="one config per system"):
+        train([sys3, sys3], [cfg])
+
+
+def _training_bytes(result):
+    """Every number a TrainResult carries, as exact bytes and reprs."""
+    return (result.params.theta.tobytes(),
+            [(rec.iteration, repr(rec.cost), repr(rec.grad_norm)) for rec in result.trace],
+            result.best_params.theta.tobytes(), repr(result.best_cost), result.best_iteration)
+
+
+# (qubits, columns, trace_every, iterations): every batch width, both trace
+# strides and both run lengths appear at every depth and embedding.
+LOCKSTEP_CASES = [(3, 6, 1, 25), (4, 1, 7, 25), (5, 2, 1, 1), (6, 4, 7, 25),
+                  (7, 6, 7, 1), (8, 4, 1, 25)]
+
+
+@pytest.mark.parametrize("mode", ["direct", "hermitized"])
+@pytest.mark.parametrize("depth", [0, 1, 2, 6, 14])
+def test_lockstep_train_matches_serial_oracle_bit_for_bit(depth, mode):
+    rng = np.random.default_rng(300 + depth)
+    for n_qubits, batch, trace_every, iterations in LOCKSTEP_CASES:
+        dim = 2 ** n_qubits if mode == "direct" else 2 ** (n_qubits - 1)
+        systems, cfgs = [], []
+        for _ in range(batch):
+            A = rng.uniform(-1, 1, (dim, dim)) + np.diag(rng.choice([-3.0, 3.0], dim))
+            systems.append(build_system(A, rng.normal(size=dim), mode))
+            # a large step makes the cost bounce, so the best iterate is not
+            # always the last; seeds repeat across columns now and then
+            cfgs.append(VqlsConfig(depth=depth, iterations=iterations, mode=mode,
+                                   learning_rate=0.2, trace_every=trace_every,
+                                   seed=int(rng.integers(4))))
+        results = train(systems, cfgs) if batch > 1 else [train(systems[0], cfgs[0])]
+        for b, (sys, cfg, result) in enumerate(zip(systems, cfgs, results)):
+            assert _training_bytes(result) == _training_bytes(train_serial(sys, cfg)), \
+                (n_qubits, batch, b)
 
 
 def test_adam_first_step_zero_gradient():
@@ -269,6 +332,19 @@ def test_write_trace_csv(tmp_path):
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "iteration,cost,grad_norm,elapsed_s"
     assert len(lines) == 5  # header + iterations 0..3
+
+
+def test_write_trace_csv_replaces_the_file_whole(tmp_path, monkeypatch):
+    path = tmp_path / "trace.csv"
+    path.write_text("old bytes\n")
+
+    def refuse(src, dst):
+        raise OSError("replace refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="replace refused"):
+        write_trace_csv([TraceRecord(0, 0.5, 0.25, 0.0)], path)
+    assert path.read_text() == "old bytes\n"
 
 
 def test_config_validation():
