@@ -10,9 +10,8 @@ Run:  python3 demos/02_vqls_small_system.py
 
 import numpy as np
 
-from vqls_precond import StateVector, VqlsConfig, extract_solution, lu_solve, \
-    prepare_state, residuals, train
-from vqls_precond.embedding import build_system
+from vqls_precond import (VqlsConfig, build_system, extract_solution, lu_solve, prepare_state,
+                          residuals, train)
 
 rng = np.random.default_rng(11)
 n = 8
@@ -34,8 +33,8 @@ for record in result.trace[:: len(result.trace) // 8]:
 print(f"final cost {result.final_cost:.3e} "
       f"(best {result.best_cost:.3e} at iteration {result.best_iteration})")
 
-state = prepare_state(result.params, StateVector(sys.n_qubits, sys.rhs_state.copy()))
-x_vqls = extract_solution(state.amps, sys, original_n=n)
+state = prepare_state(result.params, sys.rhs_state)
+x_vqls = extract_solution(state, sys, original_n=n)
 res = residuals(x_vqls, x_exact)
 
 print("\n   exact        variational (rescaled)")

@@ -10,9 +10,8 @@ Run:  python3 demos/03_depth_sweep.py
 
 import numpy as np
 
-from vqls_precond import ilu0, preconditioned_system, random_rhs, random_sparse
-from vqls_precond.embedding import build_system
-from vqls_precond.vqls import VqlsConfig, train
+from vqls_precond import (VqlsConfig, build_system, ilu0, preconditioned_system, random_rhs,
+                          random_sparse, train)
 
 n, density = 128, 0.2
 seeds = (1, 2, 3)

@@ -12,10 +12,8 @@ Run:  python3 demos/04_heat_diffusion.py
 
 import numpy as np
 
-from vqls_precond import (StateVector, extract_solution, ilu0, lu_solve, poisson_1d,
-                          prepare_state, preconditioned_system, residuals)
-from vqls_precond.embedding import build_system
-from vqls_precond.vqls import VqlsConfig, train
+from vqls_precond import (VqlsConfig, build_system, extract_solution, ilu0, lu_solve,
+                          poisson_1d, prepare_state, preconditioned_system, residuals, train)
 
 n, length, f = 128, 1.0, 1.0
 A, b = poisson_1d(n, heat_rate=f, length=length)
@@ -33,8 +31,8 @@ arms = {
 solutions = {}
 for name, sys in arms.items():
     result = train(sys, cfg)
-    state = prepare_state(result.params, StateVector(sys.n_qubits, sys.rhs_state.copy()))
-    solutions[name] = extract_solution(state.amps, sys, original_n=n)
+    state = prepare_state(result.params, sys.rhs_state)
+    solutions[name] = extract_solution(state, sys, original_n=n)
     print(f"{name:15s} final cost {result.final_cost:.3e}")
 
 dh = length / (n + 1)

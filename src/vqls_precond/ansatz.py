@@ -23,28 +23,6 @@ import numpy as np
 
 
 @dataclass
-class StateVector:
-    """Real amplitudes over 2**n_qubits basis states (qubit 0 = MSB)."""
-
-    n_qubits: int
-    amps: np.ndarray
-
-    def __post_init__(self):
-        self.amps = np.asarray(self.amps, dtype=float)
-        if self.amps.shape != (2 ** self.n_qubits,):
-            raise ValueError(f"amplitude length {self.amps.shape} != 2^{self.n_qubits}")
-
-    @classmethod
-    def zero(cls, n_qubits: int) -> "StateVector":
-        amps = np.zeros(2 ** n_qubits)
-        amps[0] = 1.0
-        return cls(n_qubits, amps)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
-
-
-@dataclass
 class AnsatzParams:
     """Rotation angles for an n-qubit, depth-D circuit: shape (D+1, n)."""
 
@@ -168,18 +146,17 @@ def _run_circuit(theta_cols: np.ndarray, n_qubits: int, depth: int,
     return amps
 
 
-def prepare_state(params: AnsatzParams, initial: StateVector) -> StateVector:
-    """V(theta) applied to ``initial``.
+def prepare_state(params: AnsatzParams, initial: np.ndarray) -> np.ndarray:
+    """V(theta) applied to the (2**n,) amplitudes ``initial``, as a new array.
 
     Row 0 of the angle table is the leading RY layer; each of the D blocks
     that follow is the ascending CNOT chain (control q, target q+1) and
     another RY layer.
     """
-    if initial.n_qubits != params.n_qubits:
-        raise ValueError("initial state size does not match the ansatz")
-    out = _run_circuit(params.flat()[:, None], params.n_qubits, params.depth,
-                       initial.amps)
-    return StateVector(params.n_qubits, out[:, 0])
+    initial = np.asarray(initial, dtype=float)
+    if initial.shape != (2 ** params.n_qubits,):
+        raise ValueError(f"initial state length {initial.shape} != 2^{params.n_qubits}")
+    return _run_circuit(params.flat()[:, None], params.n_qubits, params.depth, initial)[:, 0]
 
 
 @lru_cache(maxsize=None)

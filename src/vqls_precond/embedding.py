@@ -2,24 +2,15 @@
 
 Qubit ordering convention, fixed package-wide: basis index i's binary
 expansion has qubit 0 as the most significant bit. The ancilla introduced by
-``hermitize`` is qubit 0, so the top half of the amplitude vector is the
-ancilla-0 block and the bottom half the ancilla-1 block.
+the hermitized embedding is qubit 0, so the top half of the amplitude vector
+is the ancilla-0 block and the bottom half the ancilla-1 block.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
-
-_PAULI_1Q = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
 
 
 class DegenerateBlockError(RuntimeError):
@@ -49,139 +40,43 @@ class QuantumSystem:
             raise ValueError("rhs_state must have unit 2-norm")
 
 
-@dataclass
-class PauliTerm:
-    coeff: float
-    word: str  # over {I,X,Y,Z}; leftmost character acts on qubit 0 (MSB)
+def build_system(A, b, mode: str) -> QuantumSystem:
+    """Pad (A, b) to the next power-of-two dimension, then wrap it per mode.
 
-
-def pad_to_power_of_two(A, b):
-    """Embed (A, b) into the next power-of-two dimension.
-
-    The complement block is the identity and b is zero-padded, so the padded
-    solution restricted to the first n coordinates equals the original one.
+    The padding's complement block is the identity and b is zero-padded, so
+    the padded solution restricted to the first n coordinates equals the
+    original one. 'direct' uses the padded operator as-is (it need not be
+    symmetric). 'hermitized' is the symmetric block embedding
+    [[0, A], [A^T, 0]] with one ancilla qubit: the right-hand-side state is
+    (b, 0) normalized, so the input lives in the ancilla-0 block and the
+    solution of the embedded system in the ancilla-1 block (bottom half).
     """
+    if mode not in ("direct", "hermitized"):
+        raise ValueError(f"unknown mode {mode!r}")
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     n = A.shape[0]
     if A.shape != (n, n) or b.shape != (n,):
         raise ValueError("A must be square and match b")
     m = 1 << (n - 1).bit_length()
-    if m == n:
-        return A, b
     A_pad = np.eye(m)
     A_pad[:n, :n] = A
-    A_pad[:n, n:] = 0.0
     b_pad = np.zeros(m)
     b_pad[:n] = b
-    return A_pad, b_pad
-
-
-def hermitize(A, b) -> QuantumSystem:
-    """Symmetric block embedding [[0, A], [A^T, 0]] with one ancilla qubit.
-
-    The right-hand-side state is (b, 0) normalized: the input lives in the
-    ancilla-0 block, the solution of the embedded system in the ancilla-1
-    block (bottom half).
-    """
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    n = A.shape[0]
-    if A.shape != (n, n) or b.shape != (n,):
-        raise ValueError("A must be square and match b")
-    k = n.bit_length() - 1
-    if 2 ** k != n:
-        raise ValueError(f"dimension {n} is not a power of two; pad first")
-    norm_b = float(np.linalg.norm(b))
+    norm_b = float(np.linalg.norm(b_pad))
     if norm_b < 1e-300:
         raise ValueError("right-hand side has (near) zero norm")
-    op = np.zeros((2 * n, 2 * n))
-    op[:n, n:] = A
-    op[n:, :n] = A.T
-    rhs = np.zeros(2 * n)
-    rhs[:n] = b / norm_b
+    k = m.bit_length() - 1
+    if mode == "direct":
+        return QuantumSystem(n_qubits=k, op=A_pad, rhs_state=b_pad / norm_b,
+                             scale=norm_b, hermitized=False)
+    op = np.zeros((2 * m, 2 * m))
+    op[:m, m:] = A_pad
+    op[m:, :m] = A_pad.T
+    rhs = np.zeros(2 * m)
+    rhs[:m] = b_pad / norm_b
     return QuantumSystem(n_qubits=k + 1, op=op, rhs_state=rhs, scale=norm_b,
                          hermitized=True)
-
-
-def direct_system(A, b) -> QuantumSystem:
-    """Wrap (A, b) without an ancilla; A need not be symmetric."""
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    n = A.shape[0]
-    if A.shape != (n, n) or b.shape != (n,):
-        raise ValueError("A must be square and match b")
-    k = n.bit_length() - 1
-    if 2 ** k != n:
-        raise ValueError(f"dimension {n} is not a power of two; pad first")
-    norm_b = float(np.linalg.norm(b))
-    if norm_b < 1e-300:
-        raise ValueError("right-hand side has (near) zero norm")
-    return QuantumSystem(n_qubits=k, op=A.copy(), rhs_state=b / norm_b,
-                         scale=norm_b, hermitized=False)
-
-
-def build_system(A, b, mode: str) -> QuantumSystem:
-    """Pad to a power of two, then wrap per mode ('direct' or 'hermitized')."""
-    A_pad, b_pad = pad_to_power_of_two(A, b)
-    if mode == "hermitized":
-        return hermitize(A_pad, b_pad)
-    if mode == "direct":
-        return direct_system(A_pad, b_pad)
-    raise ValueError(f"unknown mode {mode!r}")
-
-
-def pauli_word_matrix(word: str) -> np.ndarray:
-    """Tensor-product matrix of a Pauli word (leftmost factor = qubit 0)."""
-    mat = np.array([[1.0 + 0j]])
-    for ch in word:
-        mat = np.kron(mat, _PAULI_1Q[ch])
-    return mat
-
-
-def pauli_decompose(op, tol: float = 1e-12) -> list[PauliTerm]:
-    """Expand a real symmetric operator over Pauli words.
-
-    coeff(word) = trace(P_word op) / 2^m. Only words with an even number of
-    Y factors survive for symmetric real input (their matrices are real);
-    terms with |coeff| <= tol are dropped. With tol = 0 the surviving terms
-    reconstruct op to rounding.
-    """
-    op = np.asarray(op, dtype=float)
-    dim = op.shape[0]
-    if op.ndim != 2 or op.shape != (dim, dim) or dim & (dim - 1) or dim == 0:
-        raise ValueError("operator must be square with power-of-two dimension")
-    scale = max(1.0, float(np.max(np.abs(op))))
-    if np.max(np.abs(op - op.T)) > 1e-12 * scale:
-        raise ValueError("operator must be symmetric")
-    m = dim.bit_length() - 1
-    terms = []
-    for letters in itertools.product("IXYZ", repeat=m):
-        word = "".join(letters)
-        if word.count("Y") % 2:
-            continue  # purely imaginary word matrix, coefficient vanishes
-        P = pauli_word_matrix(word).real
-        coeff = float(np.tensordot(P, op, axes=2)) / dim  # trace(P @ op), P symmetric
-        if abs(coeff) > tol:
-            terms.append(PauliTerm(coeff=coeff, word=word))
-    return terms
-
-
-def pauli_reconstruct(terms: list[PauliTerm], n_qubits: int) -> np.ndarray:
-    """Sum coeff * P_word back into a dense operator."""
-    out = np.zeros((2 ** n_qubits, 2 ** n_qubits))
-    for term in terms:
-        out += term.coeff * pauli_word_matrix(term.word).real
-    return out
-
-
-def format_pauli_terms(terms: list[PauliTerm]) -> str:
-    """One `<coeff> <word>` line per term, for external circuit tooling."""
-    return "\n".join(f"{t.coeff:.17g} {t.word}" for t in terms) + "\n"
-
-
-def save_pauli_terms(terms: list[PauliTerm], path) -> None:
-    Path(path).write_text(format_pauli_terms(terms))
 
 
 def extract_solution(x_state, sys: QuantumSystem, original_n: int) -> np.ndarray:

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .ansatz import StateVector, prepare_state
+from .ansatz import prepare_state
 from .dense import condition_number, lu_solve, singular_values
 from .embedding import build_system, extract_solution
 from .ilu import IluFactors, ZeroPivotError, ilu0, preconditioned_system
@@ -99,13 +99,8 @@ class ExperimentConfig:
             data["vqls"] = VqlsConfig(**data["vqls"])
         return cls(**data)
 
-    @classmethod
-    def from_json(cls, path) -> "ExperimentConfig":
-        return cls.from_dict(json.loads(Path(path).read_text()))
-
     def to_dict(self) -> dict:
-        out = dataclasses.asdict(self)
-        return out
+        return dataclasses.asdict(self)
 
 
 def _is_int(v) -> bool:
@@ -223,8 +218,7 @@ def solve_instance(A: CsrMatrix, b: np.ndarray, factors: IluFactors,
 
 
 def _unit_solution(sys, params, original_n: int) -> np.ndarray:
-    state = prepare_state(params, StateVector(sys.n_qubits, sys.rhs_state))
-    return extract_solution(state.amps, sys, original_n)
+    return extract_solution(prepare_state(params, sys.rhs_state), sys, original_n)
 
 
 # ---------------------------------------------------------------------------

@@ -52,7 +52,7 @@ def ilu0(A: CsrMatrix) -> IluFactors:
     (L U)[i, j] equals A[i, j] exactly for every stored (i, j).
     """
     n = A.n
-    row_of = np.repeat(np.arange(n), np.diff(A.row_ptr))
+    row_of = A.row_index()
     pattern = np.zeros((n, n), dtype=bool)
     pattern[row_of, A.col_idx] = True
     missing = np.flatnonzero(~pattern.diagonal())
@@ -78,14 +78,9 @@ def ilu0(A: CsrMatrix) -> IluFactors:
 
     vals = W[row_of, A.col_idx]
     lower = A.col_idx < row_of
-    return IluFactors(L=_select(A, row_of, vals, lower), U=_select(A, row_of, vals, ~lower))
-
-
-def _select(A: CsrMatrix, row_of: np.ndarray, vals: np.ndarray, keep: np.ndarray) -> CsrMatrix:
-    """The stored positions of A flagged by keep, carrying vals."""
-    row_ptr = np.zeros(A.n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(row_of[keep], minlength=A.n), out=row_ptr[1:])
-    return CsrMatrix(A.n, row_ptr, A.col_idx[keep], vals[keep])
+    upper = ~lower
+    return IluFactors(L=CsrMatrix.from_rows(n, row_of[lower], A.col_idx[lower], vals[lower]),
+                      U=CsrMatrix.from_rows(n, row_of[upper], A.col_idx[upper], vals[upper]))
 
 
 def apply_minv(factors: IluFactors, v) -> np.ndarray:

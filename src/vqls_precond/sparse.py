@@ -56,7 +56,7 @@ class CsrMatrix:
         if self.nnz and (self.col_idx.min() < 0 or self.col_idx.max() >= self.n):
             raise ValueError("column indices out of range")
         # a step between neighbouring entries of one row must increase
-        row_of = np.repeat(np.arange(self.n), np.diff(self.row_ptr))
+        row_of = self.row_index()
         bad = (np.diff(self.col_idx) <= 0) & (row_of[1:] == row_of[:-1])
         if bad.any():
             i = int(row_of[np.argmax(bad)])
@@ -71,26 +71,13 @@ class CsrMatrix:
         lo, hi = self.row_ptr[i], self.row_ptr[i + 1]
         return self.col_idx[lo:hi], self.vals[lo:hi]
 
-    def matvec(self, x) -> np.ndarray:
-        """y = A x using only stored entries."""
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.n,):
-            raise ValueError(f"vector length {x.shape} does not match n={self.n}")
-        row_of = np.repeat(np.arange(self.n), np.diff(self.row_ptr))
-        return np.bincount(row_of, weights=self.vals * x[self.col_idx], minlength=self.n)
-
-    def transpose(self) -> "CsrMatrix":
-        """Exact structural transpose (an involution, bit for bit)."""
-        order = np.argsort(self.col_idx, kind="stable")
-        row_of = np.repeat(np.arange(self.n), np.diff(self.row_ptr))
-        t_row_ptr = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(self.col_idx, minlength=self.n), out=t_row_ptr[1:])
-        return CsrMatrix(self.n, t_row_ptr, row_of[order], self.vals[order].copy())
+    def row_index(self) -> np.ndarray:
+        """The row of every stored entry, aligned with col_idx and vals."""
+        return np.repeat(np.arange(self.n), np.diff(self.row_ptr))
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self.n, self.n))
-        row_of = np.repeat(np.arange(self.n), np.diff(self.row_ptr))
-        out[row_of, self.col_idx] = self.vals
+        out[self.row_index(), self.col_idx] = self.vals
         return out
 
     @classmethod
@@ -106,11 +93,15 @@ class CsrMatrix:
     def from_mask(cls, mask, vals) -> "CsrMatrix":
         """Build from a boolean pattern mask plus row-major values."""
         mask = np.asarray(mask, dtype=bool)
-        n = mask.shape[0]
         rows, cols = np.nonzero(mask)
+        return cls.from_rows(mask.shape[0], rows, cols, vals)
+
+    @classmethod
+    def from_rows(cls, n: int, rows, cols, vals) -> "CsrMatrix":
+        """Build from (row, column, value) triplets sorted row-major."""
         row_ptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(rows, minlength=n), out=row_ptr[1:])
-        return cls(n, row_ptr, cols, np.asarray(vals, dtype=float))
+        return cls(n, row_ptr, cols, vals)
 
     @classmethod
     def identity(cls, n: int) -> "CsrMatrix":
@@ -155,7 +146,7 @@ def random_sparse(n: int, density: float, seed: int,
     np.fill_diagonal(mask, True)
     vals = rng.uniform(-1.0, 1.0, size=int(mask.sum()))
     A = CsrMatrix.from_mask(mask, vals)
-    diag = np.flatnonzero(A.col_idx == np.repeat(np.arange(n), np.diff(A.row_ptr)))
+    diag = np.flatnonzero(A.col_idx == A.row_index())
     u = A.vals[diag]
     A.vals[diag] = np.where(u >= 0, u + diag_offset, u - diag_offset)
     return A
@@ -181,16 +172,8 @@ def poisson_1d(n_interior: int, heat_rate: float = 1.0, length: float = 1.0):
         raise ValueError("length must be positive")
     n = n_interior
     dh = length / (n + 1)
-    rows, cols, vals = [], [], []
-    for i in range(n):
-        if i > 0:
-            rows.append(i); cols.append(i - 1); vals.append(-1.0)
-        rows.append(i); cols.append(i); vals.append(2.0)
-        if i < n - 1:
-            rows.append(i); cols.append(i + 1); vals.append(-1.0)
-    row_ptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(np.array(rows), minlength=n), out=row_ptr[1:])
-    A = CsrMatrix(n, row_ptr, np.array(cols), np.array(vals))
+    T = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+    A = CsrMatrix.from_mask(T != 0.0, T[T != 0.0])
     b = np.full(n, heat_rate * dh * dh)
     return A, b
 
@@ -203,8 +186,7 @@ def save_matrix_market(A: CsrMatrix, path) -> None:
     """
     lines = ["%%MatrixMarket matrix coordinate real general",
              f"{A.n} {A.n} {A.nnz}"]
-    row_of = np.repeat(np.arange(A.n), np.diff(A.row_ptr))
-    for i, j, v in zip(row_of, A.col_idx, A.vals):
+    for i, j, v in zip(A.row_index(), A.col_idx, A.vals):
         lines.append(f"{i + 1} {j + 1} {v:.17g}")
     Path(path).write_text("\n".join(lines) + "\n")
 
@@ -240,6 +222,4 @@ def load_matrix_market(path) -> CsrMatrix:
     rows, cols, vals = rows[order], cols[order], vals[order]
     if np.any((np.diff(rows) == 0) & (np.diff(cols) == 0)):
         raise ValueError("duplicate coordinate entries")
-    row_ptr = np.zeros(n_rows + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n_rows), out=row_ptr[1:])
-    return CsrMatrix(n_rows, row_ptr, cols, vals)
+    return CsrMatrix.from_rows(n_rows, rows, cols, vals)

@@ -24,10 +24,6 @@ over its B columns, linear in depth, and pays the per-gate Python overhead
 once for all of them. Each column's operator is applied on its own, so
 every column's numbers are bit for bit those of training it alone; a single
 system is the B = 1 case.
-
-A term-by-term path summing Pauli-decomposition contributions is provided as
-a cross-check of what hardware Hadamard tests would estimate; the training
-loop never pays its 4^m cost.
 """
 
 from __future__ import annotations
@@ -38,14 +34,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ansatz import (AngleTable, AnsatzParams, StateVector, _adjoint_pass, _run_circuit,
-                     prepare_state)
-from .embedding import PauliTerm, QuantumSystem, pauli_word_matrix
+from .ansatz import AngleTable, AnsatzParams, _adjoint_pass, _run_circuit, prepare_state
+from .embedding import QuantumSystem
 from .sparse import STREAM_THETA
 
 
 class DegenerateOperatorError(RuntimeError):
-    """op annihilates the prepared state; the cost is undefined."""
+    """op annihilates the prepared state; the cost is undefined.
+
+    ``cost_and_grad`` sets ``column`` to the lockstep column it happened in.
+    """
 
 
 class DivergedError(ArithmeticError):
@@ -155,8 +153,7 @@ def _cost_from_state(x: np.ndarray, sys: QuantumSystem):
 
 def cost(params: AnsatzParams, sys: QuantumSystem) -> float:
     """Exact statevector cost at the given angles."""
-    x = prepare_state(params, StateVector(sys.n_qubits, sys.rhs_state.copy()))
-    return _cost_from_state(x.amps, sys)[0]
+    return _cost_from_state(prepare_state(params, sys.rhs_state), sys)[0]
 
 
 def cost_and_grad(angles: AngleTable, systems: list[QuantumSystem]):
@@ -172,7 +169,11 @@ def cost_and_grad(angles: AngleTable, systems: list[QuantumSystem]):
     costs = np.empty(len(systems))
     adjoints = np.empty_like(states)
     for b, (x, sys) in enumerate(zip(states.T.copy(), systems)):
-        costs[b], g, h, y = _cost_from_state(x, sys)
+        try:
+            costs[b], g, h, y = _cost_from_state(x, sys)
+        except DegenerateOperatorError as exc:
+            exc.column = b
+            raise
         adjoints[:, b] = (-2.0 * g / h * sys.rhs_state + 2.0 * g * g / (h * h) * y) @ sys.op
     return costs, _adjoint_pass(angles, states, adjoints)
 
@@ -183,7 +184,11 @@ _LOCKSTEP_FIELDS = ("depth", "iterations", "learning_rate", "adam_beta1", "adam_
 
 
 def _checked_step(angles: AngleTable, systems: list, iteration: int, labels: list):
-    costs, grads = cost_and_grad(angles, systems)
+    try:
+        costs, grads = cost_and_grad(angles, systems)
+    except DegenerateOperatorError as exc:
+        raise DegenerateOperatorError(
+            f"{exc} at iteration {iteration} in {labels[exc.column]}") from exc
     finite = np.isfinite(costs) & np.isfinite(grads).all(axis=0)
     if not finite.all():
         raise DivergedError(f"non-finite cost or gradient at iteration {iteration} "
@@ -214,8 +219,9 @@ def train(systems, cfgs, labels=None):
     always kept, as is the final iteration); the reported solution is the
     final iterate, with the best-cost iterate carried alongside. Raises
     DivergedError at the first non-finite cost or gradient in any column,
-    naming that column by its entry of ``labels`` (default: its index and
-    seed).
+    and DegenerateOperatorError where a column's operator annihilates its
+    state, naming that column by its entry of ``labels`` (default: its index
+    and seed).
     """
     if isinstance(systems, QuantumSystem):
         return train([systems], [cfgs], labels)[0]
@@ -275,25 +281,6 @@ def residuals(x_vqls, x_exact) -> np.ndarray:
         raise ValueError("exact solution is identically zero")
     s = float(x_vqls @ x_exact) / float(x_vqls @ x_vqls)
     return np.abs(s * x_vqls - x_exact)
-
-
-def cost_via_decomposition(params: AnsatzParams, sys: QuantumSystem,
-                           terms: list[PauliTerm]) -> float:
-    """Cost assembled term-by-term from a Pauli decomposition of op.
-
-    g = sum_k a_k <rhs|P_k|x> and h = sum_{k,k'} a_k a_k' <x|P_k' P_k|x>,
-    the quantities a Hadamard-test estimator would measure. Exponential in
-    qubit count; cross-check use only.
-    """
-    x = prepare_state(params, StateVector(sys.n_qubits, sys.rhs_state.copy())).amps
-    applied = np.stack([pauli_word_matrix(t.word).real @ x for t in terms])
-    coeffs = np.array([t.coeff for t in terms])
-    g = float(coeffs @ (applied @ sys.rhs_state))
-    overlaps = applied @ applied.T  # <x|P_k' P_k|x> for real symmetric words
-    h = float(coeffs @ overlaps @ coeffs)
-    if h < 1e-300:
-        raise DegenerateOperatorError("operator norm of the prepared state underflowed")
-    return 1.0 - g * g / h
 
 
 def write_trace_csv(trace: list[TraceRecord], path) -> None:

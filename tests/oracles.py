@@ -19,21 +19,36 @@ lockstep ``vqls.train`` replaced: one column per circuit pass, the CNOT
 chain gate by gate, a two-column adjoint walk and Adam on a flat angle
 vector. Lockstep training must reproduce every column's numbers bit for
 bit. ``cost_and_grad_one`` runs the production step on a single column.
+
+Pauli sums. ``pauli_decompose`` expands a real symmetric operator over
+Pauli words and ``cost_via_decomposition`` assembles the cost term by term,
+the quantities Hadamard-test estimators would measure on a device (the cost
+of Bravo-Prieto et al., arXiv:1909.05820). Exponential in the qubit count;
+the statevector cost must match it.
 """
 
+import itertools
 import time
+from dataclasses import dataclass
 
 import numpy as np
 
-from vqls_precond import AnsatzParams, QuantumSystem, StateVector, prepare_state
-from vqls_precond.ansatz import (AngleTable, _cnot_kernel, _flip_tables, _ry_kernel,
-                                 _run_circuit)
+from vqls_precond.ansatz import (AngleTable, AnsatzParams, _cnot_kernel, _flip_tables,
+                                 _ry_kernel, _run_circuit, prepare_state)
+from vqls_precond.embedding import QuantumSystem
 from vqls_precond.ilu import PIVOT_FLOOR, IluFactors, ZeroPivotError
 from vqls_precond.sparse import STREAM_THETA, CsrMatrix
-from vqls_precond.vqls import (Adam, DivergedError, TraceRecord, TrainResult,
-                               _cost_from_state, cost_and_grad)
+from vqls_precond.vqls import (Adam, DegenerateOperatorError, DivergedError, TraceRecord,
+                               TrainResult, _cost_from_state, cost_and_grad)
 
 SQRT2 = float(np.sqrt(2.0))
+
+_PAULI_1Q = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+}
 
 
 def make_system(op, rhs) -> QuantumSystem:
@@ -45,7 +60,7 @@ def make_system(op, rhs) -> QuantumSystem:
 
 
 def shifted_state(params: AnsatzParams, index: int, shift: float,
-                  initial: StateVector) -> StateVector:
+                  initial: np.ndarray) -> np.ndarray:
     """prepare_state with one flattened angle replaced by theta_j + shift."""
     if not 0 <= index < params.count:
         raise IndexError(f"parameter index {index} out of range ({params.count} params)")
@@ -55,7 +70,7 @@ def shifted_state(params: AnsatzParams, index: int, shift: float,
 
 
 def shift_rule_tangent(params: AnsatzParams, index: int,
-                       initial: StateVector) -> np.ndarray:
+                       initial: np.ndarray) -> np.ndarray:
     """Exact d|x(theta)>/d theta_j from the two pi/2-shifted preparations.
 
     The divisor for +-pi/2 shifts of a frequency-1/2 polynomial is
@@ -63,7 +78,7 @@ def shift_rule_tangent(params: AnsatzParams, index: int,
     """
     plus = shifted_state(params, index, +np.pi / 2, initial)
     minus = shifted_state(params, index, -np.pi / 2, initial)
-    return (plus.amps - minus.amps) / (2.0 * SQRT2)
+    return (plus - minus) / (2.0 * SQRT2)
 
 
 def shift_columns(flat: np.ndarray) -> np.ndarray:
@@ -237,3 +252,70 @@ def _take_upper(A: CsrMatrix, work: np.ndarray, diag_pos: np.ndarray) -> CsrMatr
         vals.append(work[diag_pos[i]:hi])
         row_ptr[i + 1] = row_ptr[i] + (hi - diag_pos[i])
     return CsrMatrix(A.n, row_ptr, np.concatenate(cols), np.concatenate(vals))
+
+
+@dataclass
+class PauliTerm:
+    coeff: float
+    word: str  # over {I,X,Y,Z}; leftmost character acts on qubit 0 (MSB)
+
+
+def pauli_word_matrix(word: str) -> np.ndarray:
+    """Tensor-product matrix of a Pauli word (leftmost factor = qubit 0)."""
+    mat = np.array([[1.0 + 0j]])
+    for ch in word:
+        mat = np.kron(mat, _PAULI_1Q[ch])
+    return mat
+
+
+def pauli_decompose(op, tol: float = 1e-12) -> list[PauliTerm]:
+    """Expand a real symmetric operator over Pauli words.
+
+    coeff(word) = trace(P_word op) / 2^m. Only words with an even number of
+    Y factors survive for symmetric real input (their matrices are real);
+    terms with |coeff| <= tol are dropped. With tol = 0 the surviving terms
+    reconstruct op to rounding.
+    """
+    op = np.asarray(op, dtype=float)
+    dim = op.shape[0]
+    if op.ndim != 2 or op.shape != (dim, dim) or dim & (dim - 1) or dim == 0:
+        raise ValueError("operator must be square with power-of-two dimension")
+    scale = max(1.0, float(np.max(np.abs(op))))
+    if np.max(np.abs(op - op.T)) > 1e-12 * scale:
+        raise ValueError("operator must be symmetric")
+    m = dim.bit_length() - 1
+    terms = []
+    for letters in itertools.product("IXYZ", repeat=m):
+        word = "".join(letters)
+        if word.count("Y") % 2:
+            continue  # purely imaginary word matrix, coefficient vanishes
+        P = pauli_word_matrix(word).real
+        coeff = float(np.tensordot(P, op, axes=2)) / dim  # trace(P @ op), P symmetric
+        if abs(coeff) > tol:
+            terms.append(PauliTerm(coeff=coeff, word=word))
+    return terms
+
+
+def pauli_reconstruct(terms: list[PauliTerm], n_qubits: int) -> np.ndarray:
+    """Sum coeff * P_word back into a dense operator."""
+    out = np.zeros((2 ** n_qubits, 2 ** n_qubits))
+    for term in terms:
+        out += term.coeff * pauli_word_matrix(term.word).real
+    return out
+
+
+def cost_via_decomposition(params: AnsatzParams, sys: QuantumSystem,
+                           terms: list[PauliTerm]) -> float:
+    """Cost assembled term-by-term from a Pauli decomposition of op.
+
+    g = sum_k a_k <rhs|P_k|x> and h = sum_{k,k'} a_k a_k' <x|P_k' P_k|x>.
+    """
+    x = prepare_state(params, sys.rhs_state)
+    applied = np.stack([pauli_word_matrix(t.word).real @ x for t in terms])
+    coeffs = np.array([t.coeff for t in terms])
+    g = float(coeffs @ (applied @ sys.rhs_state))
+    overlaps = applied @ applied.T  # <x|P_k' P_k|x> for real symmetric words
+    h = float(coeffs @ overlaps @ coeffs)
+    if h < 1e-300:
+        raise DegenerateOperatorError("operator norm of the prepared state underflowed")
+    return 1.0 - g * g / h

@@ -13,17 +13,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import cost_and_grad_one, make_system
-from vqls_precond import (condition_number, cost, cost_via_decomposition, ilu0,
-                          lu_solve, pauli_decompose, pauli_reconstruct, poisson_1d,
-                          preconditioned_system, random_rhs, random_sparse, residuals)
+from oracles import (cost_and_grad_one, cost_via_decomposition, make_system,
+                     pauli_decompose, pauli_reconstruct)
 from vqls_precond.ansatz import AnsatzParams
-from vqls_precond.embedding import hermitize
+from vqls_precond.dense import condition_number, lu_solve
+from vqls_precond.embedding import build_system
 from vqls_precond.experiments import (ExperimentConfig, ci_profile, cmd_heat,
                                       cmd_solve, cmd_spectrum, cmd_sweep_depth,
                                       paper_profile)
-from vqls_precond.sparse import CsrMatrix
-from vqls_precond.vqls import VqlsConfig
+from vqls_precond.ilu import ilu0, preconditioned_system
+from vqls_precond.sparse import CsrMatrix, poisson_1d, random_rhs, random_sparse
+from vqls_precond.vqls import VqlsConfig, cost
 
 COMMITTED_SEEDS = list(range(1, 11))
 
@@ -136,7 +136,7 @@ def test_criterion_06_decomposition_path_equivalence():
         rng = np.random.default_rng(606)
         for _ in range(5):
             A = rng.uniform(-1, 1, (4, 4))
-            sys = hermitize(A, rng.normal(size=4))  # 3-qubit symmetric operator
+            sys = build_system(A, rng.normal(size=4), "hermitized")  # 3 qubits, symmetric
             terms = pauli_decompose(sys.op, tol=0.0)
             assert np.abs(pauli_reconstruct(terms, 3) - sys.op).max() < 1e-12
             params = AnsatzParams.random(3, 2, 0.9, rng)

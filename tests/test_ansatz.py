@@ -4,13 +4,18 @@ import numpy as np
 import pytest
 
 from oracles import run_circuit_serial, shift_columns, shift_rule_tangent, shifted_state
-from vqls_precond import AnsatzParams, StateVector, prepare_state
-from vqls_precond.ansatz import _cnot_chain, _cnot_kernel, _ry_kernel, _run_circuit
+from vqls_precond.ansatz import (AnsatzParams, _cnot_chain, _cnot_kernel, _ry_kernel,
+                                 _run_circuit, prepare_state)
 
 
 def random_state(n_qubits, rng):
     amps = rng.normal(size=2 ** n_qubits)
-    return StateVector(n_qubits, amps / np.linalg.norm(amps))
+    return amps / np.linalg.norm(amps)
+
+
+def zero_state(n_qubits):
+    """|0...0>."""
+    return np.eye(2 ** n_qubits)[0]
 
 
 def ry(amps, qubit, angle):
@@ -30,12 +35,11 @@ def cnot(amps, control, target):
 def test_ry_zero_is_identity():
     rng = np.random.default_rng(0)
     s = random_state(3, rng)
-    np.testing.assert_array_equal(ry(s.amps, 1, 0.0), s.amps)
+    np.testing.assert_array_equal(ry(s, 1, 0.0), s)
 
 
 def test_ry_pi_flips_single_qubit():
-    np.testing.assert_allclose(ry(StateVector.zero(1).amps, 0, np.pi), [0.0, 1.0],
-                               atol=1e-16)
+    np.testing.assert_allclose(ry(zero_state(1), 0, np.pi), [0.0, 1.0], atol=1e-16)
 
 
 def test_ry_composition():
@@ -44,13 +48,13 @@ def test_ry_composition():
         s = random_state(3, rng)
         a1, a2 = rng.uniform(-np.pi, np.pi, 2)
         q = int(rng.integers(3))
-        via_two = ry(ry(s.amps, q, a1), q, a2)
-        direct = ry(s.amps, q, a1 + a2)
+        via_two = ry(ry(s, q, a1), q, a2)
+        direct = ry(s, q, a1 + a2)
         assert np.abs(via_two - direct).max() < 1e-12
 
 
 def test_cnot_on_basis_states():
-    s00 = StateVector.zero(2).amps
+    s00 = zero_state(2)
     np.testing.assert_array_equal(cnot(s00, 0, 1), s00)
     s10 = np.array([0.0, 0.0, 1.0, 0.0])  # |10>, qubit 0 is MSB
     np.testing.assert_array_equal(cnot(s10, 0, 1), [0.0, 0.0, 0.0, 1.0])
@@ -64,7 +68,7 @@ def test_cnot_reversed_control():
 def test_cnot_involution():
     rng = np.random.default_rng(2)
     s = random_state(4, rng)
-    np.testing.assert_array_equal(cnot(cnot(s.amps, 1, 3), 1, 3), s.amps)
+    np.testing.assert_array_equal(cnot(cnot(s, 1, 3), 1, 3), s)
 
 
 def test_cnot_chain_permutations_match_the_kernels():
@@ -94,27 +98,29 @@ def test_run_circuit_columns_match_gate_by_gate_runs():
 
 def test_prepare_state_zero_angles():
     params = AnsatzParams(3, 2, np.zeros((3, 3)))
-    out = prepare_state(params, StateVector.zero(3))
-    np.testing.assert_array_equal(out.amps, StateVector.zero(3).amps)
+    out = prepare_state(params, zero_state(3))
+    np.testing.assert_array_equal(out, zero_state(3))
+    with pytest.raises(ValueError, match="length"):
+        prepare_state(params, zero_state(2))
 
 
 def test_prepare_state_single_qubit_closed_form():
     t0, t1 = 0.7, -0.3
     params = AnsatzParams(1, 1, np.array([[t0], [t1]]))
-    out = prepare_state(params, StateVector.zero(1))
-    np.testing.assert_allclose(out.amps, [np.cos((t0 + t1) / 2), np.sin((t0 + t1) / 2)],
+    out = prepare_state(params, zero_state(1))
+    np.testing.assert_allclose(out, [np.cos((t0 + t1) / 2), np.sin((t0 + t1) / 2)],
                                atol=1e-15)
 
 
 def test_prepare_state_hand_traced_two_qubits():
     theta = np.array([[np.pi, 0.0], [0.0, 0.0]])
-    out = prepare_state(AnsatzParams(2, 1, theta), StateVector.zero(2))
-    np.testing.assert_allclose(out.amps, [0.0, 0.0, 0.0, 1.0], atol=1e-16)
+    out = prepare_state(AnsatzParams(2, 1, theta), zero_state(2))
+    np.testing.assert_allclose(out, [0.0, 0.0, 0.0, 1.0], atol=1e-16)
 
 
 def test_prepare_state_norm_preserved_long_random_circuit():
     rng = np.random.default_rng(3)
-    amps = random_state(4, rng).amps
+    amps = random_state(4, rng)
     for _ in range(200):
         if rng.random() < 0.5:
             amps = ry(amps, int(rng.integers(4)), rng.uniform(-np.pi, np.pi))
@@ -128,22 +134,17 @@ def test_prepare_state_is_orthogonal_map():
     rng = np.random.default_rng(4)
     n, depth = 3, 2
     params = AnsatzParams.random(n, depth, 0.8, rng)
-    cols = []
-    for i in range(2 ** n):
-        e = np.zeros(2 ** n)
-        e[i] = 1.0
-        cols.append(prepare_state(params, StateVector(n, e)).amps)
-    V = np.column_stack(cols)
+    V = np.column_stack([prepare_state(params, e) for e in np.eye(2 ** n)])
     assert np.abs(V.T @ V - np.eye(2 ** n)).max() < 1e-10
 
 
 def test_shifted_state_examples():
     params = AnsatzParams(1, 0, np.zeros((1, 1)))
-    plus = shifted_state(params, 0, np.pi / 2, StateVector.zero(1))
-    np.testing.assert_allclose(plus.amps, [np.cos(np.pi / 4), np.sin(np.pi / 4)],
+    plus = shifted_state(params, 0, np.pi / 2, zero_state(1))
+    np.testing.assert_allclose(plus, [np.cos(np.pi / 4), np.sin(np.pi / 4)],
                                atol=1e-15)
     with pytest.raises(IndexError):
-        shifted_state(params, 1, np.pi / 2, StateVector.zero(1))
+        shifted_state(params, 1, np.pi / 2, zero_state(1))
 
 
 def test_shift_up_then_down_restores():
@@ -153,8 +154,8 @@ def test_shift_up_then_down_restores():
     flat = params.flat()
     flat[4] += np.pi / 2
     flat[4] -= np.pi / 2
-    np.testing.assert_array_equal(prepare_state(params.with_flat(flat), init).amps,
-                                  prepare_state(params, init).amps)
+    np.testing.assert_array_equal(prepare_state(params.with_flat(flat), init),
+                                  prepare_state(params, init))
 
 
 def test_tangent_matches_finite_differences():
@@ -165,8 +166,8 @@ def test_tangent_matches_finite_differences():
     h = 1e-5
     for j in range(params.count):
         tangent = shift_rule_tangent(params, j, init)
-        fd = (shifted_state(params, j, +h, init).amps
-              - shifted_state(params, j, -h, init).amps) / (2 * h)
+        fd = (shifted_state(params, j, +h, init)
+              - shifted_state(params, j, -h, init)) / (2 * h)
         assert np.abs(tangent - fd).max() < 1e-9
 
 
@@ -175,10 +176,10 @@ def test_batched_kernel_matches_sequential_shifts():
     n, depth = 3, 2
     params = AnsatzParams.random(n, depth, 0.7, rng)
     init = random_state(n, rng)
-    batch = _run_circuit(shift_columns(params.flat()), n, depth, init.amps)
-    np.testing.assert_array_equal(batch[:, 0], prepare_state(params, init).amps)
+    batch = _run_circuit(shift_columns(params.flat()), n, depth, init)
+    np.testing.assert_array_equal(batch[:, 0], prepare_state(params, init))
     for j in range(params.count):
-        plus = shifted_state(params, j, +np.pi / 2, init).amps
-        minus = shifted_state(params, j, -np.pi / 2, init).amps
+        plus = shifted_state(params, j, +np.pi / 2, init)
+        minus = shifted_state(params, j, -np.pi / 2, init)
         np.testing.assert_array_equal(batch[:, 2 * j + 1], plus)
         np.testing.assert_array_equal(batch[:, 2 * j + 2], minus)

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from vqls_precond import SingularMatrixError, condition_number, lu_solve, singular_values
+from vqls_precond.dense import SingularMatrixError, condition_number, lu_solve, singular_values
 
 
 def test_lu_solve_identity():

@@ -1,27 +1,34 @@
-"""Padding, ancilla-block symmetrization, Pauli decomposition, extraction."""
+"""Padding, ancilla-block symmetrization, Pauli decomposition, extraction.
+
+The Pauli decomposition is the test oracle in ``oracles.py``; it is checked
+here against brute force before the cost tests lean on it.
+"""
 
 import itertools
 
 import numpy as np
 import pytest
 
-from vqls_precond import (DegenerateBlockError, PauliTerm, extract_solution, hermitize,
-                          lu_solve, pad_to_power_of_two, pauli_decompose,
-                          pauli_reconstruct, save_pauli_terms)
-from vqls_precond.embedding import build_system, direct_system, pauli_word_matrix
+from oracles import pauli_decompose, pauli_reconstruct, pauli_word_matrix
+from vqls_precond.dense import lu_solve
+from vqls_precond.embedding import DegenerateBlockError, build_system, extract_solution
 
 
 def test_pad_noop_for_power_of_two():
     A = np.eye(128)
     b = np.ones(128)
-    A_pad, b_pad = pad_to_power_of_two(A, b)
-    assert A_pad.shape == (128, 128) and b_pad.shape == (128,)
+    sys = build_system(A, b, "direct")
+    assert sys.op.shape == (128, 128) and sys.rhs_state.shape == (128,)
+    np.testing.assert_array_equal(sys.op, A)
+    assert sys.op is not A
 
 
 def test_pad_small_identity():
-    A_pad, b_pad = pad_to_power_of_two(np.eye(3), np.array([1.0, 2.0, 3.0]))
-    np.testing.assert_array_equal(A_pad, np.eye(4))
-    np.testing.assert_array_equal(b_pad, [1.0, 2.0, 3.0, 0.0])
+    sys = build_system(np.eye(3), np.array([1.0, 2.0, 3.0]), "direct")
+    np.testing.assert_array_equal(sys.op, np.eye(4))
+    np.testing.assert_allclose(sys.rhs_state, np.array([1.0, 2.0, 3.0, 0.0]) / np.sqrt(14.0),
+                               rtol=0, atol=1e-15)
+    assert sys.n_qubits == 2 and sys.scale == pytest.approx(np.sqrt(14.0))
 
 
 def test_pad_preserves_solution():
@@ -30,14 +37,14 @@ def test_pad_preserves_solution():
         n = int(rng.integers(2, 65))
         A = rng.uniform(-1, 1, (n, n)) + np.diag(rng.choice([-4.0, 4.0], n))
         b = rng.uniform(-1, 1, n)
-        A_pad, b_pad = pad_to_power_of_two(A, b)
-        np.testing.assert_allclose(lu_solve(A_pad, b_pad)[:n], lu_solve(A, b),
-                                   rtol=1e-9, atol=1e-10)
+        sys = build_system(A, b, "direct")
+        np.testing.assert_allclose(lu_solve(sys.op, sys.scale * sys.rhs_state)[:n],
+                                   lu_solve(A, b), rtol=1e-9, atol=1e-10)
 
 
 def test_hermitize_block_layout():
     A = np.array([[1.0, 2.0], [3.0, 4.0]])
-    sys = hermitize(A, np.array([1.0, 0.0]))
+    sys = build_system(A, np.array([1.0, 0.0]), "hermitized")
     np.testing.assert_array_equal(sys.op, [[0, 0, 1, 2], [0, 0, 3, 4],
                                            [1, 3, 0, 0], [2, 4, 0, 0]])
     np.testing.assert_array_equal(sys.rhs_state, [1.0, 0.0, 0.0, 0.0])
@@ -47,7 +54,7 @@ def test_hermitize_block_layout():
 def test_hermitize_symmetric_bitwise():
     rng = np.random.default_rng(2)
     A = rng.uniform(-1, 1, (8, 8))
-    sys = hermitize(A, rng.uniform(-1, 1, 8))
+    sys = build_system(A, rng.uniform(-1, 1, 8), "hermitized")
     assert np.array_equal(sys.op, sys.op.T)
 
 
@@ -55,15 +62,18 @@ def test_hermitize_minimizer_structure():
     # the embedded solution has a zero top block and bottom block ~ A^-1 b
     A = np.array([[2.0, 1.0], [0.5, 3.0]])
     b = np.array([1.0, -2.0])
-    sys = hermitize(A, b)
+    sys = build_system(A, b, "hermitized")
     x_embedded = lu_solve(sys.op, np.concatenate([b, [0, 0]]))
     np.testing.assert_allclose(x_embedded[:2], 0.0, atol=1e-12)
     np.testing.assert_allclose(x_embedded[2:], lu_solve(A, b), rtol=1e-12)
 
 
 def test_hermitize_rejects_zero_rhs():
-    with pytest.raises(ValueError):
-        hermitize(np.eye(2), np.zeros(2))
+    for mode in ("direct", "hermitized"):
+        with pytest.raises(ValueError, match="zero norm"):
+            build_system(np.eye(2), np.zeros(2), mode)
+        with pytest.raises(ValueError, match="square"):
+            build_system(np.eye(2), np.ones(3), mode)
 
 
 def test_pauli_decompose_single_qubit_x():
@@ -123,20 +133,14 @@ def test_pauli_rejects_nonsymmetric_and_bad_size():
         pauli_decompose(np.eye(3))
 
 
-def test_pauli_term_export(tmp_path):
-    path = tmp_path / "terms.txt"
-    save_pauli_terms([PauliTerm(0.5, "XZ"), PauliTerm(-1.25, "II")], path)
-    assert path.read_text() == "0.5 XZ\n-1.25 II\n"
-
-
 def test_extract_hermitized_bottom_block():
-    sys = hermitize(np.eye(2), np.array([1.0, 1.0]))
+    sys = build_system(np.eye(2), np.array([1.0, 1.0]), "hermitized")
     x = extract_solution(np.array([0.0, 0.0, 0.6, 0.8]), sys, original_n=2)
     np.testing.assert_allclose(x, [0.6, 0.8], atol=1e-15)
 
 
 def test_extract_direct_truncates_and_renormalizes():
-    sys = direct_system(np.eye(4), np.array([1.0, 0.0, 0.0, 0.0]))
+    sys = build_system(np.eye(4), np.array([1.0, 0.0, 0.0, 0.0]), "direct")
     x = extract_solution(np.array([0.6, 0.8, 0.0, 0.0]), sys, original_n=2)
     np.testing.assert_allclose(x, [0.6, 0.8], atol=1e-15)
 
@@ -144,13 +148,13 @@ def test_extract_direct_truncates_and_renormalizes():
 def test_extract_round_trip():
     rng = np.random.default_rng(5)
     v = rng.uniform(-1, 1, 8)
-    sys = hermitize(np.eye(8), np.ones(8))
+    sys = build_system(np.eye(8), np.ones(8), "hermitized")
     state = np.concatenate([np.zeros(8), v]) / np.linalg.norm(v)
     np.testing.assert_array_equal(extract_solution(state, sys, 8), v / np.linalg.norm(v))
 
 
 def test_extract_degenerate_block():
-    sys = hermitize(np.eye(2), np.array([1.0, 1.0]))
+    sys = build_system(np.eye(2), np.array([1.0, 1.0]), "hermitized")
     with pytest.raises(DegenerateBlockError):
         extract_solution(np.array([1.0, 0.0, 0.0, 0.0]), sys, original_n=2)
 

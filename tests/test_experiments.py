@@ -5,12 +5,14 @@ import json
 import numpy as np
 import pytest
 
-from vqls_precond import ZeroPivotError, lu_solve, poisson_1d, random_rhs
 from vqls_precond.cli import main
+from vqls_precond.dense import lu_solve
 from vqls_precond.experiments import (CI_SEEDS, DEFAULT_SEEDS, ExperimentConfig,
                                       NoFactorableInstanceError, SeedStatus, ci_profile,
                                       cmd_heat, cmd_solve, cmd_spectrum, cmd_sweep_depth,
                                       generate_instance, mean_sem, paper_profile)
+from vqls_precond.ilu import ZeroPivotError
+from vqls_precond.sparse import poisson_1d, random_rhs
 from vqls_precond.vqls import DivergedError, VqlsConfig
 
 
@@ -209,14 +211,12 @@ def test_heat_costs_stay_in_range(tmp_path):
     assert all(0.0 <= float(row[1]) <= 1.0 for row in trace)
 
 
-def test_config_json_round_trip(tmp_path):
+def test_config_json_round_trip():
     cfg = ExperimentConfig(kind="sweep_depth", seeds=[4, 5], depths=[1, 3])
     data = cfg.to_dict()
     again = ExperimentConfig.from_dict(data)
     assert again == cfg
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(data))
-    assert ExperimentConfig.from_json(path) == cfg
+    assert ExperimentConfig.from_dict(json.loads(json.dumps(data))) == cfg
 
 
 def test_config_rejects_unknown_keys():
@@ -384,15 +384,37 @@ def test_non_finite_operator_stops_training_and_exits_3(tmp_path, monkeypatch, c
     assert main(["solve", "--config", str(cfg_path), "--out", str(out)]) == 3
     assert not (out / "trace_plain.csv").exists()
 
-    # A two-seed sweep trains its four columns in one lockstep run; only
-    # seed 5's precond operator is poisoned, and the failure names it.
     monkeypatch.setattr(exp, "build_system", real_build)
+
+    def nan_entry(op):
+        op[0, 1] = np.nan
+
+    code, err = _sweep_with_seed5_precond(tmp_path, monkeypatch, capsys, nan_entry)
+    assert code == 3 and "seed 5, arm precond" in err, err
+
+
+def test_degenerate_operator_names_its_column_and_exits_3(tmp_path, monkeypatch, capsys):
+    def zeroed(op):
+        op[:] = 0.0
+
+    code, err = _sweep_with_seed5_precond(tmp_path, monkeypatch, capsys, zeroed)
+    assert code == 3
+    assert "underflowed at iteration 0 in seed 5, arm precond" in err, err
+
+
+def _sweep_with_seed5_precond(tmp_path, monkeypatch, capsys, poison):
+    """(exit code, stderr) of a two-seed identity sweep with seed 5's M^-1 A poisoned.
+
+    The sweep trains its four (seed, arm) columns in one lockstep run, so the
+    failure must name the one column it came from.
+    """
+    import vqls_precond.experiments as exp
     real_precond = exp.preconditioned_system
 
     def poisoned_precond(A, b, factors):
         A_tilde, b_tilde = real_precond(A, b, factors)
         if np.array_equal(b, random_rhs(A.n, 5)):
-            A_tilde[0, 1] = np.nan
+            poison(A_tilde)
         return A_tilde, b_tilde
 
     monkeypatch.setattr(exp, "preconditioned_system", poisoned_precond)
@@ -401,10 +423,9 @@ def test_non_finite_operator_stops_training_and_exits_3(tmp_path, monkeypatch, c
                                     "depths": [1], "vqls": {"iterations": 5}}))
     out = tmp_path / "sweep"
     capsys.readouterr()
-    assert main(["sweep-depth", "--config", str(cfg_path), "--out", str(out)]) == 3
-    err = capsys.readouterr().err
-    assert "seed 5, arm precond" in err, err
+    code = main(["sweep-depth", "--config", str(cfg_path), "--out", str(out)])
     assert not (out / "sweep_raw.csv").exists()
+    return code, capsys.readouterr().err
 
 
 def test_unrelated_runtime_error_propagates(tmp_path, monkeypatch):

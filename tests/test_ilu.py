@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from oracles import ilu0_ikj
-from vqls_precond import (CsrMatrix, ZeroPivotError, apply_minv, condition_number,
-                          ilu0, lu_solve, poisson_1d, preconditioned_system, random_rhs,
-                          random_sparse)
+from vqls_precond.dense import condition_number, lu_solve
+from vqls_precond.ilu import ZeroPivotError, apply_minv, ilu0, preconditioned_system
+from vqls_precond.sparse import CsrMatrix, poisson_1d, random_rhs, random_sparse
 
 SEEDS = list(range(1, 11))
 

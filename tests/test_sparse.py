@@ -1,51 +1,11 @@
-"""CSR structure, kernels, generators and Matrix Market round trips."""
+"""CSR structure, generators and Matrix Market round trips."""
 
 import numpy as np
 import pytest
 
-from vqls_precond import (CsrMatrix, DensityTooLowError, load_matrix_market, lu_solve,
-                          poisson_1d, random_rhs, random_sparse, save_matrix_market)
-
-
-def csr_from_dense(A):
-    return CsrMatrix.from_dense(np.asarray(A, dtype=float))
-
-
-def test_spmv_identity():
-    A = CsrMatrix.identity(3)
-    np.testing.assert_array_equal(A.matvec([1.0, 2.0, 3.0]), [1.0, 2.0, 3.0])
-
-
-def test_spmv_with_empty_row():
-    A = csr_from_dense([[0.0, 1.0], [0.0, 0.0]])
-    np.testing.assert_array_equal(A.matvec([5.0, 7.0]), [7.0, 0.0])
-
-
-def test_spmv_matches_dense_oracle():
-    A = random_sparse(128, 0.2, seed=5)
-    x = np.ones(128)
-    assert np.abs(A.matvec(x) - A.to_dense() @ x).max() < 1e-12
-
-
-def test_spmv_dimension_mismatch():
-    with pytest.raises(ValueError):
-        CsrMatrix.identity(3).matvec(np.ones(4))
-
-
-def test_transpose_trivial():
-    np.testing.assert_array_equal(CsrMatrix.identity(3).transpose().to_dense(), np.eye(3))
-    A = csr_from_dense([[0.0, 1.0], [0.0, 0.0]])
-    np.testing.assert_array_equal(A.transpose().to_dense(), [[0.0, 0.0], [1.0, 0.0]])
-
-
-def test_transpose_matches_dense_and_is_involution():
-    A = random_sparse(64, 0.15, seed=9)
-    At = A.transpose()
-    np.testing.assert_array_equal(At.to_dense(), A.to_dense().T)
-    Att = At.transpose()
-    np.testing.assert_array_equal(Att.row_ptr, A.row_ptr)
-    np.testing.assert_array_equal(Att.col_idx, A.col_idx)
-    np.testing.assert_array_equal(Att.vals, A.vals)
+from vqls_precond.dense import lu_solve
+from vqls_precond.sparse import (CsrMatrix, DensityTooLowError, load_matrix_market, poisson_1d,
+                                 random_rhs, random_sparse, save_matrix_market)
 
 
 def test_csr_validation():
@@ -87,7 +47,7 @@ def test_random_sparse_has_full_diagonal():
     A = random_sparse(128, 0.2, seed=1)
     dense = A.to_dense()
     assert np.all(dense[np.arange(128), np.arange(128)] != 0.0)
-    row_of = np.repeat(np.arange(128), np.diff(A.row_ptr))
+    row_of = A.row_index()
     assert np.sum(row_of == A.col_idx) == 128
 
 
@@ -110,7 +70,7 @@ def test_random_sparse_deterministic():
 
 def test_random_sparse_offdiagonal_values_in_range():
     A = random_sparse(100, 0.2, seed=3)
-    row_of = np.repeat(np.arange(100), np.diff(A.row_ptr))
+    row_of = A.row_index()
     off = A.vals[row_of != A.col_idx]
     assert np.all(np.abs(off) <= 1.0)
     diag = A.vals[row_of == A.col_idx]
@@ -179,7 +139,7 @@ def test_poisson_1d_spd_known_spectrum():
 
 def test_to_dense_round_trip():
     A = random_sparse(32, 0.3, seed=8)
-    row_of = np.repeat(np.arange(32), np.diff(A.row_ptr))
+    row_of = A.row_index()
     np.testing.assert_array_equal(A.to_dense()[row_of, A.col_idx], A.vals)
 
 

@@ -6,11 +6,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import cost_and_grad_one, make_system, shift_rule_cost_and_grad, train_serial
-from vqls_precond import (Adam, AnsatzParams, DegenerateOperatorError, DivergedError,
-                          TraceRecord, VqlsConfig, cost, cost_via_decomposition,
-                          pauli_decompose, residuals, train, write_trace_csv)
-from vqls_precond.embedding import build_system, hermitize
+from oracles import (cost_and_grad_one, cost_via_decomposition, make_system,
+                     pauli_decompose, shift_rule_cost_and_grad, train_serial)
+from vqls_precond.ansatz import AnsatzParams, prepare_state
+from vqls_precond.embedding import build_system
+from vqls_precond.vqls import (Adam, DegenerateOperatorError, DivergedError, TraceRecord,
+                               VqlsConfig, cost, residuals, train, write_trace_csv)
 
 
 def zero_params(n, depth=0):
@@ -113,7 +114,7 @@ def test_grad_matches_finite_differences():
 def test_grad_matches_fd_hermitized():
     rng = np.random.default_rng(10)
     A = rng.uniform(-1, 1, (4, 4))
-    sys = hermitize(A, rng.normal(size=4))
+    sys = build_system(A, rng.normal(size=4), "hermitized")
     params = AnsatzParams.random(3, 2, 0.4, rng)
     fd = finite_difference_grad(params, sys)
     # the shift-rule oracle is held to the same differences as the adjoint
@@ -303,7 +304,7 @@ def test_decomposition_path_matches_direct_cost():
     rng = np.random.default_rng(14)
     for _ in range(5):
         A = rng.uniform(-1, 1, (4, 4))
-        sys = hermitize(A, rng.normal(size=4))  # 3-qubit symmetric operator
+        sys = build_system(A, rng.normal(size=4), "hermitized")  # 3 qubits, symmetric
         terms = pauli_decompose(sys.op, tol=0.0)
         params = AnsatzParams.random(3, 2, 0.8, rng)
         direct = cost(params, sys)
@@ -316,8 +317,7 @@ def test_cost_zero_implies_proportionality():
     theta_star = 2.0 * np.arctan(2.0) - np.pi / 2.0
     params = AnsatzParams(1, 0, [[theta_star]])
     assert cost(params, sys) < 1e-12
-    from vqls_precond import StateVector, prepare_state
-    x = prepare_state(params, StateVector(1, sys.rhs_state.copy())).amps
+    x = prepare_state(params, sys.rhs_state)
     y = sys.op @ x
     y_hat = y / np.linalg.norm(y)
     assert min(np.abs(y_hat - sys.rhs_state).max(),
