@@ -2,8 +2,8 @@
 ansatz depth, with and without preconditioning.
 
 This is a shrunken version of the full sweep (smaller iteration budget) so
-it finishes in under a minute; the committed CI and paper profiles in
-configs/ drive the real thing through the CLI.
+it finishes in under a minute; the CLI's built-in profiles run the real
+thing (vqls-precond sweep-depth --profile ci|paper).
 
 Run:  python3 demos/03_depth_sweep.py
 """
@@ -40,4 +40,4 @@ for depth in depths:
           f"{np.mean(costs[1::2]):.4f}")
 
 print("\nthe preconditioned arm needs visibly less depth for the same cost;"
-      "\nlonger budgets (see configs/ci.json, configs/paper.json) widen the gap")
+      "\nlonger budgets (sweep-depth --profile ci|paper) widen the gap")

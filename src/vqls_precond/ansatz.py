@@ -36,17 +36,8 @@ class AnsatzParams:
             raise ValueError(
                 f"theta shape {self.theta.shape} != ({self.depth + 1}, {self.n_qubits})")
 
-    @property
-    def count(self) -> int:
-        return self.n_qubits * (self.depth + 1)
-
     def flat(self) -> np.ndarray:
         return self.theta.ravel().copy()
-
-    def with_flat(self, flat) -> "AnsatzParams":
-        flat = np.asarray(flat, dtype=float)
-        return AnsatzParams(self.n_qubits, self.depth,
-                            flat.reshape(self.depth + 1, self.n_qubits).copy())
 
     @classmethod
     def random(cls, n_qubits: int, depth: int, scale: float,

@@ -21,15 +21,13 @@ class DegenerateBlockError(RuntimeError):
 class QuantumSystem:
     """Operator plus unit-norm right-hand-side state for the variational solver.
 
-    ``scale`` keeps the original 2-norm of the right-hand side for
-    diagnostics; ``hermitized`` records whether an ancilla block embedding
-    was applied (it changes how solutions are extracted).
+    ``hermitized`` records whether an ancilla block embedding was applied
+    (it changes how solutions are extracted).
     """
 
     n_qubits: int
     op: np.ndarray
     rhs_state: np.ndarray
-    scale: float
     hermitized: bool
 
     def __post_init__(self):
@@ -68,15 +66,13 @@ def build_system(A, b, mode: str) -> QuantumSystem:
         raise ValueError("right-hand side has (near) zero norm")
     k = m.bit_length() - 1
     if mode == "direct":
-        return QuantumSystem(n_qubits=k, op=A_pad, rhs_state=b_pad / norm_b,
-                             scale=norm_b, hermitized=False)
+        return QuantumSystem(n_qubits=k, op=A_pad, rhs_state=b_pad / norm_b, hermitized=False)
     op = np.zeros((2 * m, 2 * m))
     op[:m, m:] = A_pad
     op[m:, :m] = A_pad.T
     rhs = np.zeros(2 * m)
     rhs[:m] = b_pad / norm_b
-    return QuantumSystem(n_qubits=k + 1, op=op, rhs_state=rhs, scale=norm_b,
-                         hermitized=True)
+    return QuantumSystem(n_qubits=k + 1, op=op, rhs_state=rhs, hermitized=True)
 
 
 def extract_solution(x_state, sys: QuantumSystem, original_n: int) -> np.ndarray:

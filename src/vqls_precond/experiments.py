@@ -30,9 +30,9 @@ from .ansatz import prepare_state
 from .dense import condition_number, lu_solve, singular_values
 from .embedding import build_system, extract_solution
 from .ilu import IluFactors, ZeroPivotError, ilu0, preconditioned_system
-from .sparse import (CsrMatrix, check_random_sparse, poisson_1d, random_rhs, random_sparse,
-                     save_matrix_market)
-from .vqls import TrainResult, VqlsConfig, residuals, train, write_trace_csv
+from .sparse import (CsrMatrix, check_random_sparse, format_matrix_market, poisson_1d,
+                     random_rhs, random_sparse)
+from .vqls import TrainResult, VqlsConfig, aligned, residuals, train, write_trace_csv
 
 DEFAULT_SEEDS = list(range(1, 11))   # the 10 committed paper-scale seeds
 CI_SEEDS = [1, 2, 3]                 # reduced profile for minutes-scale runs
@@ -253,11 +253,6 @@ def mean_sem(values) -> tuple:
     return mean, statistics.stdev(values) / len(values) ** 0.5
 
 
-def _aligned(x_unit: np.ndarray, x_exact: np.ndarray) -> np.ndarray:
-    s = float(x_unit @ x_exact) / float(x_unit @ x_unit)
-    return s * x_unit
-
-
 def _write_manifest(out: Path, cfg: ExperimentConfig, statuses: list,
                     artifacts: list) -> None:
     manifest = {
@@ -293,7 +288,7 @@ def _emit_solve_outputs(out: Path, cfg: ExperimentConfig, A: CsrMatrix,
     for fname, pick in (("solution.csv", lambda a: a.x_final),
                         ("solution_best.csv", lambda a: a.x_best)):
         header = ["index", "x_exact"] + [f"x_vqls_{name}" for name in arms]
-        cols = [_aligned(pick(arm), x_exact) for arm in arms.values()]
+        cols = [aligned(pick(arm), x_exact) for arm in arms.values()]
         rows = [[i, float(x_exact[i])] + [float(c[i]) for c in cols]
                 for i in range(A.n)]
         _write_csv(out / fname, header, rows)
@@ -306,7 +301,7 @@ def _emit_solve_outputs(out: Path, cfg: ExperimentConfig, A: CsrMatrix,
     artifacts.append("residuals.csv")
 
     if cfg.dump_matrix:
-        save_matrix_market(A, out / "instance.mtx")
+        _write_atomic(out / "instance.mtx", format_matrix_market(A))
         artifacts.append("instance.mtx")
     _write_manifest(out, cfg, statuses, artifacts)
     return artifacts + ["manifest.json"]

@@ -10,7 +10,6 @@ initialization never share a stream (see README for the exact layout).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -79,15 +78,6 @@ class CsrMatrix:
         out = np.zeros((self.n, self.n))
         out[self.row_index(), self.col_idx] = self.vals
         return out
-
-    @classmethod
-    def from_dense(cls, A, keep_zeros: bool = False) -> "CsrMatrix":
-        """Build from a dense array; by default zeros are not stored."""
-        A = np.asarray(A, dtype=float)
-        if A.ndim != 2 or A.shape[0] != A.shape[1]:
-            raise ValueError("expected a square matrix")
-        mask = np.ones_like(A, dtype=bool) if keep_zeros else (A != 0.0)
-        return cls.from_mask(mask, A[mask])
 
     @classmethod
     def from_mask(cls, mask, vals) -> "CsrMatrix":
@@ -178,8 +168,8 @@ def poisson_1d(n_interior: int, heat_rate: float = 1.0, length: float = 1.0):
     return A, b
 
 
-def save_matrix_market(A: CsrMatrix, path) -> None:
-    """Write in Matrix Market coordinate format, 17 significant digits.
+def format_matrix_market(A: CsrMatrix) -> str:
+    """A as Matrix Market coordinate text, 17 significant digits.
 
     17 digits make the decimal text round-trip every float64 exactly.
     Stored zeros are written out so the structural pattern survives.
@@ -188,38 +178,4 @@ def save_matrix_market(A: CsrMatrix, path) -> None:
              f"{A.n} {A.n} {A.nnz}"]
     for i, j, v in zip(A.row_index(), A.col_idx, A.vals):
         lines.append(f"{i + 1} {j + 1} {v:.17g}")
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def load_matrix_market(path) -> CsrMatrix:
-    """Read a square real general Matrix Market coordinate file."""
-    with open(path) as fh:
-        header = fh.readline().strip().lower().split()
-        if header[:4] != ["%%matrixmarket", "matrix", "coordinate", "real"]:
-            raise ValueError("unsupported Matrix Market header")
-        if len(header) > 4 and header[4] != "general":
-            raise ValueError(f"unsupported symmetry kind {header[4]!r}")
-        line = fh.readline()
-        while line.startswith("%"):
-            line = fh.readline()
-        n_rows, n_cols, nnz = (int(t) for t in line.split())
-        if n_rows != n_cols:
-            raise ValueError("only square matrices are supported")
-        rows = np.empty(nnz, dtype=np.int64)
-        cols = np.empty(nnz, dtype=np.int64)
-        vals = np.empty(nnz)
-        k = 0
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("%"):
-                continue
-            i, j, v = line.split()
-            rows[k], cols[k], vals[k] = int(i) - 1, int(j) - 1, float(v)
-            k += 1
-        if k != nnz:
-            raise ValueError(f"expected {nnz} entries, file held {k}")
-    order = np.lexsort((cols, rows))
-    rows, cols, vals = rows[order], cols[order], vals[order]
-    if np.any((np.diff(rows) == 0) & (np.diff(cols) == 0)):
-        raise ValueError("duplicate coordinate entries")
-    return CsrMatrix.from_rows(n_rows, rows, cols, vals)
+    return "\n".join(lines) + "\n"

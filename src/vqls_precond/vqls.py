@@ -24,6 +24,10 @@ over its B columns, linear in depth, and pays the per-gate Python overhead
 once for all of them. Each column's operator is applied on its own, so
 every column's numbers are bit for bit those of training it alone; a single
 system is the B = 1 case.
+
+The protocol is fixed apart from what ``VqlsConfig`` carries: angles start
+uniform on [-INIT_SCALE, INIT_SCALE], Adam keeps the standard moments of
+Kingma & Ba (arXiv:1412.6980), and the trace records every step.
 """
 
 from __future__ import annotations
@@ -34,9 +38,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ansatz import AngleTable, AnsatzParams, _adjoint_pass, _run_circuit, prepare_state
+from .ansatz import AngleTable, AnsatzParams, _adjoint_pass, _run_circuit
 from .embedding import QuantumSystem
 from .sparse import STREAM_THETA
+
+# Half-width of the uniform angle initialization.
+INIT_SCALE = 0.1
 
 
 class DegenerateOperatorError(RuntimeError):
@@ -55,23 +62,17 @@ class VqlsConfig:
     """Hyperparameters of one optimization run.
 
     Defaults follow the reference protocol: learning rate 0.001, 10,000
-    iterations, depth 20, standard Adam moments. ``mode`` selects the
-    embedding ('hermitized' adds the ancilla block, 'direct' uses the
-    operator as-is); ``preconditioned`` is metadata that training never
-    reads.
+    iterations, depth 20. ``mode`` selects the embedding ('hermitized' adds
+    the ancilla block, 'direct' uses the operator as-is); ``preconditioned``
+    is metadata that training never reads.
     """
 
     depth: int = 20
     iterations: int = 10_000
     learning_rate: float = 1e-3
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_epsilon: float = 1e-8
-    init_scale: float = 0.1
     seed: int = 0
     mode: str = "hermitized"
     preconditioned: bool = True
-    trace_every: int = 1
 
     def __post_init__(self):
         if self.depth < 0:
@@ -80,14 +81,8 @@ class VqlsConfig:
             raise ValueError("iterations must be >= 1")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
-        for name in ("adam_beta1", "adam_beta2"):
-            beta = getattr(self, name)
-            if not 0.0 <= beta < 1.0:
-                raise ValueError(f"{name} must lie in [0, 1)")
         if self.mode not in ("direct", "hermitized"):
             raise ValueError(f"mode must be 'direct' or 'hermitized', got {self.mode!r}")
-        if self.trace_every < 1:
-            raise ValueError("trace_every must be >= 1")
 
 
 @dataclass
@@ -116,12 +111,12 @@ class TrainResult:
 class Adam:
     """Textbook Adam with bias correction, kept separate from the trainer."""
 
-    def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999,
-                 epsilon: float = 1e-8):
+    BETA1 = 0.9
+    BETA2 = 0.999
+    EPSILON = 1e-8
+
+    def __init__(self, lr: float):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.epsilon = epsilon
         self.t = 0
         self.m = None
         self.v = None
@@ -131,11 +126,11 @@ class Adam:
             self.m = np.zeros_like(theta)
             self.v = np.zeros_like(theta)
         self.t += 1
-        self.m = self.beta1 * self.m + (1 - self.beta1) * grad
-        self.v = self.beta2 * self.v + (1 - self.beta2) * grad * grad
-        m_hat = self.m / (1 - self.beta1 ** self.t)
-        v_hat = self.v / (1 - self.beta2 ** self.t)
-        return theta - self.lr * m_hat / (np.sqrt(v_hat) + self.epsilon)
+        self.m = self.BETA1 * self.m + (1 - self.BETA1) * grad
+        self.v = self.BETA2 * self.v + (1 - self.BETA2) * grad * grad
+        m_hat = self.m / (1 - self.BETA1 ** self.t)
+        v_hat = self.v / (1 - self.BETA2 ** self.t)
+        return theta - self.lr * m_hat / (np.sqrt(v_hat) + self.EPSILON)
 
 
 def _cost_from_state(x: np.ndarray, sys: QuantumSystem):
@@ -149,11 +144,6 @@ def _cost_from_state(x: np.ndarray, sys: QuantumSystem):
     if c < 0.0:
         c = 0.0
     return c, g, h, y
-
-
-def cost(params: AnsatzParams, sys: QuantumSystem) -> float:
-    """Exact statevector cost at the given angles."""
-    return _cost_from_state(prepare_state(params, sys.rhs_state), sys)[0]
 
 
 def cost_and_grad(angles: AngleTable, systems: list[QuantumSystem]):
@@ -179,8 +169,7 @@ def cost_and_grad(angles: AngleTable, systems: list[QuantumSystem]):
 
 
 # Config fields every column of one lockstep run must share.
-_LOCKSTEP_FIELDS = ("depth", "iterations", "learning_rate", "adam_beta1", "adam_beta2",
-                    "adam_epsilon", "trace_every")
+_LOCKSTEP_FIELDS = ("depth", "iterations", "learning_rate")
 
 
 def _checked_step(angles: AngleTable, systems: list, iteration: int, labels: list):
@@ -203,25 +192,24 @@ def _record(traces: list, iteration: int, costs, grads, elapsed: float) -> None:
 
 
 def train(systems, cfgs, labels=None):
-    """Run the Adam loop on every column from a uniform [-init_scale, init_scale] start.
+    """Run the Adam loop on every column from a uniform [-INIT_SCALE, INIT_SCALE] start.
 
     ``systems`` and ``cfgs`` are equal-length lists, one (system, config)
     column each, and the result is one TrainResult per column in the same
     order; a single QuantumSystem with a single VqlsConfig gives a single
     TrainResult. Columns train in lockstep, so they must share the qubit
-    count and every field of ``_LOCKSTEP_FIELDS``; seeds, start scales and
-    operators may differ.
+    count and every field of ``_LOCKSTEP_FIELDS``; seeds and operators may
+    differ.
 
     Deterministic given (system, config) per column: each column's angle
     initialization draws from the theta stream of its cfg.seed, and its
     numbers do not depend on the other columns. The trace records the cost
-    after every ``trace_every``-th step (iteration 0 = initial angles,
-    always kept, as is the final iteration); the reported solution is the
-    final iterate, with the best-cost iterate carried alongside. Raises
-    DivergedError at the first non-finite cost or gradient in any column,
-    and DegenerateOperatorError where a column's operator annihilates its
-    state, naming that column by its entry of ``labels`` (default: its index
-    and seed).
+    after every step (iteration 0 = initial angles); the reported solution
+    is the final iterate, with the best-cost iterate carried alongside.
+    Raises DivergedError at the first non-finite cost or gradient in any
+    column, and DegenerateOperatorError where a column's operator
+    annihilates its state, naming that column by its entry of ``labels``
+    (default: its index and seed).
     """
     if isinstance(systems, QuantumSystem):
         return train([systems], [cfgs], labels)[0]
@@ -237,11 +225,11 @@ def train(systems, cfgs, labels=None):
         labels = [f"column {b} (seed {c.seed})" for b, c in enumerate(cfgs)]
 
     starts = [AnsatzParams.random(
-        n_qubits, cfg.depth, c.init_scale,
+        n_qubits, cfg.depth, INIT_SCALE,
         np.random.default_rng(np.random.SeedSequence([int(c.seed), STREAM_THETA])))
         for c in cfgs]
     angles = AngleTable(n_qubits, cfg.depth, np.column_stack([p.flat() for p in starts]))
-    adam = Adam(cfg.learning_rate, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_epsilon)
+    adam = Adam(cfg.learning_rate)
 
     traces: list[list[TraceRecord]] = [[] for _ in systems]
     t0 = time.perf_counter()
@@ -258,8 +246,7 @@ def train(systems, cfgs, labels=None):
             best_costs = np.where(better, costs, best_costs)
             best_table = np.where(better, angles.table, best_table)
             best_iters[better] = it
-        if it % cfg.trace_every == 0 or it == cfg.iterations:
-            _record(traces, it, costs, grads, time.perf_counter() - t0)
+        _record(traces, it, costs, grads, time.perf_counter() - t0)
 
     best = AngleTable(n_qubits, cfg.depth, best_table)
     return [TrainResult(params=angles.column(b), trace=traces[b], best_params=best.column(b),
@@ -267,20 +254,25 @@ def train(systems, cfgs, labels=None):
             for b in range(len(systems))]
 
 
-def residuals(x_vqls, x_exact) -> np.ndarray:
-    """Componentwise |s x_vqls - x_exact| with s the least-squares scale.
+def aligned(x, x_exact) -> np.ndarray:
+    """s x with s = <x, x_exact> / <x, x>, the least-squares scale of x onto x_exact.
 
-    s = <x_vqls, x_exact> / <x_vqls, x_vqls> absorbs both the arbitrary
-    normalization and the sign freedom of the variational solution.
+    s absorbs both the arbitrary normalization and the sign freedom of the
+    variational solution.
     """
+    s = float(x @ x_exact) / float(x @ x)
+    return s * x
+
+
+def residuals(x_vqls, x_exact) -> np.ndarray:
+    """Componentwise |aligned(x_vqls, x_exact) - x_exact|."""
     x_vqls = np.asarray(x_vqls, dtype=float)
     x_exact = np.asarray(x_exact, dtype=float)
     if x_vqls.shape != x_exact.shape:
         raise ValueError("solution vectors must have equal length")
     if not np.any(x_exact):
         raise ValueError("exact solution is identically zero")
-    s = float(x_vqls @ x_exact) / float(x_vqls @ x_vqls)
-    return np.abs(s * x_vqls - x_exact)
+    return np.abs(aligned(x_vqls, x_exact) - x_exact)
 
 
 def write_trace_csv(trace: list[TraceRecord], path) -> None:

@@ -18,7 +18,8 @@ Serial training. ``train_serial`` is the one-system training loop that
 lockstep ``vqls.train`` replaced: one column per circuit pass, the CNOT
 chain gate by gate, a two-column adjoint walk and Adam on a flat angle
 vector. Lockstep training must reproduce every column's numbers bit for
-bit. ``cost_and_grad_one`` runs the production step on a single column.
+bit. ``cost_and_grad_one`` runs the production step on a single column,
+and ``cost`` gives the one-state cost at given angles.
 
 Pauli sums. ``pauli_decompose`` expands a real symmetric operator over
 Pauli words and ``cost_via_decomposition`` assembles the cost term by term,
@@ -38,8 +39,8 @@ from vqls_precond.ansatz import (AngleTable, AnsatzParams, _cnot_kernel, _flip_t
 from vqls_precond.embedding import QuantumSystem
 from vqls_precond.ilu import PIVOT_FLOOR, IluFactors, ZeroPivotError
 from vqls_precond.sparse import STREAM_THETA, CsrMatrix
-from vqls_precond.vqls import (Adam, DegenerateOperatorError, DivergedError, TraceRecord,
-                               TrainResult, _cost_from_state, cost_and_grad)
+from vqls_precond.vqls import (INIT_SCALE, Adam, DegenerateOperatorError, DivergedError,
+                               TraceRecord, TrainResult, _cost_from_state, cost_and_grad)
 
 SQRT2 = float(np.sqrt(2.0))
 
@@ -55,18 +56,34 @@ def make_system(op, rhs) -> QuantumSystem:
     """A QuantumSystem on op as given (no padding or embedding)."""
     rhs = np.asarray(rhs, dtype=float)
     return QuantumSystem(n_qubits=int(np.log2(len(rhs))), op=np.asarray(op, dtype=float),
-                         rhs_state=rhs / np.linalg.norm(rhs),
-                         scale=float(np.linalg.norm(rhs)), hermitized=False)
+                         rhs_state=rhs / np.linalg.norm(rhs), hermitized=False)
+
+
+def csr_from_dense(A, keep_zeros: bool = False) -> CsrMatrix:
+    """CSR of a dense square array; by default zeros are not stored."""
+    A = np.asarray(A, dtype=float)
+    mask = np.ones_like(A, dtype=bool) if keep_zeros else (A != 0.0)
+    return CsrMatrix.from_mask(mask, A[mask])
+
+
+def with_flat(params: AnsatzParams, flat) -> AnsatzParams:
+    """params' circuit shape with the flattened angles ``flat``."""
+    return AnsatzParams(params.n_qubits, params.depth, np.reshape(flat, params.theta.shape))
+
+
+def cost(params: AnsatzParams, sys: QuantumSystem) -> float:
+    """Exact statevector cost at the given angles."""
+    return _cost_from_state(prepare_state(params, sys.rhs_state), sys)[0]
 
 
 def shifted_state(params: AnsatzParams, index: int, shift: float,
                   initial: np.ndarray) -> np.ndarray:
     """prepare_state with one flattened angle replaced by theta_j + shift."""
-    if not 0 <= index < params.count:
-        raise IndexError(f"parameter index {index} out of range ({params.count} params)")
+    if not 0 <= index < params.theta.size:
+        raise IndexError(f"parameter index {index} out of range ({params.theta.size} params)")
     flat = params.flat()
     flat[index] += shift
-    return prepare_state(params.with_flat(flat), initial)
+    return prepare_state(with_flat(params, flat), initial)
 
 
 def shift_rule_tangent(params: AnsatzParams, index: int,
@@ -168,8 +185,8 @@ def _checked_step_serial(params: AnsatzParams, sys: QuantumSystem, iteration: in
 def train_serial(sys: QuantumSystem, cfg) -> TrainResult:
     """The Adam loop on one system, as it ran before lockstep training."""
     rng = np.random.default_rng(np.random.SeedSequence([int(cfg.seed), STREAM_THETA]))
-    params = AnsatzParams.random(sys.n_qubits, cfg.depth, cfg.init_scale, rng)
-    adam = Adam(cfg.learning_rate, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_epsilon)
+    params = AnsatzParams.random(sys.n_qubits, cfg.depth, INIT_SCALE, rng)
+    adam = Adam(cfg.learning_rate)
 
     trace: list[TraceRecord] = []
     t0 = time.perf_counter()
@@ -180,13 +197,11 @@ def train_serial(sys: QuantumSystem, cfg) -> TrainResult:
     flat = params.flat()
     for it in range(1, cfg.iterations + 1):
         flat = adam.step(flat, grad)
-        params = params.with_flat(flat)
+        params = with_flat(params, flat)
         c, grad = _checked_step_serial(params, sys, it)
         if c < best_cost:
             best_cost, best_params, best_iter = c, params, it
-        if it % cfg.trace_every == 0 or it == cfg.iterations:
-            trace.append(TraceRecord(it, c, float(np.linalg.norm(grad)),
-                                     time.perf_counter() - t0))
+        trace.append(TraceRecord(it, c, float(np.linalg.norm(grad)), time.perf_counter() - t0))
     return TrainResult(params=params, trace=trace, best_params=best_params,
                        best_cost=best_cost, best_iteration=best_iter)
 

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from oracles import run_circuit_serial, shift_columns, shift_rule_tangent, shifted_state
+from oracles import (run_circuit_serial, shift_columns, shift_rule_tangent, shifted_state,
+                     with_flat)
 from vqls_precond.ansatz import (AnsatzParams, _cnot_chain, _cnot_kernel, _ry_kernel,
                                  _run_circuit, prepare_state)
 
@@ -154,7 +155,7 @@ def test_shift_up_then_down_restores():
     flat = params.flat()
     flat[4] += np.pi / 2
     flat[4] -= np.pi / 2
-    np.testing.assert_array_equal(prepare_state(params.with_flat(flat), init),
+    np.testing.assert_array_equal(prepare_state(with_flat(params, flat), init),
                                   prepare_state(params, init))
 
 
@@ -164,7 +165,7 @@ def test_tangent_matches_finite_differences():
     params = AnsatzParams.random(n, depth, 0.9, rng)
     init = random_state(n, rng)
     h = 1e-5
-    for j in range(params.count):
+    for j in range(params.theta.size):
         tangent = shift_rule_tangent(params, j, init)
         fd = (shifted_state(params, j, +h, init)
               - shifted_state(params, j, -h, init)) / (2 * h)
@@ -178,7 +179,7 @@ def test_batched_kernel_matches_sequential_shifts():
     init = random_state(n, rng)
     batch = _run_circuit(shift_columns(params.flat()), n, depth, init)
     np.testing.assert_array_equal(batch[:, 0], prepare_state(params, init))
-    for j in range(params.count):
+    for j in range(params.theta.size):
         plus = shifted_state(params, j, +np.pi / 2, init)
         minus = shifted_state(params, j, -np.pi / 2, init)
         np.testing.assert_array_equal(batch[:, 2 * j + 1], plus)

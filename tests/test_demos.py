@@ -1,11 +1,13 @@
-"""The demos run, and the package exports exactly what they, the CLI and the
-README import from it."""
+"""The demos run, the package exports exactly what they, the CLI and the
+README import from it, and every name ``src/`` defines has a caller outside
+the tests."""
 
 import ast
 import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -14,6 +16,11 @@ import vqls_precond
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+SOURCES = sorted((ROOT / "src" / "vqls_precond").glob("*.py"))
+
+
+def _readme_blocks() -> list:
+    return re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[path.stem for path in DEMOS])
@@ -37,8 +44,7 @@ def _names_from_package(source: str) -> set:
 
 
 def test_public_api_is_what_the_cli_demos_and_readme_import():
-    readme_blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(),
-                               re.S)
+    readme_blocks = _readme_blocks()
     assert readme_blocks
     sources = ([(ROOT / "src" / "vqls_precond" / "cli.py").read_text()]
                + [path.read_text() for path in DEMOS] + readme_blocks)
@@ -46,3 +52,24 @@ def test_public_api_is_what_the_cli_demos_and_readme_import():
     for name in used:
         assert hasattr(vqls_precond, name), name
     assert sorted(vqls_precond.__all__) == sorted(used)
+
+
+def _references(tree) -> Counter:
+    """How often each identifier is read as a name or an attribute in ``tree``."""
+    return Counter(node.id if isinstance(node, ast.Name) else node.attr
+                   for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute)))
+
+
+def test_every_name_src_defines_has_a_caller_outside_the_tests():
+    # Matching is by identifier, so a field or method of the same name
+    # elsewhere counts as a reference: the scan errs towards passing.
+    trees = [ast.parse(path.read_text()) for path in SOURCES]
+    outside = ([path.read_text() for path in DEMOS + sorted((ROOT / "perfbench").glob("*.py"))]
+               + _readme_blocks())
+    refs = sum((_references(tree) for tree in trees + [ast.parse(s) for s in outside]),
+               Counter())
+    unused = [node.name for tree in trees for node in ast.walk(tree)
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not (node.name.startswith("__") and node.name.endswith("__"))
+              and refs[node.name] == _references(node)[node.name]]
+    assert not unused, f"defined in src/ but reached only from the tests: {unused}"

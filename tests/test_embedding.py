@@ -28,7 +28,7 @@ def test_pad_small_identity():
     np.testing.assert_array_equal(sys.op, np.eye(4))
     np.testing.assert_allclose(sys.rhs_state, np.array([1.0, 2.0, 3.0, 0.0]) / np.sqrt(14.0),
                                rtol=0, atol=1e-15)
-    assert sys.n_qubits == 2 and sys.scale == pytest.approx(np.sqrt(14.0))
+    assert sys.n_qubits == 2
 
 
 def test_pad_preserves_solution():
@@ -38,7 +38,7 @@ def test_pad_preserves_solution():
         A = rng.uniform(-1, 1, (n, n)) + np.diag(rng.choice([-4.0, 4.0], n))
         b = rng.uniform(-1, 1, n)
         sys = build_system(A, b, "direct")
-        np.testing.assert_allclose(lu_solve(sys.op, sys.scale * sys.rhs_state)[:n],
+        np.testing.assert_allclose(lu_solve(sys.op, np.linalg.norm(b) * sys.rhs_state)[:n],
                                    lu_solve(A, b), rtol=1e-9, atol=1e-10)
 
 
@@ -48,7 +48,7 @@ def test_hermitize_block_layout():
     np.testing.assert_array_equal(sys.op, [[0, 0, 1, 2], [0, 0, 3, 4],
                                            [1, 3, 0, 0], [2, 4, 0, 0]])
     np.testing.assert_array_equal(sys.rhs_state, [1.0, 0.0, 0.0, 0.0])
-    assert sys.n_qubits == 2 and sys.hermitized and sys.scale == 1.0
+    assert sys.n_qubits == 2 and sys.hermitized
 
 
 def test_hermitize_symmetric_bitwise():

@@ -1,6 +1,7 @@
 """Harness pipelines: CSV schemas, manifests, skip logic, determinism, CLI."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -107,6 +108,21 @@ def test_manifest_contents(tmp_path):
     for name in manifest["artifacts"]:
         assert (tmp_path / name).exists()
     assert "instance.mtx" in manifest["artifacts"]
+
+
+def test_dumped_matrix_replaces_the_file_whole(tmp_path, monkeypatch):
+    (tmp_path / "instance.mtx").write_text("old bytes\n")
+    real_replace = os.replace
+
+    def refuse_matrix(src, dst):
+        if os.path.basename(dst) == "instance.mtx":
+            raise OSError("replace refused")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", refuse_matrix)
+    with pytest.raises(OSError, match="replace refused"):
+        cmd_solve(tiny_solve_config(tmp_path, dump_matrix=True))
+    assert (tmp_path / "instance.mtx").read_text() == "old bytes\n"
 
 
 def test_zero_pivot_skip_lineage(tmp_path, monkeypatch):
@@ -289,8 +305,11 @@ def test_cli_config_error_exit_code(tmp_path):
     ("sweep-depth", {"n": 8, "seeds": [1, 1], "depths": [1]}, []),    # one instance twice
     ("heat", {"n": 0, "seeds": [1]}, []),
     ("heat", {"n": 8, "seeds": [1], "rod_length": 0}, []),
+    ("solve", {"vqls": {"trace_every": 5}}, ["--profile", "ci"]),     # removed knobs
+    ("solve", {"vqls": {"adam_beta1": 0.5}}, ["--profile", "ci"]),
 ], ids=["density-too-low", "sweep-one-seed", "negative-depth", "n-not-int",
-        "repeated-seed", "heat-no-nodes", "heat-rod-length-zero"])
+        "repeated-seed", "heat-no-nodes", "heat-rod-length-zero", "trace-every",
+        "adam-beta1"])
 def test_bad_config_exits_2_before_any_work(tmp_path, capsys, command, config, flags):
     if config is not None:
         cfg_path = tmp_path / "cfg.json"

@@ -4,7 +4,7 @@ preconditioned-system assembly and the dense-LU oracle on no-fill patterns."""
 import numpy as np
 import pytest
 
-from oracles import ilu0_ikj
+from oracles import csr_from_dense, ilu0_ikj
 from vqls_precond.dense import condition_number, lu_solve
 from vqls_precond.ilu import ZeroPivotError, apply_minv, ilu0, preconditioned_system
 from vqls_precond.sparse import CsrMatrix, poisson_1d, random_rhs, random_sparse
@@ -33,14 +33,14 @@ def reassemble(factors, n):
 
 
 def test_ilu0_diagonal_matrix():
-    A = CsrMatrix.from_dense(np.diag([2.0, -3.0, 5.0]), keep_zeros=False)
+    A = csr_from_dense(np.diag([2.0, -3.0, 5.0]), keep_zeros=False)
     F = ilu0(A)
     assert F.L.nnz == 0
     np.testing.assert_array_equal(F.U.to_dense(), np.diag([2.0, -3.0, 5.0]))
 
 
 def test_ilu0_dense_2x2_hand_elimination():
-    A = CsrMatrix.from_dense(np.array([[4.0, 3.0], [6.0, 3.0]]))
+    A = csr_from_dense(np.array([[4.0, 3.0], [6.0, 3.0]]))
     F = ilu0(A)
     np.testing.assert_allclose(F.L.to_dense(), [[0.0, 0.0], [1.5, 0.0]], atol=0)
     np.testing.assert_allclose(F.U.to_dense(), [[4.0, 3.0], [0.0, -1.5]], atol=0)
@@ -48,7 +48,7 @@ def test_ilu0_dense_2x2_hand_elimination():
 
 def test_ilu0_no_fill_pattern_equals_lu():
     A_dense = np.array([[2.0, 0.0, 1.0], [0.0, 3.0, 0.0], [1.0, 0.0, 2.0]])
-    A = CsrMatrix.from_dense(A_dense)
+    A = csr_from_dense(A_dense)
     F = ilu0(A)
     assert F.L.to_dense()[2, 0] == pytest.approx(0.5)
     assert F.U.to_dense()[2, 2] == pytest.approx(1.5)
@@ -93,10 +93,10 @@ def test_ilu0_zero_fill_in():
 
 
 def test_ilu0_requires_diagonal_in_pattern():
-    A = CsrMatrix.from_dense(np.array([[0.0, 1.0], [1.0, 0.0]]))  # no diagonal stored
+    A = csr_from_dense(np.array([[0.0, 1.0], [1.0, 0.0]]))  # no diagonal stored
     with pytest.raises(ValueError, match=r"\(0,0\) missing"):
         ilu0(A)
-    A = CsrMatrix.from_dense(np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
+    A = csr_from_dense(np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
     with pytest.raises(ValueError, match=r"\(1,1\) missing"):      # rows 1 and 2 lack it
         ilu0(A)
 
@@ -112,7 +112,7 @@ def test_ilu0_zero_pivot_raises_with_row():
 
 def test_ilu0_pivot_lost_during_elimination():
     # exact cancellation: u_11 = 1 - 2*0.5 = 0
-    A = CsrMatrix.from_dense(np.array([[2.0, 1.0], [1.0, 0.5]]))
+    A = csr_from_dense(np.array([[2.0, 1.0], [1.0, 0.5]]))
     with pytest.raises(ZeroPivotError) as info:
         ilu0(A)
     assert info.value.row == 1
@@ -168,13 +168,13 @@ def test_apply_minv_identity_and_diagonal():
     F = ilu0(CsrMatrix.identity(4))
     v = np.array([1.0, -2.0, 3.0, 4.0])
     np.testing.assert_array_equal(apply_minv(F, v), v)
-    F2 = ilu0(CsrMatrix.from_dense(np.diag([2.0, 4.0])))
+    F2 = ilu0(csr_from_dense(np.diag([2.0, 4.0])))
     np.testing.assert_array_equal(apply_minv(F2, np.array([2.0, 4.0])), [1.0, 1.0])
 
 
 def test_apply_minv_full_pattern_equals_dense_solve():
     A_dense = np.array([[4.0, 3.0], [6.0, 3.0]])
-    F = ilu0(CsrMatrix.from_dense(A_dense))
+    F = ilu0(csr_from_dense(A_dense))
     v = np.array([1.0, 0.0])
     np.testing.assert_allclose(apply_minv(F, v), lu_solve(A_dense, v), atol=1e-14)
 
@@ -190,7 +190,7 @@ def test_preconditioned_system_identity():
 def test_preconditioned_system_full_pattern_is_exact():
     rng = np.random.default_rng(6)
     A_dense = rng.uniform(-1, 1, (12, 12)) + np.diag(rng.choice([-4.0, 4.0], 12))
-    A = CsrMatrix.from_dense(A_dense, keep_zeros=True)
+    A = csr_from_dense(A_dense, keep_zeros=True)
     b = rng.uniform(-1, 1, 12)
     A_tilde, b_tilde = preconditioned_system(A, b, ilu0(A))
     assert np.abs(A_tilde - np.eye(12)).max() < 1e-8
