@@ -2,9 +2,9 @@
 
 Layer layout: one initial RY layer (row 0 of the angle table), then D blocks
 of [CNOT chain over adjacent qubits, RY layer]. Parameters flatten row-major
-as layer * n_qubits + qubit, and that order is shared by gradients, the
-optimizer state and checkpoints. Gates are orthogonal maps on real
-amplitudes, so no complex storage is ever needed.
+as layer * n_qubits + qubit, and that order is shared by gradients and the
+optimizer state. Gates are orthogonal maps on real amplitudes, so no complex
+storage is ever needed.
 
 The kernels operate on amplitude arrays of shape (2**n, batch), one column
 per circuit. Training runs B circuits of one shape in lockstep: the forward
@@ -38,12 +38,6 @@ class AnsatzParams:
 
     def flat(self) -> np.ndarray:
         return self.theta.ravel().copy()
-
-    @classmethod
-    def random(cls, n_qubits: int, depth: int, scale: float,
-               rng: np.random.Generator) -> "AnsatzParams":
-        return cls(n_qubits, depth,
-                   rng.uniform(-scale, scale, size=(depth + 1, n_qubits)))
 
 
 @dataclass

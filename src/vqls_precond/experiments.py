@@ -1,9 +1,11 @@
 """Experiment harness: the four result-set pipelines behind the CLI.
 
-Each command regenerates one result set as plot-ready CSV plus a JSON
-manifest recording the config snapshot, per-seed status (including zero
-pivot skips and their replacement lineage) and the emitted files. Outputs
-are deterministic per config; files are written atomically.
+Each command regenerates one result set as plot-ready CSV in the output
+directory that ``run`` makes, and returns its per-seed status (including
+zero pivot skips and their replacement lineage) and the files it wrote;
+``run`` then writes the JSON manifest of the config snapshot, the statuses
+and the emitted files. This is the one module that writes files, every one
+through ``_write_atomic``. Outputs are deterministic per config.
 
 Every command compares the same named arms of each instance: ``plain``
 (A, b) and ``precond`` (M^-1 A, M^-1 b). ``_arms`` builds that list once
@@ -32,7 +34,7 @@ from .embedding import build_system, extract_solution
 from .ilu import IluFactors, ZeroPivotError, ilu0, preconditioned_system
 from .sparse import (CsrMatrix, check_random_sparse, format_matrix_market, poisson_1d,
                      random_rhs, random_sparse)
-from .vqls import TrainResult, VqlsConfig, aligned, residuals, train, write_trace_csv
+from .vqls import TraceRecord, TrainResult, VqlsConfig, aligned, residuals, train
 
 DEFAULT_SEEDS = list(range(1, 11))   # the 10 committed paper-scale seeds
 CI_SEEDS = [1, 2, 3]                 # reduced profile for minutes-scale runs
@@ -52,12 +54,10 @@ class ExperimentConfig:
     kind: str = "solve"
     n: int = 128
     density: float = 0.2
-    diag_offset: float = 3.0
     seeds: list = field(default_factory=lambda: list(DEFAULT_SEEDS))
     depths: list = field(default_factory=lambda: list(range(1, 21)))
     vqls: VqlsConfig = field(default_factory=VqlsConfig)
     output_dir: str = "results"
-    instance: str = "random"      # or "identity" (smoke tests)
     heat_rate: float = 1.0        # uniform source strength f (heat runs)
     rod_length: float = 1.0       # rod length L (heat runs)
     no_precond: bool = False
@@ -66,8 +66,6 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in ("solve", "sweep_depth", "spectrum", "heat"):
             raise ValueError(f"unknown experiment kind {self.kind!r}")
-        if self.instance not in ("random", "identity"):
-            raise ValueError(f"unknown instance kind {self.instance!r}")
         if not _is_int(self.n) or self.n < 1:
             raise ValueError(f"n must be an integer >= 1, got {self.n!r}")
         if not self.seeds or not all(_is_int(s) for s in self.seeds):
@@ -79,8 +77,8 @@ class ExperimentConfig:
         if not self.depths or not all(_is_int(d) and d >= 0 for d in self.depths):
             raise ValueError(f"depths must be a non-empty list of integers >= 0, "
                              f"got {self.depths}")
-        if self.instance == "random" and self.kind != "heat":
-            check_random_sparse(self.n, self.density, self.diag_offset)
+        if self.kind != "heat":
+            check_random_sparse(self.n, self.density)
         if self.kind == "heat" and self.rod_length <= 0:
             raise ValueError(f"rod_length must be positive, got {self.rod_length!r}")
 
@@ -155,10 +153,7 @@ def generate_instance(cfg: ExperimentConfig, seed: int):
     skipped = []
     s = seed
     for _ in range(MAX_SKIP_ATTEMPTS):
-        if cfg.instance == "identity":
-            A = CsrMatrix.identity(cfg.n)
-        else:
-            A = random_sparse(cfg.n, cfg.density, s, cfg.diag_offset)
+        A = random_sparse(cfg.n, cfg.density, s)
         b = random_rhs(cfg.n, s)
         try:
             factors = ilu0(A)
@@ -226,9 +221,18 @@ def _unit_solution(sys, params, original_n: int) -> np.ndarray:
 
 
 def _write_atomic(path: Path, text: str) -> None:
+    """Write ``text`` to a sibling temporary file, then move it over ``path``.
+
+    An existing file is never left half-written, and a failed write or
+    replace removes the temporary file before the error propagates.
+    """
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _format_cell(v) -> str:
@@ -241,6 +245,14 @@ def _write_csv(path: Path, header: list, rows: list) -> None:
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(_format_cell(v) for v in row))
+    _write_atomic(path, "\n".join(lines) + "\n")
+
+
+def write_trace_csv(trace: list[TraceRecord], path: Path) -> None:
+    """Trace export with the canonical header iteration,cost,grad_norm,elapsed_s."""
+    lines = ["iteration,cost,grad_norm,elapsed_s"]
+    for rec in trace:
+        lines.append(f"{rec.iteration},{rec.cost!r},{rec.grad_norm!r},{rec.elapsed:.6f}")
     _write_atomic(path, "\n".join(lines) + "\n")
 
 
@@ -268,19 +280,16 @@ def _write_manifest(out: Path, cfg: ExperimentConfig, statuses: list,
 # commands
 
 
-def cmd_solve(cfg: ExperimentConfig) -> list:
+def cmd_solve(cfg: ExperimentConfig, out: Path) -> tuple:
     """One instance, every arm: traces, solutions and residuals (Fig. 2 data)."""
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     A, b, factors, status = generate_instance(cfg, cfg.seeds[0])
     x_exact, arms = solve_instance(A, b, factors, cfg, status.used)
-    return _emit_solve_outputs(out, cfg, A, x_exact, arms, [status])
+    return [status], _emit_solve_outputs(out, cfg, A, x_exact, arms)
 
 
 def _emit_solve_outputs(out: Path, cfg: ExperimentConfig, A: CsrMatrix,
-                        x_exact: np.ndarray, arms: dict, statuses: list,
-                        extra_artifacts: list | None = None) -> list:
-    artifacts = list(extra_artifacts or [])
+                        x_exact: np.ndarray, arms: dict) -> list:
+    artifacts = []
     for name, arm in arms.items():
         write_trace_csv(arm.result.trace, out / f"trace_{name}.csv")
         artifacts.append(f"trace_{name}.csv")
@@ -303,15 +312,11 @@ def _emit_solve_outputs(out: Path, cfg: ExperimentConfig, A: CsrMatrix,
     if cfg.dump_matrix:
         _write_atomic(out / "instance.mtx", format_matrix_market(A))
         artifacts.append("instance.mtx")
-    _write_manifest(out, cfg, statuses, artifacts)
-    return artifacts + ["manifest.json"]
+    return artifacts
 
 
-def cmd_sweep_depth(cfg: ExperimentConfig) -> list:
+def cmd_sweep_depth(cfg: ExperimentConfig, out: Path) -> tuple:
     """Final cost vs depth, averaged over seeds (Fig. 3(a) data)."""
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
     statuses, instances = [], []     # instances: {arm name: QuantumSystem} per seed
     for seed in cfg.seeds:
         A, b, factors, status = generate_instance(cfg, seed)
@@ -346,17 +351,11 @@ def cmd_sweep_depth(cfg: ExperimentConfig) -> list:
               + [col for name in names for col in (f"mean_cost_{name}", f"sem_{name}")]
               + ["n_seeds"] + [f"median_cost_{name}" for name in names])
     _write_csv(out / "sweep.csv", header, rows)
-
-    artifacts = ["sweep.csv", "sweep_raw.csv"]
-    _write_manifest(out, cfg, statuses, artifacts)
-    return artifacts + ["manifest.json"]
+    return statuses, ["sweep.csv", "sweep_raw.csv"]
 
 
-def cmd_spectrum(cfg: ExperimentConfig) -> list:
+def cmd_spectrum(cfg: ExperimentConfig, out: Path) -> tuple:
     """Singular-value spectra and condition numbers, per arm (Fig. 3(b) data)."""
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
     statuses = []
     sigma, cond = {}, {}      # arm name -> one entry per seed
     for seed in cfg.seeds:
@@ -383,21 +382,16 @@ def cmd_spectrum(cfg: ExperimentConfig) -> list:
 
     _write_csv(out / "condition.csv", ["seed"] + [f"cond_{name}" for name in cond],
                [[seed] + [cond[name][i] for name in cond] for i, seed in enumerate(seeds)])
-
-    artifacts = ["spectrum.csv", "spectrum_raw.csv", "condition.csv"]
-    _write_manifest(out, cfg, statuses, artifacts)
-    return artifacts + ["manifest.json"]
+    return statuses, ["spectrum.csv", "spectrum_raw.csv", "condition.csv"]
 
 
-def cmd_heat(cfg: ExperimentConfig) -> list:
+def cmd_heat(cfg: ExperimentConfig, out: Path) -> tuple:
     """Steady-state heat diffusion pipeline (Fig. 4 data).
 
     The tridiagonal pattern admits no fill, so the incomplete factorization
     is the exact one and the preconditioned arm starts at (numerically) the
     solution state.
     """
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     A, b = poisson_1d(cfg.n, cfg.heat_rate, cfg.rod_length)
     factors = ilu0(A)
     seed = cfg.seeds[0]
@@ -412,8 +406,7 @@ def cmd_heat(cfg: ExperimentConfig) -> list:
         rows.append([i, float(x_pos), float(u)])
     _write_csv(out / "parabola.csv", ["index", "position", "u_exact"], rows)
 
-    return _emit_solve_outputs(out, cfg, A, x_exact, arms, [status],
-                               extra_artifacts=["parabola.csv"])
+    return [status], ["parabola.csv"] + _emit_solve_outputs(out, cfg, A, x_exact, arms)
 
 
 COMMANDS = {
@@ -425,4 +418,13 @@ COMMANDS = {
 
 
 def run(cfg: ExperimentConfig) -> list:
-    return COMMANDS[cfg.kind](cfg)
+    """Run cfg's command into cfg.output_dir; returns the files written, manifest last.
+
+    The command writes its outputs into the directory and returns
+    (seed statuses, file names); the manifest then records both.
+    """
+    out = Path(cfg.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    statuses, artifacts = COMMANDS[cfg.kind](cfg, out)
+    _write_manifest(out, cfg, statuses, artifacts)
+    return artifacts + ["manifest.json"]

@@ -93,19 +93,13 @@ class CsrMatrix:
         np.cumsum(np.bincount(rows, minlength=n), out=row_ptr[1:])
         return cls(n, row_ptr, cols, vals)
 
-    @classmethod
-    def identity(cls, n: int) -> "CsrMatrix":
-        return cls(n, np.arange(n + 1), np.arange(n), np.ones(n))
 
-
-def check_random_sparse(n: int, density: float, diag_offset: float) -> None:
-    """Raise ValueError unless random_sparse can draw an instance from these arguments."""
+def check_random_sparse(n: int, density: float) -> None:
+    """Raise ValueError unless random_sparse can draw an n x n instance of this density."""
     if n < 2:
         raise ValueError("n must be >= 2")
     if not 0.0 < density <= 1.0:
         raise ValueError("density must lie in (0, 1]")
-    if diag_offset < 0.0:
-        raise ValueError("diag_offset must be nonnegative")
     if density * n * n < n:
         raise DensityTooLowError(
             f"density {density} cannot host the {n} mandatory diagonal entries")
@@ -129,7 +123,9 @@ def random_sparse(n: int, density: float, seed: int,
 
     Deterministic in seed: the same seed reproduces the matrix bit for bit.
     """
-    check_random_sparse(n, density, diag_offset)
+    check_random_sparse(n, density)
+    if diag_offset < 0.0:
+        raise ValueError("diag_offset must be nonnegative")
     p_off = (density * n * n - n) / (n * n - n)
     rng = _rng(seed, STREAM_MATRIX)
     mask = rng.random((n, n)) < p_off

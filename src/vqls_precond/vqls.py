@@ -27,12 +27,12 @@ system is the B = 1 case.
 
 The protocol is fixed apart from what ``VqlsConfig`` carries: angles start
 uniform on [-INIT_SCALE, INIT_SCALE], Adam keeps the standard moments of
-Kingma & Ba (arXiv:1412.6980), and the trace records every step.
+Kingma & Ba (arXiv:1412.6980), and the trace records every step. This
+module does no file IO: ``experiments`` writes the trace CSVs.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
 
@@ -40,7 +40,7 @@ import numpy as np
 
 from .ansatz import AngleTable, AnsatzParams, _adjoint_pass, _run_circuit
 from .embedding import QuantumSystem
-from .sparse import STREAM_THETA
+from .sparse import STREAM_THETA, _rng
 
 # Half-width of the uniform angle initialization.
 INIT_SCALE = 0.1
@@ -224,11 +224,9 @@ def train(systems, cfgs, labels=None):
     if labels is None:
         labels = [f"column {b} (seed {c.seed})" for b, c in enumerate(cfgs)]
 
-    starts = [AnsatzParams.random(
-        n_qubits, cfg.depth, INIT_SCALE,
-        np.random.default_rng(np.random.SeedSequence([int(c.seed), STREAM_THETA])))
-        for c in cfgs]
-    angles = AngleTable(n_qubits, cfg.depth, np.column_stack([p.flat() for p in starts]))
+    n_params = n_qubits * (cfg.depth + 1)
+    angles = AngleTable(n_qubits, cfg.depth, np.column_stack(
+        [_rng(c.seed, STREAM_THETA).uniform(-INIT_SCALE, INIT_SCALE, n_params) for c in cfgs]))
     adam = Adam(cfg.learning_rate)
 
     traces: list[list[TraceRecord]] = [[] for _ in systems]
@@ -273,18 +271,3 @@ def residuals(x_vqls, x_exact) -> np.ndarray:
     if not np.any(x_exact):
         raise ValueError("exact solution is identically zero")
     return np.abs(aligned(x_vqls, x_exact) - x_exact)
-
-
-def write_trace_csv(trace: list[TraceRecord], path) -> None:
-    """Trace export with the canonical header iteration,cost,grad_norm,elapsed_s.
-
-    Written to a sibling temporary file that then replaces ``path``, so an
-    existing trace is never left half-written.
-    """
-    lines = ["iteration,cost,grad_norm,elapsed_s"]
-    for rec in trace:
-        lines.append(f"{rec.iteration},{rec.cost!r},{rec.grad_norm!r},{rec.elapsed:.6f}")
-    tmp = f"{os.fspath(path)}.tmp"
-    with open(tmp, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    os.replace(tmp, path)

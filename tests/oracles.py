@@ -71,6 +71,13 @@ def with_flat(params: AnsatzParams, flat) -> AnsatzParams:
     return AnsatzParams(params.n_qubits, params.depth, np.reshape(flat, params.theta.shape))
 
 
+def random_params(n_qubits: int, depth: int, scale: float,
+                  rng: np.random.Generator) -> AnsatzParams:
+    """Angles drawn uniform on [-scale, scale], row-major over the (depth + 1, n) table."""
+    return AnsatzParams(n_qubits, depth,
+                        rng.uniform(-scale, scale, size=(depth + 1, n_qubits)))
+
+
 def cost(params: AnsatzParams, sys: QuantumSystem) -> float:
     """Exact statevector cost at the given angles."""
     return _cost_from_state(prepare_state(params, sys.rhs_state), sys)[0]
@@ -185,7 +192,7 @@ def _checked_step_serial(params: AnsatzParams, sys: QuantumSystem, iteration: in
 def train_serial(sys: QuantumSystem, cfg) -> TrainResult:
     """The Adam loop on one system, as it ran before lockstep training."""
     rng = np.random.default_rng(np.random.SeedSequence([int(cfg.seed), STREAM_THETA]))
-    params = AnsatzParams.random(sys.n_qubits, cfg.depth, INIT_SCALE, rng)
+    params = random_params(sys.n_qubits, cfg.depth, INIT_SCALE, rng)
     adam = Adam(cfg.learning_rate)
 
     trace: list[TraceRecord] = []

@@ -14,13 +14,11 @@ import numpy as np
 import pytest
 
 from oracles import (cost, cost_and_grad_one, cost_via_decomposition, csr_from_dense,
-                     make_system, pauli_decompose, pauli_reconstruct, with_flat)
-from vqls_precond.ansatz import AnsatzParams
+                     make_system, pauli_decompose, pauli_reconstruct, random_params,
+                     with_flat)
 from vqls_precond.dense import condition_number, lu_solve
 from vqls_precond.embedding import build_system
-from vqls_precond.experiments import (ExperimentConfig, ci_profile, cmd_heat,
-                                      cmd_solve, cmd_spectrum, cmd_sweep_depth,
-                                      paper_profile)
+from vqls_precond.experiments import ExperimentConfig, ci_profile, paper_profile, run
 from vqls_precond.ilu import ilu0, preconditioned_system
 from vqls_precond.sparse import poisson_1d, random_rhs, random_sparse
 from vqls_precond.vqls import VqlsConfig
@@ -94,7 +92,7 @@ def test_criterion_04_gradient_correctness():
         for trial in range(20):
             A = rng.uniform(-1, 1, (8, 8)) + np.diag(rng.choice([-3.0, 3.0], 8))
             sys = make_system(A, rng.normal(size=8))
-            params = AnsatzParams.random(3, 2, np.pi / 2, rng)
+            params = random_params(3, 2, np.pi / 2, rng)
             _, grad = cost_and_grad_one(params, sys)
             flat = params.flat()
             for j in range(params.theta.size):
@@ -121,7 +119,7 @@ def test_criterion_05_cost_bounds_and_scale_invariance():
             if np.linalg.norm(op @ (rhs / np.linalg.norm(rhs))) < 1e-3:
                 continue
             sys = make_system(op, rhs)
-            params = AnsatzParams.random(n, int(rng.integers(0, 3)), np.pi, rng)
+            params = random_params(n, int(rng.integers(0, 3)), np.pi, rng)
             c = cost(params, sys)
             assert 0.0 <= c <= 1.0 + 1e-12
             for scale in (-2.0, 0.5, 10.0):
@@ -139,7 +137,7 @@ def test_criterion_06_decomposition_path_equivalence():
             sys = build_system(A, rng.normal(size=4), "hermitized")  # 3 qubits, symmetric
             terms = pauli_decompose(sys.op, tol=0.0)
             assert np.abs(pauli_reconstruct(terms, 3) - sys.op).max() < 1e-12
-            params = AnsatzParams.random(3, 2, 0.9, rng)
+            params = random_params(3, 2, 0.9, rng)
             direct = cost(params, sys)
             summed = cost_via_decomposition(params, sys, terms)
             assert abs(direct - summed) < 1e-10
@@ -164,7 +162,7 @@ def test_criterion_07_condition_number_improvement():
 def test_criterion_08_depth_reduction_ci_scale(tmp_path):
     with Stopwatch() as watch:
         cfg = replace(ci_profile("sweep_depth"), output_dir=str(tmp_path))
-        cmd_sweep_depth(cfg)
+        run(cfg)
         lines = (tmp_path / "sweep.csv").read_text().strip().split("\n")
         header = lines[0].split(",")
         i_plain = header.index("mean_cost_plain")
@@ -187,7 +185,7 @@ def test_criterion_08_depth_reduction_ci_scale(tmp_path):
 def test_criterion_09_paper_scale_reproduction(tmp_path):
     with Stopwatch() as watch:
         cfg = replace(paper_profile("solve"), output_dir=str(tmp_path))
-        cmd_solve(cfg)
+        run(cfg)
         final_costs = {}
         for arm in ("plain", "precond"):
             last = (tmp_path / f"trace_{arm}.csv").read_text().strip().split("\n")[-1]
@@ -207,7 +205,7 @@ def test_criterion_10_heat_diffusion_pipeline(tmp_path):
     # warm start b-tilde ~ solution reachable at all - see ledger.
     with Stopwatch() as watch:
         cfg = replace(ci_profile("heat"), output_dir=str(tmp_path))
-        cmd_heat(cfg)
+        run(cfg)
         traces = {}
         for arm in ("plain", "precond"):
             last = (tmp_path / f"trace_{arm}.csv").read_text().strip().split("\n")[-1]
@@ -246,7 +244,7 @@ def test_criterion_11_determinism(tmp_path):
             out = tmp_path / f"solve_{tag}"
             cfg = ExperimentConfig(kind="solve", n=16, seeds=[2], output_dir=str(out),
                                    vqls=VqlsConfig(depth=2, iterations=60))
-            cmd_solve(cfg)
+            run(cfg)
             runs.append(_masked_csv_bytes(out))
         assert runs[0] == runs[1]
         runs = []
@@ -254,7 +252,7 @@ def test_criterion_11_determinism(tmp_path):
             out = tmp_path / f"spectrum_{tag}"
             cfg = ExperimentConfig(kind="spectrum", n=16, seeds=[1, 2],
                                    output_dir=str(out))
-            cmd_spectrum(cfg)
+            run(cfg)
             runs.append(_masked_csv_bytes(out))
         assert runs[0] == runs[1]
     report(11, watch, "reruns produce byte-identical CSVs (wall-clock column masked)")

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from oracles import (run_circuit_serial, shift_columns, shift_rule_tangent, shifted_state,
-                     with_flat)
+from oracles import (random_params, run_circuit_serial, shift_columns, shift_rule_tangent,
+                     shifted_state, with_flat)
 from vqls_precond.ansatz import (AnsatzParams, _cnot_chain, _cnot_kernel, _ry_kernel,
                                  _run_circuit, prepare_state)
 
@@ -134,7 +134,7 @@ def test_prepare_state_norm_preserved_long_random_circuit():
 def test_prepare_state_is_orthogonal_map():
     rng = np.random.default_rng(4)
     n, depth = 3, 2
-    params = AnsatzParams.random(n, depth, 0.8, rng)
+    params = random_params(n, depth, 0.8, rng)
     V = np.column_stack([prepare_state(params, e) for e in np.eye(2 ** n)])
     assert np.abs(V.T @ V - np.eye(2 ** n)).max() < 1e-10
 
@@ -150,7 +150,7 @@ def test_shifted_state_examples():
 
 def test_shift_up_then_down_restores():
     rng = np.random.default_rng(5)
-    params = AnsatzParams.random(3, 2, 0.5, rng)
+    params = random_params(3, 2, 0.5, rng)
     init = random_state(3, rng)
     flat = params.flat()
     flat[4] += np.pi / 2
@@ -162,7 +162,7 @@ def test_shift_up_then_down_restores():
 def test_tangent_matches_finite_differences():
     rng = np.random.default_rng(6)
     n, depth = 3, 2
-    params = AnsatzParams.random(n, depth, 0.9, rng)
+    params = random_params(n, depth, 0.9, rng)
     init = random_state(n, rng)
     h = 1e-5
     for j in range(params.theta.size):
@@ -175,7 +175,7 @@ def test_tangent_matches_finite_differences():
 def test_batched_kernel_matches_sequential_shifts():
     rng = np.random.default_rng(7)
     n, depth = 3, 2
-    params = AnsatzParams.random(n, depth, 0.7, rng)
+    params = random_params(n, depth, 0.7, rng)
     init = random_state(n, rng)
     batch = _run_circuit(shift_columns(params.flat()), n, depth, init)
     np.testing.assert_array_equal(batch[:, 0], prepare_state(params, init))

@@ -1,6 +1,6 @@
 """The demos run, the package exports exactly what they, the CLI and the
-README import from it, and every name ``src/`` defines has a caller outside
-the tests."""
+README import from it, every name ``src/`` defines has a caller outside
+the tests, and only ``experiments`` writes files."""
 
 import ast
 import os
@@ -73,3 +73,25 @@ def test_every_name_src_defines_has_a_caller_outside_the_tests():
               and not (node.name.startswith("__") and node.name.endswith("__"))
               and refs[node.name] == _references(node)[node.name]]
     assert not unused, f"defined in src/ but reached only from the tests: {unused}"
+
+
+def _file_writes(tree) -> list:
+    """Line numbers of the calls in ``tree`` that create, write or move files."""
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        if ((isinstance(f, ast.Name) and f.id == "open")
+                or (isinstance(f, ast.Attribute)
+                    and (f.attr in ("open", "write_text", "write_bytes", "mkdir")
+                         or (f.attr == "replace" and isinstance(f.value, ast.Name)
+                             and f.value.id == "os")))):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_only_experiments_writes_files():
+    writers = {path.name: lines for path in SOURCES
+               if (lines := _file_writes(ast.parse(path.read_text())))}
+    assert list(writers) == ["experiments.py"], f"file writes by line: {writers}"

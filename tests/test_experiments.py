@@ -6,21 +6,29 @@ import os
 import numpy as np
 import pytest
 
+import vqls_precond.experiments as exp
+from oracles import csr_from_dense, make_system
 from vqls_precond.cli import main
 from vqls_precond.dense import lu_solve
 from vqls_precond.experiments import (CI_SEEDS, DEFAULT_SEEDS, ExperimentConfig,
                                       NoFactorableInstanceError, SeedStatus, ci_profile,
-                                      cmd_heat, cmd_solve, cmd_spectrum, cmd_sweep_depth,
-                                      generate_instance, mean_sem, paper_profile)
+                                      generate_instance, mean_sem, paper_profile, run,
+                                      write_trace_csv)
 from vqls_precond.ilu import ZeroPivotError
 from vqls_precond.sparse import poisson_1d, random_rhs
-from vqls_precond.vqls import DivergedError, VqlsConfig
+from vqls_precond.vqls import DivergedError, TraceRecord, VqlsConfig, train
+
+
+@pytest.fixture
+def identity_instance(monkeypatch):
+    """Every instance the commands draw is the n x n identity."""
+    monkeypatch.setattr(exp, "random_sparse", lambda n, *args: csr_from_dense(np.eye(n)))
 
 
 def tiny_solve_config(out, **overrides):
     vqls_kwargs = {"depth": 1, "iterations": 200, "mode": "direct"}
     vqls_kwargs.update(overrides.pop("vqls", {}))
-    return ExperimentConfig(kind="solve", n=4, instance="identity", seeds=[3],
+    return ExperimentConfig(kind="solve", n=4, density=1.0, seeds=[3],
                             vqls=VqlsConfig(**vqls_kwargs), output_dir=str(out),
                             **overrides)
 
@@ -32,9 +40,9 @@ def read_csv(path):
     return header, rows
 
 
-def test_identity_smoke_solve(tmp_path):
+def test_identity_smoke_solve(tmp_path, identity_instance):
     cfg = tiny_solve_config(tmp_path, vqls={"iterations": 2000})
-    cmd_solve(cfg)
+    run(cfg)
     for name in ("trace_plain.csv", "trace_precond.csv", "solution.csv",
                  "solution_best.csv", "residuals.csv", "manifest.json"):
         assert (tmp_path / name).exists()
@@ -48,17 +56,17 @@ def test_identity_smoke_solve(tmp_path):
     assert max(float(r[2]) for r in rows) < 1e-3
 
 
-def test_solution_csv_schema(tmp_path):
+def test_solution_csv_schema(tmp_path, identity_instance):
     cfg = tiny_solve_config(tmp_path)
-    cmd_solve(cfg)
+    run(cfg)
     header, rows = read_csv(tmp_path / "solution.csv")
     assert header == ["index", "x_exact", "x_vqls_plain", "x_vqls_precond"]
     assert len(rows) == 4
 
 
-def test_solve_no_precond(tmp_path):
+def test_solve_no_precond(tmp_path, identity_instance):
     cfg = tiny_solve_config(tmp_path, no_precond=True)
-    cmd_solve(cfg)
+    run(cfg)
     assert not (tmp_path / "trace_precond.csv").exists()
     header, _ = read_csv(tmp_path / "solution.csv")
     assert header == ["index", "x_exact", "x_vqls_plain"]
@@ -82,8 +90,8 @@ def test_solve_rerun_is_byte_identical(tmp_path):
                             vqls=VqlsConfig(depth=1, iterations=30))
     cfg2 = ExperimentConfig(kind="solve", n=8, seeds=[2], output_dir=str(out2),
                             vqls=VqlsConfig(depth=1, iterations=30))
-    cmd_solve(cfg1)
-    cmd_solve(cfg2)
+    run(cfg1)
+    run(cfg2)
     a, b = _masked_outputs(out1), _masked_outputs(out2)
     a.pop("manifest.json")
     b.pop("manifest.json")  # holds output_dir, which differs by design here
@@ -93,14 +101,14 @@ def test_solve_rerun_is_byte_identical(tmp_path):
 def test_solve_pads_non_power_of_two(tmp_path):
     cfg = ExperimentConfig(kind="solve", n=6, seeds=[1], output_dir=str(tmp_path),
                            vqls=VqlsConfig(depth=1, iterations=40))
-    cmd_solve(cfg)
+    run(cfg)
     header, rows = read_csv(tmp_path / "solution.csv")
     assert len(rows) == 6  # padded to 8 internally, truncated on extraction
 
 
-def test_manifest_contents(tmp_path):
+def test_manifest_contents(tmp_path, identity_instance):
     cfg = tiny_solve_config(tmp_path, dump_matrix=True)
-    cmd_solve(cfg)
+    run(cfg)
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["tool_version"]
     assert manifest["config"]["n"] == 4
@@ -110,7 +118,7 @@ def test_manifest_contents(tmp_path):
     assert "instance.mtx" in manifest["artifacts"]
 
 
-def test_dumped_matrix_replaces_the_file_whole(tmp_path, monkeypatch):
+def test_dumped_matrix_replaces_the_file_whole(tmp_path, monkeypatch, identity_instance):
     (tmp_path / "instance.mtx").write_text("old bytes\n")
     real_replace = os.replace
 
@@ -121,12 +129,12 @@ def test_dumped_matrix_replaces_the_file_whole(tmp_path, monkeypatch):
 
     monkeypatch.setattr(os, "replace", refuse_matrix)
     with pytest.raises(OSError, match="replace refused"):
-        cmd_solve(tiny_solve_config(tmp_path, dump_matrix=True))
+        run(tiny_solve_config(tmp_path, dump_matrix=True))
     assert (tmp_path / "instance.mtx").read_text() == "old bytes\n"
+    assert not list(tmp_path.glob("*.tmp"))
 
 
 def test_zero_pivot_skip_lineage(tmp_path, monkeypatch):
-    import vqls_precond.experiments as exp
     real_ilu0 = exp.ilu0
     calls = []
 
@@ -156,7 +164,7 @@ def test_sweep_depth_outputs_and_aggregates(tmp_path):
     cfg = ExperimentConfig(kind="sweep_depth", n=8, seeds=[1, 2], depths=[1, 2],
                            output_dir=str(tmp_path),
                            vqls=VqlsConfig(depth=1, iterations=25))
-    cmd_sweep_depth(cfg)
+    run(cfg)
     header, rows = read_csv(tmp_path / "sweep.csv")
     assert header == ["depth", "mean_cost_plain", "sem_plain", "mean_cost_precond",
                       "sem_precond", "n_seeds", "median_cost_plain",
@@ -177,13 +185,13 @@ def test_sweep_needs_two_seeds(tmp_path):
     with pytest.raises(ValueError):
         cfg = ExperimentConfig(kind="sweep_depth", n=8, seeds=[1], depths=[1],
                                output_dir=str(tmp_path))
-        cmd_sweep_depth(cfg)
+        run(cfg)
 
 
-def test_spectrum_identity_instance(tmp_path):
-    cfg = ExperimentConfig(kind="spectrum", n=8, instance="identity", seeds=[1, 2],
+def test_spectrum_identity_instance(tmp_path, identity_instance):
+    cfg = ExperimentConfig(kind="spectrum", n=8, density=1.0, seeds=[1, 2],
                            output_dir=str(tmp_path))
-    cmd_spectrum(cfg)
+    run(cfg)
     header, rows = read_csv(tmp_path / "spectrum.csv")
     assert header[:5] == ["rank", "mean_sigma_plain", "sem_sigma_plain",
                           "mean_sigma_precond", "sem_sigma_precond"]
@@ -197,7 +205,7 @@ def test_spectrum_identity_instance(tmp_path):
 def test_spectrum_full_density_preconditioned_flat(tmp_path):
     cfg = ExperimentConfig(kind="spectrum", n=8, density=1.0, seeds=[4],
                            output_dir=str(tmp_path))
-    cmd_spectrum(cfg)
+    run(cfg)
     _, rows = read_csv(tmp_path / "spectrum.csv")
     for row in rows:
         assert abs(float(row[3]) - 1.0) < 1e-6
@@ -206,7 +214,7 @@ def test_spectrum_full_density_preconditioned_flat(tmp_path):
 def test_heat_pipeline(tmp_path):
     cfg = ExperimentConfig(kind="heat", n=16, seeds=[1], output_dir=str(tmp_path),
                            vqls=VqlsConfig(depth=0, iterations=300, mode="direct"))
-    cmd_heat(cfg)
+    run(cfg)
     header, rows = read_csv(tmp_path / "parabola.csv")
     assert header == ["index", "position", "u_exact"]
     A, b = poisson_1d(16)
@@ -222,7 +230,7 @@ def test_heat_costs_stay_in_range(tmp_path):
     # rounds to either side of 0.
     cfg = ExperimentConfig(kind="heat", n=16, seeds=[1], output_dir=str(tmp_path),
                            vqls=VqlsConfig(depth=0, iterations=1500, mode="direct"))
-    cmd_heat(cfg)
+    run(cfg)
     _, trace = read_csv(tmp_path / "trace_precond.csv")
     assert all(0.0 <= float(row[1]) <= 1.0 for row in trace)
 
@@ -260,8 +268,8 @@ def test_profiles():
     assert paper.vqls.iterations == 10_000
 
 
-def test_cli_solve_smoke(tmp_path, capsys):
-    cfg = {"n": 4, "instance": "identity", "seeds": [3],
+def test_cli_solve_smoke(tmp_path, capsys, identity_instance):
+    cfg = {"n": 4, "density": 1.0, "seeds": [3],
            "vqls": {"depth": 1, "iterations": 50, "mode": "direct"}}
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
@@ -271,8 +279,8 @@ def test_cli_solve_smoke(tmp_path, capsys):
     assert "wrote" in capsys.readouterr().out
 
 
-def test_cli_flag_overrides(tmp_path):
-    cfg = {"n": 4, "instance": "identity", "seeds": [3],
+def test_cli_flag_overrides(tmp_path, identity_instance):
+    cfg = {"n": 4, "density": 1.0, "seeds": [3],
            "vqls": {"depth": 2, "iterations": 10, "mode": "direct"}}
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
@@ -307,9 +315,11 @@ def test_cli_config_error_exit_code(tmp_path):
     ("heat", {"n": 8, "seeds": [1], "rod_length": 0}, []),
     ("solve", {"vqls": {"trace_every": 5}}, ["--profile", "ci"]),     # removed knobs
     ("solve", {"vqls": {"adam_beta1": 0.5}}, ["--profile", "ci"]),
+    ("solve", {"instance": "identity"}, ["--profile", "ci"]),
+    ("solve", {"diag_offset": 1.0}, ["--profile", "ci"]),
 ], ids=["density-too-low", "sweep-one-seed", "negative-depth", "n-not-int",
         "repeated-seed", "heat-no-nodes", "heat-rod-length-zero", "trace-every",
-        "adam-beta1"])
+        "adam-beta1", "instance", "diag-offset"])
 def test_bad_config_exits_2_before_any_work(tmp_path, capsys, command, config, flags):
     if config is not None:
         cfg_path = tmp_path / "cfg.json"
@@ -353,8 +363,6 @@ def test_no_precond_drops_exactly_the_precond_arm(tmp_path, command):
 
 
 def test_cli_numerical_failure_exit_code(tmp_path, monkeypatch):
-    import vqls_precond.experiments as exp
-
     def always_fails(cfg, seed):
         raise ZeroPivotError(0, 0.0)
 
@@ -367,27 +375,25 @@ def test_cli_numerical_failure_exit_code(tmp_path, monkeypatch):
 
 def _write_tiny_config(tmp_path):
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"n": 4, "instance": "identity", "seeds": [1],
+    cfg_path.write_text(json.dumps({"n": 4, "density": 1.0, "seeds": [1],
                                     "vqls": {"depth": 1, "iterations": 5}}))
     return cfg_path
 
 
 def test_no_factorable_instance_exits_3(tmp_path, monkeypatch):
-    import vqls_precond.experiments as exp
-
     def never_factors(A):
         raise ZeroPivotError(0, 0.0)
 
     monkeypatch.setattr(exp, "ilu0", never_factors)
-    cfg = ExperimentConfig(kind="solve", n=4, instance="identity", seeds=[1])
+    cfg = ExperimentConfig(kind="solve", n=4, density=1.0, seeds=[1])
     with pytest.raises(NoFactorableInstanceError):
         generate_instance(cfg, 1)
     cfg_path = _write_tiny_config(tmp_path)
     assert main(["solve", "--config", str(cfg_path), "--out", str(tmp_path / "r")]) == 3
 
 
-def test_non_finite_operator_stops_training_and_exits_3(tmp_path, monkeypatch, capsys):
-    import vqls_precond.experiments as exp
+def test_non_finite_operator_stops_training_and_exits_3(tmp_path, monkeypatch, capsys,
+                                                       identity_instance):
     real_build = exp.build_system
 
     def poisoned_build(A, b, mode):
@@ -397,7 +403,7 @@ def test_non_finite_operator_stops_training_and_exits_3(tmp_path, monkeypatch, c
 
     monkeypatch.setattr(exp, "build_system", poisoned_build)
     with pytest.raises(DivergedError):
-        cmd_solve(tiny_solve_config(tmp_path / "direct"))
+        run(tiny_solve_config(tmp_path / "direct"))
     cfg_path = _write_tiny_config(tmp_path)
     out = tmp_path / "r"
     assert main(["solve", "--config", str(cfg_path), "--out", str(out)]) == 3
@@ -412,7 +418,8 @@ def test_non_finite_operator_stops_training_and_exits_3(tmp_path, monkeypatch, c
     assert code == 3 and "seed 5, arm precond" in err, err
 
 
-def test_degenerate_operator_names_its_column_and_exits_3(tmp_path, monkeypatch, capsys):
+def test_degenerate_operator_names_its_column_and_exits_3(tmp_path, monkeypatch, capsys,
+                                                         identity_instance):
     def zeroed(op):
         op[:] = 0.0
 
@@ -427,7 +434,6 @@ def _sweep_with_seed5_precond(tmp_path, monkeypatch, capsys, poison):
     The sweep trains its four (seed, arm) columns in one lockstep run, so the
     failure must name the one column it came from.
     """
-    import vqls_precond.experiments as exp
     real_precond = exp.preconditioned_system
 
     def poisoned_precond(A, b, factors):
@@ -438,7 +444,7 @@ def _sweep_with_seed5_precond(tmp_path, monkeypatch, capsys, poison):
 
     monkeypatch.setattr(exp, "preconditioned_system", poisoned_precond)
     cfg_path = tmp_path / "sweep.json"
-    cfg_path.write_text(json.dumps({"n": 4, "instance": "identity", "seeds": [3, 5],
+    cfg_path.write_text(json.dumps({"n": 4, "density": 1.0, "seeds": [3, 5],
                                     "depths": [1], "vqls": {"iterations": 5}}))
     out = tmp_path / "sweep"
     capsys.readouterr()
@@ -457,3 +463,27 @@ def test_unrelated_runtime_error_propagates(tmp_path, monkeypatch):
     cfg_path = _write_tiny_config(tmp_path)
     with pytest.raises(RuntimeError, match="not a numerical failure"):
         main(["solve", "--config", str(cfg_path), "--out", str(tmp_path / "r")])
+
+
+def test_write_trace_csv(tmp_path):
+    sys = make_system(np.eye(2), [1.0, 0.0])
+    result = train(sys, VqlsConfig(depth=0, iterations=3, mode="direct", seed=0))
+    path = tmp_path / "trace.csv"
+    write_trace_csv(result.trace, path)
+    lines = path.read_text().strip().split("\n")
+    assert lines[0] == "iteration,cost,grad_norm,elapsed_s"
+    assert len(lines) == 5  # header + iterations 0..3
+
+
+def test_write_trace_csv_replaces_the_file_whole(tmp_path, monkeypatch):
+    path = tmp_path / "trace.csv"
+    path.write_text("old bytes\n")
+
+    def refuse(src, dst):
+        raise OSError("replace refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="replace refused"):
+        write_trace_csv([TraceRecord(0, 0.5, 0.25, 0.0)], path)
+    assert path.read_text() == "old bytes\n"
+    assert not list(tmp_path.glob("*.tmp"))

@@ -146,9 +146,9 @@ def _oracle_corpus():
     yield from _integer_instances()
     yield CsrMatrix(3, np.array([0, 2, 4, 6]), np.array([0, 2, 0, 1, 1, 2]),
                     np.array([2.0, 0.0, 0.0, 3.0, 0.0, 4.0]))      # stored zeros
-    yield CsrMatrix.identity(1)
+    yield csr_from_dense(np.eye(1))
     yield CsrMatrix(1, np.array([0, 1]), np.array([0]), np.array([-7.5]))
-    yield CsrMatrix.identity(6)
+    yield csr_from_dense(np.eye(6))
     yield poisson_1d(16)[0]
     yield poisson_1d(128)[0]
 
@@ -165,7 +165,7 @@ def test_ilu0_matches_ikj_oracle_bit_for_bit():
 
 
 def test_apply_minv_identity_and_diagonal():
-    F = ilu0(CsrMatrix.identity(4))
+    F = ilu0(csr_from_dense(np.eye(4)))
     v = np.array([1.0, -2.0, 3.0, 4.0])
     np.testing.assert_array_equal(apply_minv(F, v), v)
     F2 = ilu0(csr_from_dense(np.diag([2.0, 4.0])))
@@ -180,7 +180,7 @@ def test_apply_minv_full_pattern_equals_dense_solve():
 
 
 def test_preconditioned_system_identity():
-    A = CsrMatrix.identity(5)
+    A = csr_from_dense(np.eye(5))
     b = np.arange(1.0, 6.0)
     A_tilde, b_tilde = preconditioned_system(A, b, ilu0(A))
     np.testing.assert_array_equal(A_tilde, np.eye(5))

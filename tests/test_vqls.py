@@ -1,17 +1,17 @@
 """Cost function, adjoint gradient, Adam and the training loop."""
 
-import os
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from oracles import (cost, cost_and_grad_one, cost_via_decomposition, make_system,
-                     pauli_decompose, shift_rule_cost_and_grad, train_serial, with_flat)
+                     pauli_decompose, random_params, shift_rule_cost_and_grad, train_serial,
+                     with_flat)
 from vqls_precond.ansatz import AnsatzParams, prepare_state
 from vqls_precond.embedding import build_system
-from vqls_precond.vqls import (Adam, DegenerateOperatorError, DivergedError, TraceRecord,
-                               VqlsConfig, residuals, train, write_trace_csv)
+from vqls_precond.vqls import (Adam, DegenerateOperatorError, DivergedError, VqlsConfig,
+                               residuals, train)
 
 
 def zero_params(n, depth=0):
@@ -57,7 +57,7 @@ def test_cost_bounds_and_scale_invariance_fuzz():
             op = rng.uniform(-1, 1, (2 ** n, 2 ** n))
             rhs = rng.normal(size=2 ** n)
         sys = make_system(op, rhs)
-        params = AnsatzParams.random(n, depth, np.pi, rng)
+        params = random_params(n, depth, np.pi, rng)
         c = cost(params, sys)
         assert 0.0 <= c <= 1.0 + 1e-12
         for scale in (-2.0, 0.5, 10.0):
@@ -105,7 +105,7 @@ def test_grad_matches_finite_differences():
         n, depth = 3, 2
         A = rng.uniform(-1, 1, (8, 8)) + np.diag(rng.choice([-3.0, 3.0], 8))
         sys = make_system(A, rng.normal(size=8))
-        params = AnsatzParams.random(n, depth, np.pi / 2, rng)
+        params = random_params(n, depth, np.pi / 2, rng)
         _, grad = cost_and_grad_one(params, sys)
         fd = finite_difference_grad(params, sys)
         mask = np.abs(grad) > 1e-8
@@ -116,7 +116,7 @@ def test_grad_matches_fd_hermitized():
     rng = np.random.default_rng(10)
     A = rng.uniform(-1, 1, (4, 4))
     sys = build_system(A, rng.normal(size=4), "hermitized")
-    params = AnsatzParams.random(3, 2, 0.4, rng)
+    params = random_params(3, 2, 0.4, rng)
     fd = finite_difference_grad(params, sys)
     # the shift-rule oracle is held to the same differences as the adjoint
     for _, grad in (cost_and_grad_one(params, sys), shift_rule_cost_and_grad(params, sys)):
@@ -132,7 +132,7 @@ def test_adjoint_matches_shift_rule_oracle(depth, mode):
         dim = 2 ** n_qubits if mode == "direct" else 2 ** (n_qubits - 1)
         A = rng.uniform(-1, 1, (dim, dim)) + np.diag(rng.choice([-3.0, 3.0], dim))
         sys = build_system(A, rng.normal(size=dim), mode)
-        params = AnsatzParams.random(n_qubits, depth, np.pi, rng)
+        params = random_params(n_qubits, depth, np.pi, rng)
         c, grad = cost_and_grad_one(params, sys)
         _, oracle = shift_rule_cost_and_grad(params, sys)
         assert c == cost(params, sys)
@@ -295,7 +295,7 @@ def test_decomposition_path_matches_direct_cost():
         A = rng.uniform(-1, 1, (4, 4))
         sys = build_system(A, rng.normal(size=4), "hermitized")  # 3 qubits, symmetric
         terms = pauli_decompose(sys.op, tol=0.0)
-        params = AnsatzParams.random(3, 2, 0.8, rng)
+        params = random_params(3, 2, 0.8, rng)
         direct = cost(params, sys)
         summed = cost_via_decomposition(params, sys, terms)
         assert abs(direct - summed) < 1e-10
@@ -311,29 +311,6 @@ def test_cost_zero_implies_proportionality():
     y_hat = y / np.linalg.norm(y)
     assert min(np.abs(y_hat - sys.rhs_state).max(),
                np.abs(y_hat + sys.rhs_state).max()) < 1e-5
-
-
-def test_write_trace_csv(tmp_path):
-    sys = make_system(np.eye(2), [1.0, 0.0])
-    result = train(sys, VqlsConfig(depth=0, iterations=3, mode="direct", seed=0))
-    path = tmp_path / "trace.csv"
-    write_trace_csv(result.trace, path)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "iteration,cost,grad_norm,elapsed_s"
-    assert len(lines) == 5  # header + iterations 0..3
-
-
-def test_write_trace_csv_replaces_the_file_whole(tmp_path, monkeypatch):
-    path = tmp_path / "trace.csv"
-    path.write_text("old bytes\n")
-
-    def refuse(src, dst):
-        raise OSError("replace refused")
-
-    monkeypatch.setattr(os, "replace", refuse)
-    with pytest.raises(OSError, match="replace refused"):
-        write_trace_csv([TraceRecord(0, 0.5, 0.25, 0.0)], path)
-    assert path.read_text() == "old bytes\n"
 
 
 def test_config_validation():
