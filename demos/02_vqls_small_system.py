@@ -27,9 +27,9 @@ cfg = VqlsConfig(depth=4, iterations=6000, learning_rate=0.005, seed=7)
 result = train(sys, cfg)
 
 print("cost trajectory:")
-for record in result.trace[:: len(result.trace) // 8]:
-    print(f"  iteration {record.iteration:5d}   cost {record.cost:.3e}   "
-          f"|grad| {record.grad_norm:.3e}")
+for it in range(0, len(result.costs), len(result.costs) // 8):
+    print(f"  iteration {it:5d}   cost {result.costs[it]:.3e}   "
+          f"|grad| {result.grad_norms[it]:.3e}")
 print(f"final cost {result.final_cost:.3e} "
       f"(best {result.best_cost:.3e} at iteration {result.best_iteration})")
 

@@ -31,11 +31,11 @@ for seed in seeds:
     systems += [build_system(A.to_dense(), b, "hermitized"),
                 build_system(A_tilde, b_tilde, "hermitized")]
 
+column_seeds = [seed for seed in seeds for _ in range(2)]   # one per (seed, arm) column
 for depth in depths:
     # one lockstep call trains every (seed, arm) column of this depth
-    cfgs = [VqlsConfig(depth=depth, iterations=iterations, seed=seed)
-            for seed in seeds for _ in range(2)]
-    costs = [result.final_cost for result in train(systems, cfgs)]
+    cfg = VqlsConfig(depth=depth, iterations=iterations)
+    costs = [result.final_cost for result in train(systems, cfg, column_seeds)]
     print(f"  {depth:2d}        {np.mean(costs[0::2]):.4f}               "
           f"{np.mean(costs[1::2]):.4f}")
 

@@ -34,7 +34,7 @@ from .embedding import build_system, extract_solution
 from .ilu import IluFactors, ZeroPivotError, ilu0, preconditioned_system
 from .sparse import (CsrMatrix, check_random_sparse, format_matrix_market, poisson_1d,
                      random_rhs, random_sparse)
-from .vqls import TraceRecord, TrainResult, VqlsConfig, aligned, residuals, train
+from .vqls import TrainResult, VqlsConfig, _is_int, aligned, residuals, train
 
 DEFAULT_SEEDS = list(range(1, 11))   # the 10 committed paper-scale seeds
 CI_SEEDS = [1, 2, 3]                 # reduced profile for minutes-scale runs
@@ -68,8 +68,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
         if not _is_int(self.n) or self.n < 1:
             raise ValueError(f"n must be an integer >= 1, got {self.n!r}")
-        if not self.seeds or not all(_is_int(s) for s in self.seeds):
-            raise ValueError("seeds must be a non-empty list of integers")
+        if not self.seeds or not all(_is_int(s) and s >= 0 for s in self.seeds):
+            raise ValueError(f"seeds must be a non-empty list of integers >= 0, got {self.seeds}")
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError(f"seeds must be distinct, got {self.seeds}")
         if self.kind == "sweep_depth" and len(self.seeds) < 2:
@@ -79,8 +79,12 @@ class ExperimentConfig:
                              f"got {self.depths}")
         if self.kind != "heat":
             check_random_sparse(self.n, self.density)
-        if self.kind == "heat" and self.rod_length <= 0:
-            raise ValueError(f"rod_length must be positive, got {self.rod_length!r}")
+        if self.kind == "heat" and not (self.rod_length > 0 and np.isfinite(self.rod_length)):
+            raise ValueError(f"rod_length must be finite and positive, got {self.rod_length!r}")
+        rate = self.heat_rate
+        if self.kind == "heat" and (isinstance(rate, bool) or not isinstance(rate, (int, float))
+                                    or rate == 0 or not np.isfinite(rate)):
+            raise ValueError(f"heat_rate must be a finite non-zero number, got {rate!r}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -99,10 +103,6 @@ class ExperimentConfig:
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def ci_profile(kind: str) -> ExperimentConfig:
@@ -204,8 +204,8 @@ def solve_instance(A: CsrMatrix, b: np.ndarray, factors: IluFactors,
     """Train every arm on one instance; returns (x_exact, {arm name: ArmResult})."""
     x_exact = lu_solve(A.to_dense(), b)
     systems = _embedded_arms(A, b, factors, cfg)
-    trained = train(list(systems.values()), [replace(cfg.vqls, seed=seed)] * len(systems),
-                    [f"seed {seed}, arm {name}" for name in systems])
+    trained = train(list(systems.values()), replace(cfg.vqls, seed=seed),
+                    labels=[f"seed {seed}, arm {name}" for name in systems])
     return x_exact, {name: ArmResult(result=result,
                                      x_final=_unit_solution(sys, result.params, A.n),
                                      x_best=_unit_solution(sys, result.best_params, A.n))
@@ -248,11 +248,11 @@ def _write_csv(path: Path, header: list, rows: list) -> None:
     _write_atomic(path, "\n".join(lines) + "\n")
 
 
-def write_trace_csv(trace: list[TraceRecord], path: Path) -> None:
+def write_trace_csv(result: TrainResult, path: Path) -> None:
     """Trace export with the canonical header iteration,cost,grad_norm,elapsed_s."""
     lines = ["iteration,cost,grad_norm,elapsed_s"]
-    for rec in trace:
-        lines.append(f"{rec.iteration},{rec.cost!r},{rec.grad_norm!r},{rec.elapsed:.6f}")
+    rows = zip(result.costs.tolist(), result.grad_norms.tolist(), result.elapsed.tolist())
+    lines += [f"{it},{cost!r},{norm!r},{t:.6f}" for it, (cost, norm, t) in enumerate(rows)]
     _write_atomic(path, "\n".join(lines) + "\n")
 
 
@@ -291,7 +291,7 @@ def _emit_solve_outputs(out: Path, cfg: ExperimentConfig, A: CsrMatrix,
                         x_exact: np.ndarray, arms: dict) -> list:
     artifacts = []
     for name, arm in arms.items():
-        write_trace_csv(arm.result.trace, out / f"trace_{name}.csv")
+        write_trace_csv(arm.result, out / f"trace_{name}.csv")
         artifacts.append(f"trace_{name}.csv")
 
     for fname, pick in (("solution.csv", lambda a: a.x_final),
@@ -325,15 +325,15 @@ def cmd_sweep_depth(cfg: ExperimentConfig, out: Path) -> tuple:
     names = list(instances[0])
     # One lockstep column per (seed, arm), seed-major.
     systems = [sys for arms in instances for sys in arms.values()]
+    seeds = [status.used for status in statuses for _ in names]
     labels = [f"seed {status.used}, arm {name}" for status in statuses for name in names]
 
     # One row per (depth, seed) cell, depth-major: the rows of one depth are
     # consecutive, which the aggregates below rely on.
     raw_rows = []
     for depth in cfg.depths:
-        cfgs = [replace(cfg.vqls, seed=status.used, depth=depth)
-                for status in statuses for _ in names]
-        costs = [result.final_cost for result in train(systems, cfgs, labels)]
+        trained = train(systems, replace(cfg.vqls, depth=depth), seeds, labels)
+        costs = [result.final_cost for result in trained]
         k = len(names)
         raw_rows += [[depth, status.requested] + costs[i * k:(i + 1) * k]
                      for i, status in enumerate(statuses)]

@@ -16,19 +16,19 @@ derivatives on the way (``ansatz._adjoint_pass``). The parameter-shift rule,
 which is what hardware would measure, is kept in the test suite as the
 oracle this gradient is checked against.
 
-Training is lockstep: ``train`` moves B columns, each one (system, config)
-pair of the same circuit shape, with one forward pass over a (dim, B)
-buffer, one adjoint walk over a (dim, 2B) buffer and one Adam step on the
-(P, B) angle table per iteration. A step costs about three circuit passes
-over its B columns, linear in depth, and pays the per-gate Python overhead
-once for all of them. Each column's operator is applied on its own, so
-every column's numbers are bit for bit those of training it alone; a single
-system is the B = 1 case.
+Training is lockstep: ``train`` moves B (system, seed) columns under one
+config with one forward pass over a (dim, B) buffer, one adjoint walk over
+a (dim, 2B) buffer and one Adam step on the (P, B) angle table per
+iteration. A step costs about three circuit passes over its B columns,
+linear in depth, and pays the per-gate Python overhead once for all of
+them. Each column's operator is applied on its own, so every column's
+numbers are bit for bit those of training it alone; a single system is the
+B = 1 case.
 
 The protocol is fixed apart from what ``VqlsConfig`` carries: angles start
 uniform on [-INIT_SCALE, INIT_SCALE], Adam keeps the standard moments of
-Kingma & Ba (arXiv:1412.6980), and the trace records every step. This
-module does no file IO: ``experiments`` writes the trace CSVs.
+Kingma & Ba (arXiv:1412.6980), and every step's cost is kept. This module
+does no file IO: ``experiments`` writes the trace CSVs.
 """
 
 from __future__ import annotations
@@ -57,6 +57,10 @@ class DivergedError(ArithmeticError):
     """Training produced a non-finite cost or gradient."""
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 @dataclass
 class VqlsConfig:
     """Hyperparameters of one optimization run.
@@ -75,37 +79,37 @@ class VqlsConfig:
     preconditioned: bool = True
 
     def __post_init__(self):
-        if self.depth < 0:
-            raise ValueError("depth must be >= 0")
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not _is_int(self.depth) or self.depth < 0:
+            raise ValueError(f"depth must be an integer >= 0, got {self.depth!r}")
+        if not _is_int(self.iterations) or self.iterations < 1:
+            raise ValueError(f"iterations must be an integer >= 1, got {self.iterations!r}")
+        if not (self.learning_rate > 0 and np.isfinite(self.learning_rate)):
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate!r}")
         if self.mode not in ("direct", "hermitized"):
             raise ValueError(f"mode must be 'direct' or 'hermitized', got {self.mode!r}")
 
 
 @dataclass
-class TraceRecord:
-    """Telemetry for one optimizer iteration (cost after that many steps)."""
-
-    iteration: int
-    cost: float
-    grad_norm: float
-    elapsed: float
-
-
-@dataclass
 class TrainResult:
+    """One column's run; row t of each history is the state after t Adam steps."""
+
     params: AnsatzParams          # final iterate
-    trace: list[TraceRecord]
-    best_params: AnsatzParams     # minimum-cost iterate seen
-    best_cost: float
-    best_iteration: int
+    best_params: AnsatzParams     # first minimum-cost iterate
+    costs: np.ndarray             # (T+1,)
+    grad_norms: np.ndarray        # (T+1,)
+    elapsed: np.ndarray           # (T+1,) seconds since the start, shared by all columns
 
     @property
     def final_cost(self) -> float:
-        return self.trace[-1].cost
+        return float(self.costs[-1])
+
+    @property
+    def best_iteration(self) -> int:
+        return int(np.argmin(self.costs))
+
+    @property
+    def best_cost(self) -> float:
+        return float(self.costs[self.best_iteration])
 
 
 class Adam:
@@ -168,10 +172,6 @@ def cost_and_grad(angles: AngleTable, systems: list[QuantumSystem]):
     return costs, _adjoint_pass(angles, states, adjoints)
 
 
-# Config fields every column of one lockstep run must share.
-_LOCKSTEP_FIELDS = ("depth", "iterations", "learning_rate")
-
-
 def _checked_step(angles: AngleTable, systems: list, iteration: int, labels: list):
     try:
         costs, grads = cost_and_grad(angles, systems)
@@ -185,71 +185,62 @@ def _checked_step(angles: AngleTable, systems: list, iteration: int, labels: lis
     return costs, grads
 
 
-def _record(traces: list, iteration: int, costs, grads, elapsed: float) -> None:
-    for b, trace in enumerate(traces):
-        trace.append(TraceRecord(iteration, float(costs[b]),
-                                 float(np.linalg.norm(grads[:, b])), elapsed))
+def train(systems, cfg: VqlsConfig, seeds=None, labels=None):
+    """Run cfg's Adam loop on every column from a uniform [-INIT_SCALE, INIT_SCALE] start.
 
+    ``systems`` share one qubit count and train in lockstep under ``cfg``;
+    ``seeds`` holds one start seed per system (default: cfg.seed for all).
+    The result is one TrainResult per column in the same order, or a single
+    TrainResult for a single QuantumSystem.
 
-def train(systems, cfgs, labels=None):
-    """Run the Adam loop on every column from a uniform [-INIT_SCALE, INIT_SCALE] start.
-
-    ``systems`` and ``cfgs`` are equal-length lists, one (system, config)
-    column each, and the result is one TrainResult per column in the same
-    order; a single QuantumSystem with a single VqlsConfig gives a single
-    TrainResult. Columns train in lockstep, so they must share the qubit
-    count and every field of ``_LOCKSTEP_FIELDS``; seeds and operators may
-    differ.
-
-    Deterministic given (system, config) per column: each column's angle
-    initialization draws from the theta stream of its cfg.seed, and its
-    numbers do not depend on the other columns. The trace records the cost
-    after every step (iteration 0 = initial angles); the reported solution
-    is the final iterate, with the best-cost iterate carried alongside.
-    Raises DivergedError at the first non-finite cost or gradient in any
-    column, and DegenerateOperatorError where a column's operator
-    annihilates its state, naming that column by its entry of ``labels``
-    (default: its index and seed).
+    Deterministic given (system, seed) per column: each column's angle
+    initialization draws from the theta stream of its seed, and its numbers
+    do not depend on the other columns. Raises DivergedError at the first
+    non-finite cost or gradient in any column, and DegenerateOperatorError
+    where a column's operator annihilates its state, naming that column by
+    its entry of ``labels`` (default: its index and seed).
     """
     if isinstance(systems, QuantumSystem):
-        return train([systems], [cfgs], labels)[0]
-    if len(cfgs) != len(systems):
-        raise ValueError("train needs one config per system")
-    cfg = cfgs[0]
-    if any(getattr(c, f) != getattr(cfg, f) for c in cfgs for f in _LOCKSTEP_FIELDS):
-        raise ValueError(f"lockstep columns must share {', '.join(_LOCKSTEP_FIELDS)}")
+        return train([systems], cfg, seeds, labels)[0]
+    n_cols = len(systems)
+    if seeds is None:
+        seeds = [cfg.seed] * n_cols
+    if len(seeds) != n_cols:
+        raise ValueError("train needs one seed per system")
     n_qubits = systems[0].n_qubits
     if any(sys.n_qubits != n_qubits for sys in systems):
         raise ValueError("lockstep columns must share the qubit count")
     if labels is None:
-        labels = [f"column {b} (seed {c.seed})" for b, c in enumerate(cfgs)]
+        labels = [f"column {b} (seed {seed})" for b, seed in enumerate(seeds)]
 
     n_params = n_qubits * (cfg.depth + 1)
-    angles = AngleTable(n_qubits, cfg.depth, np.column_stack(
-        [_rng(c.seed, STREAM_THETA).uniform(-INIT_SCALE, INIT_SCALE, n_params) for c in cfgs]))
+    table = np.column_stack([_rng(seed, STREAM_THETA).uniform(-INIT_SCALE, INIT_SCALE, n_params)
+                             for seed in seeds])
     adam = Adam(cfg.learning_rate)
+    costs = np.empty((cfg.iterations + 1, n_cols))
+    grad_norms = np.empty((cfg.iterations + 1, n_cols))
+    elapsed = np.empty(cfg.iterations + 1)
+    best_costs, best_table = np.full(n_cols, np.inf), table
 
-    traces: list[list[TraceRecord]] = [[] for _ in systems]
     t0 = time.perf_counter()
-    costs, grads = _checked_step(angles, systems, 0, labels)
-    _record(traces, 0, costs, grads, time.perf_counter() - t0)
-    best_costs, best_table = costs.copy(), angles.table
-    best_iters = np.zeros(len(systems), dtype=int)
-
-    for it in range(1, cfg.iterations + 1):
-        angles = AngleTable(n_qubits, cfg.depth, adam.step(angles.table, grads))
-        costs, grads = _checked_step(angles, systems, it, labels)
-        better = costs < best_costs
+    for it in range(cfg.iterations + 1):
+        if it:
+            table = adam.step(table, grads)
+        costs[it], grads = _checked_step(AngleTable(n_qubits, cfg.depth, table),
+                                         systems, it, labels)
+        for b in range(n_cols):
+            grad_norms[it, b] = np.linalg.norm(grads[:, b])
+        better = costs[it] < best_costs
         if better.any():
-            best_costs = np.where(better, costs, best_costs)
-            best_table = np.where(better, angles.table, best_table)
-            best_iters[better] = it
-        _record(traces, it, costs, grads, time.perf_counter() - t0)
+            best_costs = np.where(better, costs[it], best_costs)
+            best_table = np.where(better, table, best_table)
+        elapsed[it] = time.perf_counter() - t0
 
+    final = AngleTable(n_qubits, cfg.depth, table)
     best = AngleTable(n_qubits, cfg.depth, best_table)
-    return [TrainResult(params=angles.column(b), trace=traces[b], best_params=best.column(b),
-                        best_cost=float(best_costs[b]), best_iteration=int(best_iters[b]))
-            for b in range(len(systems))]
+    return [TrainResult(params=final.column(b), best_params=best.column(b), costs=costs[:, b],
+                        grad_norms=grad_norms[:, b], elapsed=elapsed)
+            for b in range(n_cols)]
 
 
 def aligned(x, x_exact) -> np.ndarray:

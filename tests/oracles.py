@@ -40,7 +40,7 @@ from vqls_precond.embedding import QuantumSystem
 from vqls_precond.ilu import PIVOT_FLOOR, IluFactors, ZeroPivotError
 from vqls_precond.sparse import STREAM_THETA, CsrMatrix
 from vqls_precond.vqls import (INIT_SCALE, Adam, DegenerateOperatorError, DivergedError,
-                               TraceRecord, TrainResult, _cost_from_state, cost_and_grad)
+                               TrainResult, _cost_from_state, cost_and_grad)
 
 SQRT2 = float(np.sqrt(2.0))
 
@@ -195,11 +195,10 @@ def train_serial(sys: QuantumSystem, cfg) -> TrainResult:
     params = random_params(sys.n_qubits, cfg.depth, INIT_SCALE, rng)
     adam = Adam(cfg.learning_rate)
 
-    trace: list[TraceRecord] = []
     t0 = time.perf_counter()
     c, grad = _checked_step_serial(params, sys, 0)
-    trace.append(TraceRecord(0, c, float(np.linalg.norm(grad)), time.perf_counter() - t0))
-    best_cost, best_params, best_iter = c, params, 0
+    costs, grad_norms, elapsed = [c], [float(np.linalg.norm(grad))], [time.perf_counter() - t0]
+    best_cost, best_params = c, params
 
     flat = params.flat()
     for it in range(1, cfg.iterations + 1):
@@ -207,10 +206,12 @@ def train_serial(sys: QuantumSystem, cfg) -> TrainResult:
         params = with_flat(params, flat)
         c, grad = _checked_step_serial(params, sys, it)
         if c < best_cost:
-            best_cost, best_params, best_iter = c, params, it
-        trace.append(TraceRecord(it, c, float(np.linalg.norm(grad)), time.perf_counter() - t0))
-    return TrainResult(params=params, trace=trace, best_params=best_params,
-                       best_cost=best_cost, best_iteration=best_iter)
+            best_cost, best_params = c, params
+        costs.append(c)
+        grad_norms.append(float(np.linalg.norm(grad)))
+        elapsed.append(time.perf_counter() - t0)
+    return TrainResult(params=params, best_params=best_params, costs=np.array(costs),
+                       grad_norms=np.array(grad_norms), elapsed=np.array(elapsed))
 
 
 def ilu0_ikj(A: CsrMatrix) -> IluFactors:

@@ -16,7 +16,7 @@ from vqls_precond.experiments import (CI_SEEDS, DEFAULT_SEEDS, ExperimentConfig,
                                       write_trace_csv)
 from vqls_precond.ilu import ZeroPivotError
 from vqls_precond.sparse import poisson_1d, random_rhs
-from vqls_precond.vqls import DivergedError, TraceRecord, VqlsConfig, train
+from vqls_precond.vqls import DivergedError, VqlsConfig, train
 
 
 @pytest.fixture
@@ -317,9 +317,27 @@ def test_cli_config_error_exit_code(tmp_path):
     ("solve", {"vqls": {"adam_beta1": 0.5}}, ["--profile", "ci"]),
     ("solve", {"instance": "identity"}, ["--profile", "ci"]),
     ("solve", {"diag_offset": 1.0}, ["--profile", "ci"]),
+    ("solve", None, ["--profile", "ci", "--seed", "-1"]),
+    ("sweep-depth", {"n": 8, "seeds": [1, -2], "depths": [1]}, []),
+    ("heat", {"n": 8, "seeds": [1], "rod_length": float("nan")}, []),
+    ("heat", {"n": 8, "seeds": [1], "rod_length": float("inf")}, []),
+    ("heat", {"n": 8, "seeds": [1], "heat_rate": 0}, []),
+    ("heat", {"n": 8, "seeds": [1], "heat_rate": float("nan")}, []),
+    ("heat", {"n": 8, "seeds": [1], "heat_rate": float("inf")}, []),
+    ("heat", {"n": 8, "seeds": [1], "heat_rate": "1.0"}, []),
+    ("heat", {"n": 8, "seeds": [1], "heat_rate": True}, []),
+    ("solve", {"vqls": {"iterations": 2.5}}, ["--profile", "ci"]),
+    ("solve", {"vqls": {"iterations": True}}, ["--profile", "ci"]),
+    ("solve", {"vqls": {"depth": 1.5}}, ["--profile", "ci"]),
+    ("solve", {"vqls": {"depth": True}}, ["--profile", "ci"]),
+    ("heat", {"vqls": {"learning_rate": float("nan")}}, ["--profile", "ci"]),
+    ("heat", {"vqls": {"learning_rate": float("inf")}}, ["--profile", "ci"]),
 ], ids=["density-too-low", "sweep-one-seed", "negative-depth", "n-not-int",
         "repeated-seed", "heat-no-nodes", "heat-rod-length-zero", "trace-every",
-        "adam-beta1", "instance", "diag-offset"])
+        "adam-beta1", "instance", "diag-offset", "seed-flag-negative", "seed-negative",
+        "heat-rod-length-nan", "heat-rod-length-inf", "heat-rate-zero", "heat-rate-nan", "heat-rate-inf", "heat-rate-string",
+        "heat-rate-bool", "iterations-float", "iterations-bool", "depth-float", "depth-bool",
+        "learning-rate-nan", "learning-rate-inf"])
 def test_bad_config_exits_2_before_any_work(tmp_path, capsys, command, config, flags):
     if config is not None:
         cfg_path = tmp_path / "cfg.json"
@@ -469,13 +487,15 @@ def test_write_trace_csv(tmp_path):
     sys = make_system(np.eye(2), [1.0, 0.0])
     result = train(sys, VqlsConfig(depth=0, iterations=3, mode="direct", seed=0))
     path = tmp_path / "trace.csv"
-    write_trace_csv(result.trace, path)
+    write_trace_csv(result, path)
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "iteration,cost,grad_norm,elapsed_s"
     assert len(lines) == 5  # header + iterations 0..3
 
 
 def test_write_trace_csv_replaces_the_file_whole(tmp_path, monkeypatch):
+    sys = make_system(np.eye(2), [1.0, 0.0])
+    result = train(sys, VqlsConfig(depth=0, iterations=1, mode="direct", seed=0))
     path = tmp_path / "trace.csv"
     path.write_text("old bytes\n")
 
@@ -484,6 +504,6 @@ def test_write_trace_csv_replaces_the_file_whole(tmp_path, monkeypatch):
 
     monkeypatch.setattr(os, "replace", refuse)
     with pytest.raises(OSError, match="replace refused"):
-        write_trace_csv([TraceRecord(0, 0.5, 0.25, 0.0)], path)
+        write_trace_csv(result, path)
     assert path.read_text() == "old bytes\n"
     assert not list(tmp_path.glob("*.tmp"))

@@ -10,6 +10,8 @@ from oracles import (cost, cost_and_grad_one, cost_via_decomposition, make_syste
                      with_flat)
 from vqls_precond.ansatz import AnsatzParams, prepare_state
 from vqls_precond.embedding import build_system
+from vqls_precond.ilu import ilu0, preconditioned_system
+from vqls_precond.sparse import poisson_1d
 from vqls_precond.vqls import (Adam, DegenerateOperatorError, DivergedError, VqlsConfig,
                                residuals, train)
 
@@ -167,32 +169,28 @@ def test_train_names_the_diverged_column():
     op = np.eye(4)
     op[1, 2] = np.inf
     bad = make_system(op, [1.0, 2.0, 3.0, 4.0])
-    cfgs = [VqlsConfig(depth=1, iterations=5, mode="direct", seed=s) for s in (7, 8, 9)]
+    cfg = VqlsConfig(depth=1, iterations=5, mode="direct")
     with pytest.raises(DivergedError, match="iteration 0 in right"):
-        train([ok, ok, bad], cfgs, ["left", "middle", "right"])
+        train([ok, ok, bad], cfg, [7, 8, 9], ["left", "middle", "right"])
     with pytest.raises(DivergedError, match=r"iteration 0 in column 1 \(seed 8\)"):
-        train([ok, bad, ok], cfgs)
+        train([ok, bad, ok], cfg, [7, 8, 9])
 
 
 def test_train_rejects_columns_that_cannot_run_in_lockstep():
     sys3 = make_system(np.eye(8), np.ones(8))
     sys2 = make_system(np.eye(4), np.ones(4))
     cfg = VqlsConfig(depth=1, iterations=2, mode="direct")
-    with pytest.raises(ValueError, match="share"):
-        train([sys3, sys3], [cfg, replace(cfg, depth=2)])
-    with pytest.raises(ValueError, match="share"):
-        train([sys3, sys3], [cfg, replace(cfg, learning_rate=0.5)])
     with pytest.raises(ValueError, match="qubit count"):
-        train([sys3, sys2], [cfg, cfg])
-    with pytest.raises(ValueError, match="one config per system"):
-        train([sys3, sys3], [cfg])
+        train([sys3, sys2], cfg)
+    with pytest.raises(ValueError, match="one seed per system"):
+        train([sys3, sys3], cfg, [1])
 
 
 def _training_bytes(result):
     """Every number a TrainResult carries, as exact bytes and reprs."""
-    return (result.params.theta.tobytes(),
-            [(rec.iteration, repr(rec.cost), repr(rec.grad_norm)) for rec in result.trace],
-            result.best_params.theta.tobytes(), repr(result.best_cost), result.best_iteration)
+    return (result.params.theta.tobytes(), len(result.costs), result.costs.tobytes(),
+            result.grad_norms.tobytes(), result.best_params.theta.tobytes(),
+            repr(result.best_cost), result.best_iteration)
 
 
 # (qubits, columns, iterations): every batch width and both run lengths
@@ -206,18 +204,32 @@ def test_lockstep_train_matches_serial_oracle_bit_for_bit(depth, mode):
     rng = np.random.default_rng(300 + depth)
     for n_qubits, batch, iterations in LOCKSTEP_CASES:
         dim = 2 ** n_qubits if mode == "direct" else 2 ** (n_qubits - 1)
-        systems, cfgs = [], []
+        # a large step makes the cost bounce, so the best iterate is not
+        # always the last
+        cfg = VqlsConfig(depth=depth, iterations=iterations, mode=mode, learning_rate=0.2)
+        systems, seeds = [], []
         for _ in range(batch):
             A = rng.uniform(-1, 1, (dim, dim)) + np.diag(rng.choice([-3.0, 3.0], dim))
             systems.append(build_system(A, rng.normal(size=dim), mode))
-            # a large step makes the cost bounce, so the best iterate is not
-            # always the last; seeds repeat across columns now and then
-            cfgs.append(VqlsConfig(depth=depth, iterations=iterations, mode=mode,
-                                   learning_rate=0.2, seed=int(rng.integers(4))))
-        results = train(systems, cfgs) if batch > 1 else [train(systems[0], cfgs[0])]
-        for b, (sys, cfg, result) in enumerate(zip(systems, cfgs, results)):
-            assert _training_bytes(result) == _training_bytes(train_serial(sys, cfg)), \
+            seeds.append(int(rng.integers(4)))   # seeds repeat across columns now and then
+        results = (train(systems, cfg, seeds) if batch > 1
+                   else [train(systems[0], replace(cfg, seed=seeds[0]))])
+        for b, (sys, seed, result) in enumerate(zip(systems, seeds, results)):
+            assert (_training_bytes(result)
+                    == _training_bytes(train_serial(sys, replace(cfg, seed=seed)))), \
                 (n_qubits, batch, b)
+
+
+def test_heat_precond_arm_keeps_the_first_of_tied_minima():
+    # The exact ILU of the rod starts the precond arm at the solution, so its
+    # cost clamps to 0.0 on many iterates; the best iterate is the first.
+    A, b = poisson_1d(16)
+    sys = build_system(*preconditioned_system(A, b, ilu0(A)), "direct")
+    cfg = VqlsConfig(depth=0, iterations=1500, mode="direct", seed=1)
+    result = train(sys, cfg)
+    assert np.count_nonzero(result.costs == 0.0) > 1
+    assert result.best_iteration == np.flatnonzero(result.costs == 0.0)[0]
+    assert _training_bytes(result) == _training_bytes(train_serial(sys, cfg))
 
 
 def test_adam_first_step_zero_gradient():
@@ -246,7 +258,7 @@ def test_train_converges_on_identity_system():
     cfg = VqlsConfig(depth=1, iterations=2000, mode="direct", seed=3)
     result = train(sys, cfg)
     assert result.final_cost < 1e-6
-    assert [t.iteration for t in result.trace] == list(range(2001))   # every step
+    assert len(result.costs) == len(result.grad_norms) == 2001   # every step
 
 
 def test_train_deterministic():
@@ -255,8 +267,8 @@ def test_train_deterministic():
     sys = build_system(A, rng.normal(size=4), "hermitized")
     cfg = VqlsConfig(depth=2, iterations=50, seed=5)
     r1, r2 = train(sys, cfg), train(sys, cfg)
-    assert [t.cost for t in r1.trace] == [t.cost for t in r2.trace]
-    assert [t.grad_norm for t in r1.trace] == [t.grad_norm for t in r2.trace]
+    np.testing.assert_array_equal(r1.costs, r2.costs)
+    np.testing.assert_array_equal(r1.grad_norms, r2.grad_norms)
     np.testing.assert_array_equal(r1.params.theta, r2.params.theta)
 
 
@@ -266,9 +278,8 @@ def test_train_min_so_far_improves():
     sys = build_system(A, rng.normal(size=8), "direct")
     cfg = VqlsConfig(depth=2, iterations=400, mode="direct", seed=1)
     result = train(sys, cfg)
-    cost_at_100 = next(t.cost for t in result.trace if t.iteration == 100)
-    assert result.best_cost <= cost_at_100
-    assert result.best_cost <= result.trace[0].cost
+    assert result.best_cost <= result.costs[100]
+    assert result.best_cost <= result.costs[0]
 
 
 def test_residuals_exact_and_sign_flip():
