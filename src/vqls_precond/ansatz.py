@@ -1,9 +1,11 @@
 """Exact real-amplitude statevector simulation of the RY/CNOT ansatz.
 
-Layer layout: one initial RY layer (row 0 of the angle table), then D blocks
-of [CNOT chain over adjacent qubits, RY layer]. Parameters flatten row-major
-as layer * n_qubits + qubit, and that order is shared by gradients and the
-optimizer state. Gates are orthogonal maps on real amplitudes, so no complex
+Layer layout: one initial RY layer (row 0 of the angle array), then D blocks
+of [CNOT chain over adjacent qubits, RY layer]. Angles live in one array,
+``theta[d, q]`` for layer d and qubit q: shape (D+1, n) for one circuit and
+(D+1, n, B) for B circuits side by side, where ``theta[d, q]`` is the (B,)
+vector of that gate's angles. Gradients and the optimizer state use the
+same layout. Gates are orthogonal maps on real amplitudes, so no complex
 storage is ever needed.
 
 The kernels operate on amplitude arrays of shape (2**n, batch), one column
@@ -24,37 +26,22 @@ import numpy as np
 
 @dataclass
 class AnsatzParams:
-    """Rotation angles for an n-qubit, depth-D circuit: shape (D+1, n)."""
+    """Rotation angles of one circuit, (D+1, n), or of B lockstep circuits, (D+1, n, B)."""
 
-    n_qubits: int
-    depth: int
     theta: np.ndarray
 
     def __post_init__(self):
         self.theta = np.asarray(self.theta, dtype=float)
-        if self.theta.shape != (self.depth + 1, self.n_qubits):
-            raise ValueError(
-                f"theta shape {self.theta.shape} != ({self.depth + 1}, {self.n_qubits})")
+        if self.theta.ndim not in (2, 3) or 0 in self.theta.shape:
+            raise ValueError(f"theta shape {self.theta.shape} is not (D+1, n) or (D+1, n, B)")
 
-    def flat(self) -> np.ndarray:
-        return self.theta.ravel().copy()
+    @property
+    def depth(self) -> int:
+        return self.theta.shape[0] - 1
 
-
-@dataclass
-class AngleTable:
-    """Angles of B circuits of one shape, side by side.
-
-    ``table`` has shape (P, B) with P = n_qubits * (depth + 1); column b is
-    circuit b's angles in the ``AnsatzParams.flat()`` order.
-    """
-
-    n_qubits: int
-    depth: int
-    table: np.ndarray
-
-    def column(self, b: int) -> AnsatzParams:
-        return AnsatzParams(self.n_qubits, self.depth,
-                            self.table[:, b].reshape(self.depth + 1, self.n_qubits).copy())
+    @property
+    def n_qubits(self) -> int:
+        return self.theta.shape[1]
 
 
 def _ry_kernel(amps: np.ndarray, qubit: int, angle) -> None:
@@ -107,41 +94,39 @@ def _cnot_chain(n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
     return forward[:, 0], inverse[:, 0]
 
 
-def _run_circuit(theta_cols: np.ndarray, n_qubits: int, depth: int,
-                 initial: np.ndarray) -> np.ndarray:
-    """Apply the full ansatz for every angle column.
+def _run_circuit(theta: np.ndarray, initial: np.ndarray) -> np.ndarray:
+    """Apply the full ansatz to every column.
 
-    theta_cols has shape (P, batch) with P = n_qubits * (depth + 1); column b
-    of the returned (dim, batch) array is the circuit run with angle set b.
-    ``initial`` is one (dim,) start shared by every column, or a (dim, batch)
-    array of per-column starts.
+    ``theta`` has shape (D+1, n, batch) and ``initial`` shape (2**n, batch):
+    column b of the returned (2**n, batch) array is the circuit with angles
+    ``theta[..., b]`` run from start ``initial[:, b]``.
     """
-    n_params, batch = theta_cols.shape
-    if n_params != n_qubits * (depth + 1):
-        raise ValueError("angle table does not match circuit size")
-    amps = np.empty((len(initial), batch))
-    amps[:] = initial.reshape(len(initial), -1)
+    n_qubits = theta.shape[1]
+    amps = np.array(initial, dtype=float, order="C")
     for q in range(n_qubits):
-        _ry_kernel(amps, q, theta_cols[q])
+        _ry_kernel(amps, q, theta[0, q])
     chain, _ = _cnot_chain(n_qubits)
-    for d in range(1, depth + 1):
+    for d in range(1, theta.shape[0]):
         amps = amps[chain]
         for q in range(n_qubits):
-            _ry_kernel(amps, q, theta_cols[d * n_qubits + q])
+            _ry_kernel(amps, q, theta[d, q])
     return amps
 
 
 def prepare_state(params: AnsatzParams, initial: np.ndarray) -> np.ndarray:
     """V(theta) applied to the (2**n,) amplitudes ``initial``, as a new array.
 
-    Row 0 of the angle table is the leading RY layer; each of the D blocks
-    that follow is the ascending CNOT chain (control q, target q+1) and
-    another RY layer.
+    Row 0 of the (D+1, n) angle array is the leading RY layer; each of the D
+    blocks that follow is the ascending CNOT chain (control q, target q+1)
+    and another RY layer.
     """
+    if params.theta.ndim != 2:
+        raise ValueError(f"prepare_state takes one circuit's (D+1, n) angles, "
+                         f"got shape {params.theta.shape}")
     initial = np.asarray(initial, dtype=float)
     if initial.shape != (2 ** params.n_qubits,):
         raise ValueError(f"initial state length {initial.shape} != 2^{params.n_qubits}")
-    return _run_circuit(params.flat()[:, None], params.n_qubits, params.depth, initial)[:, 0]
+    return _run_circuit(params.theta[:, :, None], initial[:, None])[:, 0]
 
 
 @lru_cache(maxsize=None)
@@ -158,26 +143,27 @@ def _flip_tables(n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
     return flip, sign
 
 
-def _adjoint_pass(angles: AngleTable, states: np.ndarray,
+def _adjoint_pass(angles: AnsatzParams, states: np.ndarray,
                   adjoints: np.ndarray) -> np.ndarray:
-    """(P, B) angle gradients: column b is sum_i adjoints[i, b] * d states[i, b] / d angles.
+    """(D+1, n, B) angle gradients: [..., b] is sum_i adjoints[i, b] * d states[i, b] / d angles.
 
-    ``states`` holds the B circuit outputs and ``adjoints`` the costs'
-    derivatives with respect to them, both (dim, B). Walking layers D..0,
-    the RYs of a layer commute, so all n derivatives of layer d are
-    0.5 * adjoint^T J_q state at that point of the circuit: one gather for
-    every column, then one matrix-vector product per column. The states and
-    adjoints are then carried back through the layer together in one
-    (dim, 2B) buffer: RY with negated angles, then the inverse CNOT
-    permutation.
+    ``angles`` holds the B circuits' (D+1, n, B) angles, ``states`` their
+    outputs and ``adjoints`` the costs' derivatives with respect to them,
+    both (dim, B). Walking layers D..0, the RYs of a layer commute, so all n
+    derivatives of layer d are 0.5 * adjoint^T J_q state at that point of
+    the circuit: one gather for every column, then one matrix-vector product
+    per column. The states and adjoints are then carried back through the
+    layer together in one (dim, 2B) buffer: RY with negated angles, then the
+    inverse CNOT permutation.
     """
-    n_qubits, batch = angles.n_qubits, angles.table.shape[1]
+    theta = angles.theta
+    n_layers, n_qubits, batch = theta.shape
     flip, sign = _flip_tables(n_qubits)
     _, inverse = _cnot_chain(n_qubits)
-    undo = -np.concatenate((angles.table, angles.table), axis=1)
+    undo = -np.concatenate((theta, theta), axis=2)
     buf = np.concatenate((states, adjoints), axis=1)
-    grad = np.empty((angles.depth + 1, n_qubits, batch))
-    for d in range(angles.depth, -1, -1):
+    grad = np.empty((n_layers, n_qubits, batch))
+    for d in range(n_layers - 1, -1, -1):
         # (B, n, dim) @ (B, dim, 1) on C-ordered operands: per column, the
         # same BLAS product as a one-column walk. A strided operand may be
         # summed in another order.
@@ -187,6 +173,6 @@ def _adjoint_pass(angles: AngleTable, states: np.ndarray,
         if d == 0:
             break
         for q in range(n_qubits):
-            _ry_kernel(buf, q, undo[d * n_qubits + q])
+            _ry_kernel(buf, q, undo[d, q])
         buf = buf[inverse]
-    return grad.reshape(-1, batch)
+    return grad

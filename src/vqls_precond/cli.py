@@ -4,7 +4,8 @@
                  [--profile ci|paper] [--seed S] [--depth D] [--out DIR]
                  [--no-precond] [--dump-matrix]
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure.
+Exit codes: 0 success, 2 configuration error or an output directory that
+cannot be created, 3 numerical failure.
 Precedence: profile defaults < config file < explicit flags.
 """
 
@@ -20,8 +21,8 @@ import numpy as np
 
 from .dense import SingularMatrixError
 from .embedding import DegenerateBlockError
-from .experiments import (ExperimentConfig, NoFactorableInstanceError, ci_profile,
-                          paper_profile, run)
+from .experiments import (ExperimentConfig, NoFactorableInstanceError, OutputDirError,
+                          ci_profile, paper_profile, run)
 from .ilu import ZeroPivotError
 from .vqls import DegenerateOperatorError, DivergedError
 
@@ -91,6 +92,9 @@ def main(argv=None) -> int:
         return 2
     try:
         artifacts = run(cfg)
+    except OutputDirError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return 2
     except _NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

@@ -137,6 +137,10 @@ class NoFactorableInstanceError(RuntimeError):
     """Every draw within MAX_SKIP_ATTEMPTS seeds hit a zero pivot."""
 
 
+class OutputDirError(OSError):
+    """The output directory could not be created; nothing was written."""
+
+
 @dataclass
 class SeedStatus:
     requested: int
@@ -204,8 +208,8 @@ def solve_instance(A: CsrMatrix, b: np.ndarray, factors: IluFactors,
     """Train every arm on one instance; returns (x_exact, {arm name: ArmResult})."""
     x_exact = lu_solve(A.to_dense(), b)
     systems = _embedded_arms(A, b, factors, cfg)
-    trained = train(list(systems.values()), replace(cfg.vqls, seed=seed),
-                    labels=[f"seed {seed}, arm {name}" for name in systems])
+    trained = train(list(systems.values()), cfg.vqls, [seed] * len(systems),
+                    [f"seed {seed}, arm {name}" for name in systems])
     return x_exact, {name: ArmResult(result=result,
                                      x_final=_unit_solution(sys, result.params, A.n),
                                      x_best=_unit_solution(sys, result.best_params, A.n))
@@ -421,10 +425,14 @@ def run(cfg: ExperimentConfig) -> list:
     """Run cfg's command into cfg.output_dir; returns the files written, manifest last.
 
     The command writes its outputs into the directory and returns
-    (seed statuses, file names); the manifest then records both.
+    (seed statuses, file names); the manifest then records both. Raises
+    OutputDirError if the directory cannot be created.
     """
     out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise OutputDirError(f"cannot create output directory {out}: {exc.strerror}") from exc
     statuses, artifacts = COMMANDS[cfg.kind](cfg, out)
     _write_manifest(out, cfg, statuses, artifacts)
     return artifacts + ["manifest.json"]

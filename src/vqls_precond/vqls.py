@@ -18,12 +18,12 @@ oracle this gradient is checked against.
 
 Training is lockstep: ``train`` moves B (system, seed) columns under one
 config with one forward pass over a (dim, B) buffer, one adjoint walk over
-a (dim, 2B) buffer and one Adam step on the (P, B) angle table per
-iteration. A step costs about three circuit passes over its B columns,
-linear in depth, and pays the per-gate Python overhead once for all of
-them. Each column's operator is applied on its own, so every column's
-numbers are bit for bit those of training it alone; a single system is the
-B = 1 case.
+a (dim, 2B) buffer and one Adam step on the (D+1, n, B) angle array per
+iteration; the gradients share that layout. A step costs about three
+circuit passes over its B columns, linear in depth, and pays the per-gate
+Python overhead once for all of them. Each column's operator is applied on
+its own, so every column's numbers are bit for bit those of training it
+alone; a single system is the B = 1 case.
 
 The protocol is fixed apart from what ``VqlsConfig`` carries: angles start
 uniform on [-INIT_SCALE, INIT_SCALE], Adam keeps the standard moments of
@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ansatz import AngleTable, AnsatzParams, _adjoint_pass, _run_circuit
+from .ansatz import AnsatzParams, _adjoint_pass, _run_circuit
 from .embedding import QuantumSystem
 from .sparse import STREAM_THETA, _rng
 
@@ -79,6 +79,8 @@ class VqlsConfig:
     preconditioned: bool = True
 
     def __post_init__(self):
+        if not _is_int(self.seed) or self.seed < 0:
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
         if not _is_int(self.depth) or self.depth < 0:
             raise ValueError(f"depth must be an integer >= 0, got {self.depth!r}")
         if not _is_int(self.iterations) or self.iterations < 1:
@@ -93,8 +95,8 @@ class VqlsConfig:
 class TrainResult:
     """One column's run; row t of each history is the state after t Adam steps."""
 
-    params: AnsatzParams          # final iterate
-    best_params: AnsatzParams     # first minimum-cost iterate
+    params: AnsatzParams          # final iterate, (D+1, n)
+    best_params: AnsatzParams     # first minimum-cost iterate, (D+1, n)
     costs: np.ndarray             # (T+1,)
     grad_norms: np.ndarray        # (T+1,)
     elapsed: np.ndarray           # (T+1,) seconds since the start, shared by all columns
@@ -150,16 +152,15 @@ def _cost_from_state(x: np.ndarray, sys: QuantumSystem):
     return c, g, h, y
 
 
-def cost_and_grad(angles: AngleTable, systems: list[QuantumSystem]):
-    """(costs (B,), gradients (P, B)) of B columns: angle column b on systems[b].
+def cost_and_grad(angles: AnsatzParams, systems: list[QuantumSystem]):
+    """(costs (B,), gradients (D+1, n, B)) of B columns: angles[..., b] on systems[b].
 
-    One forward pass runs every column from its own right-hand side; the
-    seed of the adjoint walk is mu = dC/dx = op^T (-(2g/h) rhs + (2g^2/h^2)
-    op x), formed column by column with that column's operator. Gradient
-    rows are flattened layer * n_qubits + qubit.
+    ``angles`` holds (D+1, n, B) angles, and the gradients come back in the
+    same layout. One forward pass runs every column from its own right-hand
+    side; the seed of the adjoint walk is mu = dC/dx = op^T (-(2g/h) rhs +
+    (2g^2/h^2) op x), formed column by column with that column's operator.
     """
-    states = _run_circuit(angles.table, angles.n_qubits, angles.depth,
-                          np.column_stack([sys.rhs_state for sys in systems]))
+    states = _run_circuit(angles.theta, np.column_stack([sys.rhs_state for sys in systems]))
     costs = np.empty(len(systems))
     adjoints = np.empty_like(states)
     for b, (x, sys) in enumerate(zip(states.T.copy(), systems)):
@@ -172,13 +173,13 @@ def cost_and_grad(angles: AngleTable, systems: list[QuantumSystem]):
     return costs, _adjoint_pass(angles, states, adjoints)
 
 
-def _checked_step(angles: AngleTable, systems: list, iteration: int, labels: list):
+def _checked_step(angles: AnsatzParams, systems: list, iteration: int, labels: list):
     try:
         costs, grads = cost_and_grad(angles, systems)
     except DegenerateOperatorError as exc:
         raise DegenerateOperatorError(
             f"{exc} at iteration {iteration} in {labels[exc.column]}") from exc
-    finite = np.isfinite(costs) & np.isfinite(grads).all(axis=0)
+    finite = np.isfinite(costs) & np.isfinite(grads).all(axis=(0, 1))
     if not finite.all():
         raise DivergedError(f"non-finite cost or gradient at iteration {iteration} "
                             f"in {labels[int(np.argmin(finite))]}")
@@ -213,33 +214,31 @@ def train(systems, cfg: VqlsConfig, seeds=None, labels=None):
     if labels is None:
         labels = [f"column {b} (seed {seed})" for b, seed in enumerate(seeds)]
 
-    n_params = n_qubits * (cfg.depth + 1)
-    table = np.column_stack([_rng(seed, STREAM_THETA).uniform(-INIT_SCALE, INIT_SCALE, n_params)
-                             for seed in seeds])
+    shape = (cfg.depth + 1, n_qubits)
+    theta = np.stack([_rng(seed, STREAM_THETA).uniform(-INIT_SCALE, INIT_SCALE, shape)
+                      for seed in seeds], axis=-1)
     adam = Adam(cfg.learning_rate)
     costs = np.empty((cfg.iterations + 1, n_cols))
     grad_norms = np.empty((cfg.iterations + 1, n_cols))
     elapsed = np.empty(cfg.iterations + 1)
-    best_costs, best_table = np.full(n_cols, np.inf), table
+    best_costs, best_theta = np.full(n_cols, np.inf), theta
 
     t0 = time.perf_counter()
     for it in range(cfg.iterations + 1):
         if it:
-            table = adam.step(table, grads)
-        costs[it], grads = _checked_step(AngleTable(n_qubits, cfg.depth, table),
-                                         systems, it, labels)
+            theta = adam.step(theta, grads)
+        costs[it], grads = _checked_step(AnsatzParams(theta), systems, it, labels)
         for b in range(n_cols):
-            grad_norms[it, b] = np.linalg.norm(grads[:, b])
+            grad_norms[it, b] = np.linalg.norm(grads[:, :, b])
         better = costs[it] < best_costs
         if better.any():
             best_costs = np.where(better, costs[it], best_costs)
-            best_table = np.where(better, table, best_table)
+            best_theta = np.where(better, theta, best_theta)
         elapsed[it] = time.perf_counter() - t0
 
-    final = AngleTable(n_qubits, cfg.depth, table)
-    best = AngleTable(n_qubits, cfg.depth, best_table)
-    return [TrainResult(params=final.column(b), best_params=best.column(b), costs=costs[:, b],
-                        grad_norms=grad_norms[:, b], elapsed=elapsed)
+    return [TrainResult(params=AnsatzParams(theta[:, :, b].copy()),
+                        best_params=AnsatzParams(best_theta[:, :, b].copy()),
+                        costs=costs[:, b], grad_norms=grad_norms[:, b], elapsed=elapsed)
             for b in range(n_cols)]
 
 

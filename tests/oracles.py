@@ -7,7 +7,8 @@ the RY(a/2) convention the state is a frequency-1/2 trig polynomial in each
 angle while quadratic functionals are frequency-1, so the exact +-pi/2 shift
 divisors differ: 2 sqrt(2) for the linear overlap g and 2 for the quadratic
 norm h. The batched form runs all 2P + 1 preparations of one gradient as a
-single circuit pass.
+single circuit pass. Angle j is entry j of the (D+1, n) angle array read
+row-major, j = layer * n + qubit.
 
 IKJ ILU(0). ``ilu0_ikj`` is the row-by-row sparse elimination that the
 dense right-looking ``ilu.ilu0`` replaced. It touches only stored positions,
@@ -16,10 +17,10 @@ must reproduce its factors bit for bit and its zero pivots row for row.
 
 Serial training. ``train_serial`` is the one-system training loop that
 lockstep ``vqls.train`` replaced: one column per circuit pass, the CNOT
-chain gate by gate, a two-column adjoint walk and Adam on a flat angle
-vector. Lockstep training must reproduce every column's numbers bit for
-bit. ``cost_and_grad_one`` runs the production step on a single column,
-and ``cost`` gives the one-state cost at given angles.
+chain gate by gate, a two-column adjoint walk and Adam on one circuit's
+(D+1, n) angles. Lockstep training must reproduce every column's numbers
+bit for bit. ``cost_and_grad_one`` runs the production step on a single
+column, and ``cost`` gives the one-state cost at given angles.
 
 Pauli sums. ``pauli_decompose`` expands a real symmetric operator over
 Pauli words and ``cost_via_decomposition`` assembles the cost term by term,
@@ -34,8 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from vqls_precond.ansatz import (AngleTable, AnsatzParams, _cnot_kernel, _flip_tables,
-                                 _ry_kernel, _run_circuit, prepare_state)
+from vqls_precond.ansatz import (AnsatzParams, _cnot_kernel, _flip_tables, _ry_kernel,
+                                 _run_circuit, prepare_state)
 from vqls_precond.embedding import QuantumSystem
 from vqls_precond.ilu import PIVOT_FLOOR, IluFactors, ZeroPivotError
 from vqls_precond.sparse import STREAM_THETA, CsrMatrix
@@ -66,16 +67,10 @@ def csr_from_dense(A, keep_zeros: bool = False) -> CsrMatrix:
     return CsrMatrix.from_mask(mask, A[mask])
 
 
-def with_flat(params: AnsatzParams, flat) -> AnsatzParams:
-    """params' circuit shape with the flattened angles ``flat``."""
-    return AnsatzParams(params.n_qubits, params.depth, np.reshape(flat, params.theta.shape))
-
-
 def random_params(n_qubits: int, depth: int, scale: float,
                   rng: np.random.Generator) -> AnsatzParams:
     """Angles drawn uniform on [-scale, scale], row-major over the (depth + 1, n) table."""
-    return AnsatzParams(n_qubits, depth,
-                        rng.uniform(-scale, scale, size=(depth + 1, n_qubits)))
+    return AnsatzParams(rng.uniform(-scale, scale, size=(depth + 1, n_qubits)))
 
 
 def cost(params: AnsatzParams, sys: QuantumSystem) -> float:
@@ -88,9 +83,9 @@ def shifted_state(params: AnsatzParams, index: int, shift: float,
     """prepare_state with one flattened angle replaced by theta_j + shift."""
     if not 0 <= index < params.theta.size:
         raise IndexError(f"parameter index {index} out of range ({params.theta.size} params)")
-    flat = params.flat()
-    flat[index] += shift
-    return prepare_state(with_flat(params, flat), initial)
+    theta = params.theta.copy()
+    theta.flat[index] += shift
+    return prepare_state(AnsatzParams(theta), initial)
 
 
 def shift_rule_tangent(params: AnsatzParams, index: int,
@@ -105,15 +100,16 @@ def shift_rule_tangent(params: AnsatzParams, index: int,
     return (plus - minus) / (2.0 * SQRT2)
 
 
-def shift_columns(flat: np.ndarray) -> np.ndarray:
-    """(P, 2P + 1) angle table: column 0 unshifted, columns 2j+1 / 2j+2 shift
-    angle j by +pi/2 / -pi/2."""
-    n_params = len(flat)
-    cols = np.repeat(flat[:, None], 2 * n_params + 1, axis=1)
+def shift_states(params: AnsatzParams, initial: np.ndarray) -> np.ndarray:
+    """(dim, 2P + 1) states from one circuit pass: column 0 unshifted, columns
+    2j+1 / 2j+2 with angle j shifted by +pi/2 / -pi/2."""
+    n_params = params.theta.size
+    cols = np.repeat(params.theta.reshape(n_params, 1), 2 * n_params + 1, axis=1)
     idx = np.arange(n_params)
     cols[idx, 2 * idx + 1] += np.pi / 2
     cols[idx, 2 * idx + 2] -= np.pi / 2
-    return cols
+    theta = cols.reshape(params.theta.shape + (2 * n_params + 1,))
+    return _run_circuit(theta, np.repeat(initial[:, None], 2 * n_params + 1, axis=1))
 
 
 def shift_rule_cost_and_grad(params: AnsatzParams, sys: QuantumSystem):
@@ -123,8 +119,7 @@ def shift_rule_cost_and_grad(params: AnsatzParams, sys: QuantumSystem):
         dh_j = (h+ - h-) / 2                 (h quadratic in the state)
         dC_j = -(2 g h dg_j - g^2 dh_j) / h^2
     """
-    states = _run_circuit(shift_columns(params.flat()), params.n_qubits, params.depth,
-                          sys.rhs_state)
+    states = shift_states(params, sys.rhs_state)
     y = sys.op @ states
     g_all = sys.rhs_state @ y
     h_all = np.einsum("ib,ib->b", y, y)
@@ -132,27 +127,27 @@ def shift_rule_cost_and_grad(params: AnsatzParams, sys: QuantumSystem):
     dg = (g_all[1::2] - g_all[2::2]) / (2.0 * SQRT2)
     dh = (h_all[1::2] - h_all[2::2]) / 2.0
     grad = -(2.0 * g * h * dg - g * g * dh) / (h * h)
-    return 1.0 - g * g / h, grad
+    return 1.0 - g * g / h, grad.reshape(params.theta.shape)
 
 
 def cost_and_grad_one(params: AnsatzParams, sys: QuantumSystem):
-    """(cost, flat gradient) of one column through the production lockstep step."""
-    costs, grads = cost_and_grad(
-        AngleTable(params.n_qubits, params.depth, params.flat()[:, None]), [sys])
-    return float(costs[0]), grads[:, 0]
+    """(cost, (D+1, n) gradient) of one column through the production lockstep step."""
+    costs, grads = cost_and_grad(AnsatzParams(params.theta[:, :, None]), [sys])
+    return float(costs[0]), grads[:, :, 0]
 
 
-def run_circuit_serial(theta_cols: np.ndarray, n_qubits: int, depth: int,
-                       initial: np.ndarray) -> np.ndarray:
-    """The ansatz from one shared (dim,) start, the CNOT chain gate by gate."""
-    amps = np.repeat(initial[:, None], theta_cols.shape[1], axis=1)
+def run_circuit_serial(theta: np.ndarray, initial: np.ndarray) -> np.ndarray:
+    """The ansatz for (D+1, n, B) angles from one shared (dim,) start, the CNOT
+    chain gate by gate."""
+    n_layers, n_qubits, batch = theta.shape
+    amps = np.repeat(initial[:, None], batch, axis=1)
     for q in range(n_qubits):
-        _ry_kernel(amps, q, theta_cols[q])
-    for d in range(1, depth + 1):
+        _ry_kernel(amps, q, theta[0, q])
+    for d in range(1, n_layers):
         for q in range(n_qubits - 1):
             _cnot_kernel(amps, q, q + 1)
         for q in range(n_qubits):
-            _ry_kernel(amps, q, theta_cols[d * n_qubits + q])
+            _ry_kernel(amps, q, theta[d, q])
     return amps
 
 
@@ -170,13 +165,12 @@ def _adjoint_pass_serial(theta: np.ndarray, state: np.ndarray,
             _ry_kernel(buf, q, -theta[d, q])
         for q in range(n_qubits - 2, -1, -1):
             _cnot_kernel(buf, q, q + 1)
-    return grad.ravel()
+    return grad
 
 
 def cost_and_grad_serial(params: AnsatzParams, sys: QuantumSystem):
     """(cost, gradient) of one system from a one-column pass and a two-column walk."""
-    x = run_circuit_serial(params.flat()[:, None], params.n_qubits, params.depth,
-                            sys.rhs_state)[:, 0]
+    x = run_circuit_serial(params.theta[:, :, None], sys.rhs_state)[:, 0]
     c, g, h, y = _cost_from_state(x, sys)
     mu = (-2.0 * g / h * sys.rhs_state + 2.0 * g * g / (h * h) * y) @ sys.op
     return c, _adjoint_pass_serial(params.theta, x, mu)
@@ -200,10 +194,8 @@ def train_serial(sys: QuantumSystem, cfg) -> TrainResult:
     costs, grad_norms, elapsed = [c], [float(np.linalg.norm(grad))], [time.perf_counter() - t0]
     best_cost, best_params = c, params
 
-    flat = params.flat()
     for it in range(1, cfg.iterations + 1):
-        flat = adam.step(flat, grad)
-        params = with_flat(params, flat)
+        params = AnsatzParams(adam.step(params.theta, grad))
         c, grad = _checked_step_serial(params, sys, it)
         if c < best_cost:
             best_cost, best_params = c, params

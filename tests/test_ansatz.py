@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from oracles import (random_params, run_circuit_serial, shift_columns, shift_rule_tangent,
-                     shifted_state, with_flat)
+from oracles import (random_params, run_circuit_serial, shift_rule_tangent, shift_states,
+                     shifted_state)
 from vqls_precond.ansatz import (AnsatzParams, _cnot_chain, _cnot_kernel, _ry_kernel,
                                  _run_circuit, prepare_state)
 
@@ -89,16 +89,28 @@ def test_run_circuit_columns_match_gate_by_gate_runs():
     # apply the CNOT chain gate by gate
     rng = np.random.default_rng(21)
     for n, depth, batch in ((1, 2, 3), (3, 0, 2), (4, 3, 5), (8, 6, 4)):
-        table = rng.uniform(-np.pi, np.pi, (n * (depth + 1), batch))
+        theta = rng.uniform(-np.pi, np.pi, (depth + 1, n, batch))
         starts = rng.normal(size=(2 ** n, batch))
-        out = _run_circuit(table, n, depth, starts)
+        out = _run_circuit(theta, starts)
         for b in range(batch):
-            one = run_circuit_serial(table[:, b:b + 1], n, depth, starts[:, b])[:, 0]
+            one = run_circuit_serial(theta[:, :, b:b + 1], starts[:, b])[:, 0]
             assert out[:, b].tobytes() == one.tobytes()
 
 
+def test_angle_array_fixes_the_circuit_shape():
+    single = AnsatzParams(np.zeros((3, 4)))
+    assert (single.depth, single.n_qubits) == (2, 4)
+    batched = AnsatzParams(np.zeros((1, 5, 7)))
+    assert (batched.depth, batched.n_qubits) == (0, 5)
+    for bad in (np.zeros(4), np.zeros((0, 3)), np.zeros((2, 3, 4, 1))):
+        with pytest.raises(ValueError, match="theta shape"):
+            AnsatzParams(bad)
+    with pytest.raises(ValueError, match="one circuit"):
+        prepare_state(AnsatzParams(np.zeros((2, 2, 1))), zero_state(2))
+
+
 def test_prepare_state_zero_angles():
-    params = AnsatzParams(3, 2, np.zeros((3, 3)))
+    params = AnsatzParams(np.zeros((3, 3)))
     out = prepare_state(params, zero_state(3))
     np.testing.assert_array_equal(out, zero_state(3))
     with pytest.raises(ValueError, match="length"):
@@ -107,7 +119,7 @@ def test_prepare_state_zero_angles():
 
 def test_prepare_state_single_qubit_closed_form():
     t0, t1 = 0.7, -0.3
-    params = AnsatzParams(1, 1, np.array([[t0], [t1]]))
+    params = AnsatzParams(np.array([[t0], [t1]]))
     out = prepare_state(params, zero_state(1))
     np.testing.assert_allclose(out, [np.cos((t0 + t1) / 2), np.sin((t0 + t1) / 2)],
                                atol=1e-15)
@@ -115,7 +127,7 @@ def test_prepare_state_single_qubit_closed_form():
 
 def test_prepare_state_hand_traced_two_qubits():
     theta = np.array([[np.pi, 0.0], [0.0, 0.0]])
-    out = prepare_state(AnsatzParams(2, 1, theta), zero_state(2))
+    out = prepare_state(AnsatzParams(theta), zero_state(2))
     np.testing.assert_allclose(out, [0.0, 0.0, 0.0, 1.0], atol=1e-16)
 
 
@@ -140,7 +152,7 @@ def test_prepare_state_is_orthogonal_map():
 
 
 def test_shifted_state_examples():
-    params = AnsatzParams(1, 0, np.zeros((1, 1)))
+    params = AnsatzParams(np.zeros((1, 1)))
     plus = shifted_state(params, 0, np.pi / 2, zero_state(1))
     np.testing.assert_allclose(plus, [np.cos(np.pi / 4), np.sin(np.pi / 4)],
                                atol=1e-15)
@@ -152,10 +164,10 @@ def test_shift_up_then_down_restores():
     rng = np.random.default_rng(5)
     params = random_params(3, 2, 0.5, rng)
     init = random_state(3, rng)
-    flat = params.flat()
-    flat[4] += np.pi / 2
-    flat[4] -= np.pi / 2
-    np.testing.assert_array_equal(prepare_state(with_flat(params, flat), init),
+    theta = params.theta.copy()
+    theta.flat[4] += np.pi / 2
+    theta.flat[4] -= np.pi / 2
+    np.testing.assert_array_equal(prepare_state(AnsatzParams(theta), init),
                                   prepare_state(params, init))
 
 
@@ -177,7 +189,7 @@ def test_batched_kernel_matches_sequential_shifts():
     n, depth = 3, 2
     params = random_params(n, depth, 0.7, rng)
     init = random_state(n, rng)
-    batch = _run_circuit(shift_columns(params.flat()), n, depth, init)
+    batch = shift_states(params, init)
     np.testing.assert_array_equal(batch[:, 0], prepare_state(params, init))
     for j in range(params.theta.size):
         plus = shifted_state(params, j, +np.pi / 2, init)

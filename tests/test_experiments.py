@@ -332,12 +332,16 @@ def test_cli_config_error_exit_code(tmp_path):
     ("solve", {"vqls": {"depth": True}}, ["--profile", "ci"]),
     ("heat", {"vqls": {"learning_rate": float("nan")}}, ["--profile", "ci"]),
     ("heat", {"vqls": {"learning_rate": float("inf")}}, ["--profile", "ci"]),
+    ("heat", {"vqls": {"seed": -3}}, ["--profile", "ci"]),
+    ("heat", {"vqls": {"seed": 1.5}}, ["--profile", "ci"]),
+    ("solve", {"vqls": {"seed": True}}, ["--profile", "ci"]),
 ], ids=["density-too-low", "sweep-one-seed", "negative-depth", "n-not-int",
         "repeated-seed", "heat-no-nodes", "heat-rod-length-zero", "trace-every",
         "adam-beta1", "instance", "diag-offset", "seed-flag-negative", "seed-negative",
         "heat-rod-length-nan", "heat-rod-length-inf", "heat-rate-zero", "heat-rate-nan", "heat-rate-inf", "heat-rate-string",
         "heat-rate-bool", "iterations-float", "iterations-bool", "depth-float", "depth-bool",
-        "learning-rate-nan", "learning-rate-inf"])
+        "learning-rate-nan", "learning-rate-inf", "vqls-seed-negative", "vqls-seed-float",
+        "vqls-seed-bool"])
 def test_bad_config_exits_2_before_any_work(tmp_path, capsys, command, config, flags):
     if config is not None:
         cfg_path = tmp_path / "cfg.json"
@@ -378,6 +382,29 @@ def test_no_precond_drops_exactly_the_precond_arm(tmp_path, command):
         assert not [col for col in columns if "precond" in col]
         two_arm = _columns(both / name)
         assert columns == {col: two_arm[col] for col in columns}
+
+
+def test_out_naming_an_existing_file_exits_2(tmp_path, capsys):
+    target = tmp_path / "taken"
+    target.write_text("keep me\n")
+    cfg_path = _write_tiny_config(tmp_path)
+    assert main(["solve", "--config", str(cfg_path), "--out", str(target)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and str(target) in err[0]
+    assert target.read_text() == "keep me\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["cfg.json", "taken"]
+
+
+def test_out_under_a_file_exits_2(tmp_path, capsys):
+    parent = tmp_path / "taken"
+    parent.write_text("keep me\n")
+    out = parent / "run"
+    cfg_path = _write_tiny_config(tmp_path)
+    assert main(["solve", "--config", str(cfg_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and str(out) in err[0]
+    assert parent.read_text() == "keep me\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["cfg.json", "taken"]
 
 
 def test_cli_numerical_failure_exit_code(tmp_path, monkeypatch):
