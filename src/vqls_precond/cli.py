@@ -6,7 +6,10 @@
 
 Exit codes: 0 success, 2 configuration error or an output directory that
 cannot be created, 3 numerical failure.
-Precedence: profile defaults < config file < explicit flags.
+Precedence: profile < heat defaults < config file < flags, each a layer
+merged by ``experiments.load_config``. The config file holds a JSON object.
+Booleans, ``output_dir`` and every other field must have their declared
+types, and a heat run's right-hand side must be normalizable.
 """
 
 from __future__ import annotations
@@ -14,20 +17,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from .dense import SingularMatrixError
 from .embedding import DegenerateBlockError
-from .experiments import (ExperimentConfig, NoFactorableInstanceError, OutputDirError,
-                          ci_profile, paper_profile, run)
+from .experiments import (COMMANDS, PROFILES, ExperimentConfig, NoFactorableInstanceError,
+                          OutputDirError, load_config, run)
 from .ilu import ZeroPivotError
 from .vqls import DegenerateOperatorError, DivergedError
-
-_KINDS = {"solve": "solve", "sweep-depth": "sweep_depth",
-          "spectrum": "spectrum", "heat": "heat"}
 
 _NUMERICAL_ERRORS = (ZeroPivotError, SingularMatrixError, DegenerateBlockError,
                      DegenerateOperatorError, DivergedError, NoFactorableInstanceError,
@@ -40,10 +39,12 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Solve sparse linear systems with a simulated variational "
                     "quantum linear solver, with and without ILU(0) preconditioning.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _KINDS:
+    for kind in COMMANDS:
+        name = kind.replace("_", "-")
         p = sub.add_parser(name, help=f"run the {name} experiment")
+        p.set_defaults(kind=kind)
         p.add_argument("--config", help="JSON config file (fields override the profile)")
-        p.add_argument("--profile", choices=("ci", "paper"), default="paper",
+        p.add_argument("--profile", choices=sorted(PROFILES), default="paper",
                        help="built-in base configuration (default: paper)")
         p.add_argument("--seed", type=int, help="replace the seed list with this one seed")
         p.add_argument("--depth", type=int, help="override the ansatz depth")
@@ -56,38 +57,27 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args) -> ExperimentConfig:
-    kind = _KINDS[args.command]
-    base = ci_profile(kind) if args.profile == "ci" else paper_profile(kind)
-    if args.config:
-        data = json.loads(Path(args.config).read_text())
-        data.setdefault("kind", kind)
-        merged = base.to_dict()
-        vqls_overrides = data.pop("vqls", {})
-        merged.update(data)
-        merged["vqls"].update(vqls_overrides)
-        cfg = ExperimentConfig.from_dict(merged)
-    else:
-        cfg = base
-    if cfg.kind != kind:
-        raise ValueError(f"config kind {cfg.kind!r} does not match subcommand {args.command!r}")
+    """Read the config file and turn the flags into the last layer."""
+    file_layer = json.loads(Path(args.config).read_text()) if args.config else {}
+    flags = {}
     if args.seed is not None:
-        cfg = replace(cfg, seeds=[args.seed])
+        flags["seeds"] = [args.seed]
     if args.depth is not None:
-        cfg = replace(cfg, depths=[args.depth], vqls=replace(cfg.vqls, depth=args.depth))
+        flags.update(depths=[args.depth], vqls={"depth": args.depth})
     if args.out:
-        cfg = replace(cfg, output_dir=args.out)
+        flags["output_dir"] = args.out
     if args.no_precond:
-        cfg = replace(cfg, no_precond=True)
+        flags["no_precond"] = True
     if args.dump_matrix:
-        cfg = replace(cfg, dump_matrix=True)
-    return cfg
+        flags["dump_matrix"] = True
+    return load_config(args.kind, args.profile, file_layer, flags)
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _load_config(args)
-    except (ValueError, TypeError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:

@@ -14,16 +14,22 @@ to lay out its CSV columns; ``--no-precond`` drops the ``precond`` arm
 there. Training is lockstep (``vqls.train``): ``sweep-depth`` embeds every
 (seed, arm) system once and trains all of them together at each depth, in
 config order; ``solve`` and ``heat`` train their arms together.
+
+``load_config`` merges a run's config from dict layers: a ``PROFILES``
+entry, ``HEAT_LAYER`` for heat runs, then the caller's layers (the CLI's
+config file, then its flags).
 """
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import json
 import os
 import statistics
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from sys import float_info
 
 import numpy as np
 
@@ -34,10 +40,9 @@ from .embedding import build_system, extract_solution
 from .ilu import IluFactors, ZeroPivotError, ilu0, preconditioned_system
 from .sparse import (CsrMatrix, check_random_sparse, format_matrix_market, poisson_1d,
                      random_rhs, random_sparse)
-from .vqls import TrainResult, VqlsConfig, _is_int, aligned, residuals, train
+from .vqls import TrainResult, VqlsConfig, aligned, check_field_types, residuals, train
 
 DEFAULT_SEEDS = list(range(1, 11))   # the 10 committed paper-scale seeds
-CI_SEEDS = [1, 2, 3]                 # reduced profile for minutes-scale runs
 
 MAX_SKIP_ATTEMPTS = 100
 
@@ -54,8 +59,8 @@ class ExperimentConfig:
     kind: str = "solve"
     n: int = 128
     density: float = 0.2
-    seeds: list = field(default_factory=lambda: list(DEFAULT_SEEDS))
-    depths: list = field(default_factory=lambda: list(range(1, 21)))
+    seeds: list[int] = field(default_factory=lambda: list(DEFAULT_SEEDS))
+    depths: list[int] = field(default_factory=lambda: list(range(1, 21)))
     vqls: VqlsConfig = field(default_factory=VqlsConfig)
     output_dir: str = "results"
     heat_rate: float = 1.0        # uniform source strength f (heat runs)
@@ -64,69 +69,65 @@ class ExperimentConfig:
     dump_matrix: bool = False
 
     def __post_init__(self):
-        if self.kind not in ("solve", "sweep_depth", "spectrum", "heat"):
+        check_field_types(self)
+        if self.kind not in COMMANDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
-        if not _is_int(self.n) or self.n < 1:
-            raise ValueError(f"n must be an integer >= 1, got {self.n!r}")
-        if not self.seeds or not all(_is_int(s) and s >= 0 for s in self.seeds):
-            raise ValueError(f"seeds must be a non-empty list of integers >= 0, got {self.seeds}")
+        if self.n < 1 or min(self.seeds, default=-1) < 0 or min(self.depths, default=-1) < 0:
+            raise ValueError(f"need n >= 1 and non-empty seeds and depths >= 0, got n {self.n}, "
+                             f"seeds {self.seeds}, depths {self.depths}")
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError(f"seeds must be distinct, got {self.seeds}")
         if self.kind == "sweep_depth" and len(self.seeds) < 2:
             raise ValueError("the depth sweep needs at least 2 seeds")
-        if not self.depths or not all(_is_int(d) and d >= 0 for d in self.depths):
-            raise ValueError(f"depths must be a non-empty list of integers >= 0, "
-                             f"got {self.depths}")
         if self.kind != "heat":
             check_random_sparse(self.n, self.density)
-        if self.kind == "heat" and not (self.rod_length > 0 and np.isfinite(self.rod_length)):
-            raise ValueError(f"rod_length must be finite and positive, got {self.rod_length!r}")
-        rate = self.heat_rate
-        if self.kind == "heat" and (isinstance(rate, bool) or not isinstance(rate, (int, float))
-                                    or rate == 0 or not np.isfinite(rate)):
-            raise ValueError(f"heat_rate must be a finite non-zero number, got {rate!r}")
+            return
+        if self.rod_length <= 0:
+            raise ValueError(f"rod_length must be positive, got {self.rod_length}")
+        # The plain arm's right-hand side is n copies of b = f h^2, the preconditioned one
+        # the solution b i (n+1-i) / 2, so every entry lies in [b/2, b (n+1)^2 / 4]. The
+        # embedding squares them to normalize: both squared norms must be normal floats.
+        h = self.rod_length / (self.n + 1)
+        low = abs(self.heat_rate) * h * h / 2
+        high = low * (self.n + 1) * (self.n + 1) / 2
+        if not float_info.min <= self.n * low * low <= self.n * high * high <= float_info.max:
+            raise ValueError(f"heat_rate {self.heat_rate} and rod_length {self.rod_length} give "
+                             f"a right-hand side that cannot be normalized at n {self.n}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        data = dict(data)
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        if "vqls" in data and isinstance(data["vqls"], dict):
-            vqls_known = {f.name for f in dataclasses.fields(VqlsConfig)}
-            vqls_unknown = set(data["vqls"]) - vqls_known
-            if vqls_unknown:
-                raise ValueError(f"unknown vqls config keys: {sorted(vqls_unknown)}")
-            data["vqls"] = VqlsConfig(**data["vqls"])
-        return cls(**data)
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        vqls = data.get("vqls")
+        for owner, keys in ((cls, data), (VqlsConfig, vqls if isinstance(vqls, dict) else {})):
+            unknown = set(keys) - {f.name for f in dataclasses.fields(owner)}
+            if unknown:
+                raise ValueError(f"unknown {owner.__name__} keys: {sorted(unknown)}")
+        return cls(**({**data, "vqls": VqlsConfig(**vqls)} if isinstance(vqls, dict) else data))
 
 
-def ci_profile(kind: str) -> ExperimentConfig:
-    """Reduced profile: 3 seeds, depths {2, 6, 10}, 2,000 iterations."""
-    cfg = ExperimentConfig(kind=kind, seeds=list(CI_SEEDS), depths=[2, 6, 10],
-                           vqls=VqlsConfig(depth=6, iterations=2000))
-    return _apply_kind_defaults(cfg)
+# Base layers: ``paper`` is the full protocol (the defaults), ``ci`` a minutes-scale run.
+PROFILES = {"paper": {}, "ci": {"seeds": [1, 2, 3], "depths": [2, 6, 10],
+                                "vqls": {"depth": 6, "iterations": 2000}}}
+
+# The heat system is symmetric and its preconditioned right-hand side is
+# already proportional to the solution, so it runs without the ancilla
+# block, and a single rotation layer (depth 0, no entangler block)
+# suffices: any entangler at zero angles would scramble the warm start.
+HEAT_LAYER = {"vqls": {"mode": "direct", "depth": 0, "iterations": 2000}}
 
 
-def paper_profile(kind: str) -> ExperimentConfig:
-    """Full protocol: 10 seeds, depths 1..20, 10,000 iterations, depth 20."""
-    cfg = ExperimentConfig(kind=kind)
-    return _apply_kind_defaults(cfg)
+def load_config(kind: str, profile: str = "paper", *layers) -> ExperimentConfig:
+    """The profile, ``HEAT_LAYER`` (heat runs only), then ``layers``, merged in order.
 
-
-def _apply_kind_defaults(cfg: ExperimentConfig) -> ExperimentConfig:
-    # The heat system is symmetric and its preconditioned right-hand side is
-    # already proportional to the solution, so it runs without the ancilla
-    # block, and a single rotation layer (depth 0, no entangler block)
-    # suffices: any entangler at zero angles would scramble the warm start.
-    if cfg.kind == "heat":
-        cfg = replace(cfg, vqls=replace(cfg.vqls, mode="direct", depth=0,
-                                        iterations=2000))
-    return cfg
+    A layer's keys replace fields and its ``vqls`` dict replaces solver fields key by key.
+    """
+    merged = {"kind": kind, "vqls": {}}
+    for layer in (PROFILES[profile], HEAT_LAYER if kind == "heat" else {}, *layers):
+        if not isinstance(layer, dict) or not isinstance(layer.get("vqls", {}), dict):
+            raise ValueError(f"a config layer and its 'vqls' must be objects, got {layer!r}")
+        merged.update({**layer, "vqls": {**merged["vqls"], **layer.get("vqls", {})}})
+    if merged["kind"] != kind:
+        raise ValueError(f"config kind {merged['kind']!r} does not match {kind!r}")
+    return ExperimentConfig.from_dict(copy.deepcopy(merged))
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +274,7 @@ def _write_manifest(out: Path, cfg: ExperimentConfig, statuses: list,
                     artifacts: list) -> None:
     manifest = {
         "tool_version": __version__,
-        "config": cfg.to_dict(),
+        "config": dataclasses.asdict(cfg),
         "seeds": [dataclasses.asdict(s) for s in statuses],
         "artifacts": sorted(artifacts),
     }

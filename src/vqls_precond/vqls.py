@@ -34,7 +34,8 @@ does no file IO: ``experiments`` writes the trace CSVs.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from sys import float_info
 
 import numpy as np
 
@@ -57,8 +58,19 @@ class DivergedError(ArithmeticError):
     """Training produced a non-finite cost or gradient."""
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
+# Checks keyed on a config field's declared type: ``int`` and ``float`` refuse
+# bools, a ``float`` (an int passes) must be finite; other types must match exactly.
+_TYPE_CHECKS = {"int": lambda v: type(v) is int,
+                "float": lambda v: type(v) in (int, float) and abs(v) <= float_info.max,
+                "list[int]": lambda v: type(v) is list and all(type(x) is int for x in v)}
+
+
+def check_field_types(cfg) -> None:
+    """Raise ValueError unless every field of the dataclass ``cfg`` holds its declared type."""
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if not _TYPE_CHECKS.get(f.type, lambda v: type(v).__name__ == f.type)(value):
+            raise ValueError(f"{f.name} must be {f.type}, got {value!r}")
 
 
 @dataclass
@@ -79,14 +91,10 @@ class VqlsConfig:
     preconditioned: bool = True
 
     def __post_init__(self):
-        if not _is_int(self.seed) or self.seed < 0:
-            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
-        if not _is_int(self.depth) or self.depth < 0:
-            raise ValueError(f"depth must be an integer >= 0, got {self.depth!r}")
-        if not _is_int(self.iterations) or self.iterations < 1:
-            raise ValueError(f"iterations must be an integer >= 1, got {self.iterations!r}")
-        if not (self.learning_rate > 0 and np.isfinite(self.learning_rate)):
-            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate!r}")
+        check_field_types(self)
+        if self.seed < 0 or self.depth < 0 or self.iterations < 1 or self.learning_rate <= 0:
+            raise ValueError(f"need seed >= 0, depth >= 0, iterations >= 1 and "
+                             f"learning_rate > 0, got {self}")
         if self.mode not in ("direct", "hermitized"):
             raise ValueError(f"mode must be 'direct' or 'hermitized', got {self.mode!r}")
 

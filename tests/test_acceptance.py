@@ -8,7 +8,6 @@ default, with criterion 8 the long pole (about half a minute).
 
 import os
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +17,7 @@ from oracles import (cost, cost_and_grad_one, cost_via_decomposition, csr_from_d
 from vqls_precond.ansatz import AnsatzParams
 from vqls_precond.dense import condition_number, lu_solve
 from vqls_precond.embedding import build_system
-from vqls_precond.experiments import ExperimentConfig, ci_profile, paper_profile, run
+from vqls_precond.experiments import ExperimentConfig, load_config, run
 from vqls_precond.ilu import ilu0, preconditioned_system
 from vqls_precond.sparse import poisson_1d, random_rhs, random_sparse
 from vqls_precond.vqls import VqlsConfig
@@ -160,7 +159,7 @@ def test_criterion_07_condition_number_improvement():
 
 def test_criterion_08_depth_reduction_ci_scale(tmp_path):
     with Stopwatch() as watch:
-        cfg = replace(ci_profile("sweep_depth"), output_dir=str(tmp_path))
+        cfg = load_config("sweep_depth", "ci", {"output_dir": str(tmp_path)})
         run(cfg)
         lines = (tmp_path / "sweep.csv").read_text().strip().split("\n")
         header = lines[0].split(",")
@@ -183,7 +182,7 @@ def test_criterion_08_depth_reduction_ci_scale(tmp_path):
                     reason="paper-scale run (~3 min); set VQLS_RUN_PAPER_PROFILE=1")
 def test_criterion_09_paper_scale_reproduction(tmp_path):
     with Stopwatch() as watch:
-        cfg = replace(paper_profile("solve"), output_dir=str(tmp_path))
+        cfg = load_config("solve", "paper", {"output_dir": str(tmp_path)})
         run(cfg)
         final_costs = {}
         for arm in ("plain", "precond"):
@@ -203,7 +202,7 @@ def test_criterion_10_heat_diffusion_pipeline(tmp_path):
     # single rotation layer (no entangler block), which is what makes the
     # warm start b-tilde ~ solution reachable at all - see ledger.
     with Stopwatch() as watch:
-        cfg = replace(ci_profile("heat"), output_dir=str(tmp_path))
+        cfg = load_config("heat", "ci", {"output_dir": str(tmp_path)})
         run(cfg)
         traces = {}
         for arm in ("plain", "precond"):

@@ -1,5 +1,6 @@
 """Harness pipelines: CSV schemas, manifests, skip logic, determinism, CLI."""
 
+import dataclasses
 import json
 import os
 
@@ -10,10 +11,9 @@ import vqls_precond.experiments as exp
 from oracles import csr_from_dense, make_system
 from vqls_precond.cli import main
 from vqls_precond.dense import lu_solve
-from vqls_precond.experiments import (CI_SEEDS, DEFAULT_SEEDS, ExperimentConfig,
-                                      NoFactorableInstanceError, SeedStatus, ci_profile,
-                                      generate_instance, mean_sem, paper_profile, run,
-                                      write_trace_csv)
+from vqls_precond.experiments import (DEFAULT_SEEDS, ExperimentConfig,
+                                      NoFactorableInstanceError, SeedStatus, generate_instance,
+                                      load_config, mean_sem, run, write_trace_csv)
 from vqls_precond.ilu import ZeroPivotError
 from vqls_precond.sparse import poisson_1d, random_rhs
 from vqls_precond.vqls import DivergedError, VqlsConfig, train
@@ -237,7 +237,7 @@ def test_heat_costs_stay_in_range(tmp_path):
 
 def test_config_json_round_trip():
     cfg = ExperimentConfig(kind="sweep_depth", seeds=[4, 5], depths=[1, 3])
-    data = cfg.to_dict()
+    data = dataclasses.asdict(cfg)
     again = ExperimentConfig.from_dict(data)
     assert again == cfg
     assert ExperimentConfig.from_dict(json.loads(json.dumps(data))) == cfg
@@ -259,13 +259,37 @@ def test_empty_config_is_paper_protocol():
 
 
 def test_profiles():
-    ci = ci_profile("sweep_depth")
-    assert ci.seeds == CI_SEEDS and ci.depths == [2, 6, 10]
+    ci = load_config("sweep_depth", "ci")
+    assert ci.seeds == [1, 2, 3] and ci.depths == [2, 6, 10]
     assert ci.vqls.iterations == 2000
-    heat = ci_profile("heat")
+    heat = load_config("heat", "ci")
     assert heat.vqls.mode == "direct" and heat.vqls.depth == 0
-    paper = paper_profile("solve")
+    paper = load_config("solve", "paper")
     assert paper.vqls.iterations == 10_000
+
+
+def test_config_layers_merge_in_order(tmp_path):
+    import vqls_precond.cli as cli
+
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"vqls": {"depth": 2}}))
+    argv = ["heat", "--profile", "ci", "--config", str(cfg_path)]
+    from_file = cli._load_config(cli._build_parser().parse_args(argv))
+    assert from_file.vqls.mode == "direct" and from_file.vqls.depth == 2
+    assert from_file.vqls.iterations == 2000 and from_file.seeds == [1, 2, 3]
+    flagged = cli._load_config(cli._build_parser().parse_args(argv + ["--depth", "1"]))
+    assert flagged.vqls.mode == "direct" and flagged.vqls.depth == 1 and flagged.depths == [1]
+
+
+def test_config_layers_must_be_objects_of_the_requested_kind():
+    for layer in ([1], "x", None, {"vqls": [1]}, {"vqls": None}):
+        with pytest.raises(ValueError, match="must be objects"):
+            load_config("solve", "ci", layer)
+    with pytest.raises(ValueError, match="does not match"):
+        load_config("solve", "ci", {"kind": "heat"})
+    ci = load_config("sweep_depth", "ci")
+    ci.seeds.append(4)
+    assert load_config("sweep_depth", "ci").seeds == [1, 2, 3]
 
 
 def test_cli_solve_smoke(tmp_path, capsys, identity_instance):
@@ -335,22 +359,50 @@ def test_cli_config_error_exit_code(tmp_path):
     ("heat", {"vqls": {"seed": -3}}, ["--profile", "ci"]),
     ("heat", {"vqls": {"seed": 1.5}}, ["--profile", "ci"]),
     ("solve", {"vqls": {"seed": True}}, ["--profile", "ci"]),
+    ("solve", [1], ["--profile", "ci"]),                               # not an object
+    ("solve", "x", ["--profile", "ci"]),
+    ("solve", {"output_dir": 5}, ["--profile", "ci"]),                 # no --out given
+    ("solve", {"no_precond": "false"}, ["--profile", "ci"]),
+    ("solve", {"dump_matrix": "no"}, ["--profile", "ci"]),
+    ("solve", {"density": True}, ["--profile", "ci"]),
+    ("solve", {"vqls": {"preconditioned": "maybe"}}, ["--profile", "ci"]),
+    ("heat", {"heat_rate": 1e-300}, ["--profile", "ci"]),              # rhs norm underflows
+    ("heat", {"rod_length": 1e-160}, ["--profile", "ci"]),
+    ("heat", {"heat_rate": 1e308}, ["--profile", "ci"]),               # squared norm overflows
+    ("heat", {"rod_length": 1e200}, ["--profile", "ci"]),              # h^2 overflows
+    ("heat", {"heat_rate": 1e157}, ["--profile", "ci"]),               # only M^-1 b overflows
 ], ids=["density-too-low", "sweep-one-seed", "negative-depth", "n-not-int",
         "repeated-seed", "heat-no-nodes", "heat-rod-length-zero", "trace-every",
         "adam-beta1", "instance", "diag-offset", "seed-flag-negative", "seed-negative",
-        "heat-rod-length-nan", "heat-rod-length-inf", "heat-rate-zero", "heat-rate-nan", "heat-rate-inf", "heat-rate-string",
-        "heat-rate-bool", "iterations-float", "iterations-bool", "depth-float", "depth-bool",
-        "learning-rate-nan", "learning-rate-inf", "vqls-seed-negative", "vqls-seed-float",
-        "vqls-seed-bool"])
-def test_bad_config_exits_2_before_any_work(tmp_path, capsys, command, config, flags):
+        "heat-rod-length-nan", "heat-rod-length-inf", "heat-rate-zero", "heat-rate-nan",
+        "heat-rate-inf", "heat-rate-string", "heat-rate-bool", "iterations-float",
+        "iterations-bool", "depth-float", "depth-bool", "learning-rate-nan",
+        "learning-rate-inf", "vqls-seed-negative", "vqls-seed-float", "vqls-seed-bool",
+        "file-holds-list", "file-holds-string", "output-dir-int",
+        "no-precond-string", "dump-matrix-string", "density-bool",
+        "preconditioned-string", "heat-rate-tiny", "heat-rod-length-tiny",
+        "heat-rate-huge", "heat-rod-length-huge", "heat-rate-precond-overflow"])
+def test_bad_config_exits_2_before_any_work(tmp_path, monkeypatch, capsys, command, config,
+                                            flags):
+    monkeypatch.chdir(tmp_path)     # a config that slipped through would write here
     if config is not None:
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(config))
-        flags = flags + ["--config", str(cfg_path)]
-    out = tmp_path / "run"
-    assert main([command, "--out", str(out)] + flags) == 2
-    assert "config error" in capsys.readouterr().err
-    assert not out.exists()
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        flags = flags + ["--config", "cfg.json"]
+    if not (isinstance(config, dict) and "output_dir" in config):
+        flags = flags + ["--out", "run"]
+    assert main([command] + flags) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: "), err
+    assert sorted(path.name for path in tmp_path.iterdir()) == ([] if config is None
+                                                                 else ["cfg.json"])
+
+
+@pytest.mark.parametrize("heat_rate", [1e-140, 1e150])
+def test_extreme_heat_rate_that_passes_the_check_runs(tmp_path, heat_rate):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"n": 8, "seeds": [1], "heat_rate": heat_rate,
+                                    "vqls": {"iterations": 5}}))
+    assert main(["heat", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 0
 
 
 _TOY_CONFIGS = {
@@ -508,6 +560,18 @@ def test_unrelated_runtime_error_propagates(tmp_path, monkeypatch):
     cfg_path = _write_tiny_config(tmp_path)
     with pytest.raises(RuntimeError, match="not a numerical failure"):
         main(["solve", "--config", str(cfg_path), "--out", str(tmp_path / "r")])
+
+
+def test_type_error_in_config_code_propagates(tmp_path, monkeypatch):
+    import vqls_precond.cli as cli
+
+    def buggy_load_config(*args):
+        raise TypeError("a bug, not a config error")
+
+    monkeypatch.setattr(cli, "load_config", buggy_load_config)
+    with pytest.raises(TypeError, match="a bug"):
+        main(["solve", "--out", str(tmp_path / "r")])
+    assert not (tmp_path / "r").exists()
 
 
 def test_write_trace_csv(tmp_path):
