@@ -14,6 +14,13 @@ pass moves B columns, each with its own angles and start state, and the
 adjoint walk carries the B states and their B cost adjoints side by side in
 one (2**n, 2B) buffer. A layer's CNOT chain is one fixed permutation of the
 basis, applied as a single gather.
+
+RY on qubit q is RY(a) = cos(a/2) I + sin(a/2) J_q, where J = [[0, -1],
+[1, 0]] acts on qubit q as one gather with signs, (J_q v)[i] = sign[q, i] *
+v[flip[q, i]], from the cached per-n tables of ``_flip_tables``. The same
+table pair gives the gate, its inverse (the sine term negated) and its
+derivative d RY(a) / da = 0.5 J_q RY(a), so a gate is four whole-buffer
+numpy calls on contiguous (dim, batch) operands.
 """
 
 from __future__ import annotations
@@ -44,20 +51,36 @@ class AnsatzParams:
         return self.theta.shape[1]
 
 
-def _ry_kernel(amps: np.ndarray, qubit: int, angle) -> None:
-    """In-place RY on one qubit of a (dim, batch) buffer.
+@lru_cache(maxsize=None)
+def _flip_tables(n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
+    """(flip, sign), each (n_qubits, 2**n): (J_q v)[i] = sign[q, i] * v[flip[q, i]].
 
-    ``angle`` may be a scalar or a (batch,)-vector of per-column angles.
-    RY(a) = [[cos(a/2), -sin(a/2)], [sin(a/2), cos(a/2)]].
+    J = [[0, -1], [1, 0]] is the derivative generator of RY:
+    d RY(a) / da = 0.5 * J @ RY(a).
     """
-    c = np.cos(np.multiply(angle, 0.5))
-    s = np.sin(np.multiply(angle, 0.5))
-    batch = amps.shape[1]
-    view = amps.reshape(2 ** qubit, 2, -1, batch)
-    a0, a1 = view[:, 0], view[:, 1]
-    new0 = c * a0 - s * a1
-    view[:, 1] = s * a0 + c * a1
-    view[:, 0] = new0
+    index = np.arange(2 ** n_qubits)
+    masks = 1 << np.arange(n_qubits - 1, -1, -1)          # qubit 0 = MSB
+    flip = index[None, :] ^ masks[:, None]
+    sign = np.where(index[None, :] & masks[:, None], 1.0, -1.0)
+    flip.flags.writeable = sign.flags.writeable = False     # shared by the cache
+    return flip, sign
+
+
+def _ry_kernel(amps: np.ndarray, flip: np.ndarray, cos: np.ndarray,
+               signed_sin: np.ndarray) -> None:
+    """In-place RY on one qubit q of a (dim, batch) buffer: amps <- cos amps + sin J_q amps.
+
+    ``flip`` is row q of the flip table, ``cos`` the (batch,) cosines of the
+    columns' half angles and ``signed_sin`` the (dim, batch) table
+    sign[q, i] * sin(a_b / 2) (``_ry_layer`` builds it). Per amplitude pair
+    this rounds as [[c, -s], [s, c]] applied to (a0, a1) does: multiplying
+    by +-1 is exact and the sum is taken in either order. Negating
+    ``signed_sin`` applies RY(-a), the inverse.
+    """
+    tmp = np.take(amps, flip, axis=0)
+    tmp *= signed_sin
+    amps *= cos
+    amps += tmp
 
 
 def _cnot_kernel(amps: np.ndarray, control: int, target: int) -> None:
@@ -94,6 +117,20 @@ def _cnot_chain(n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
     return forward[:, 0], inverse[:, 0]
 
 
+def _ry_layer(amps: np.ndarray, cos: np.ndarray, sin: np.ndarray, flip: np.ndarray,
+              sign: np.ndarray) -> None:
+    """RY on every qubit of a (dim, batch) buffer, in place.
+
+    ``cos`` and ``sin`` are the layer's (n, batch) half-angle cosines and
+    sines, ``flip`` and ``sign`` the tables of ``_flip_tables``; the negated
+    ``sign`` undoes the layer. One (n, dim, batch) signed-sine table serves
+    all n gates.
+    """
+    signed = sign[:, :, None] * sin[:, None, :]
+    for q in range(len(cos)):
+        _ry_kernel(amps, flip[q], cos[q], signed[q])
+
+
 def _run_circuit(theta: np.ndarray, initial: np.ndarray) -> np.ndarray:
     """Apply the full ansatz to every column.
 
@@ -102,14 +139,15 @@ def _run_circuit(theta: np.ndarray, initial: np.ndarray) -> np.ndarray:
     ``theta[..., b]`` run from start ``initial[:, b]``.
     """
     n_qubits = theta.shape[1]
-    amps = np.array(initial, dtype=float, order="C")
-    for q in range(n_qubits):
-        _ry_kernel(amps, q, theta[0, q])
+    half = np.multiply(theta, 0.5)
+    cos, sin = np.cos(half), np.sin(half)
+    flip, sign = _flip_tables(n_qubits)
     chain, _ = _cnot_chain(n_qubits)
+    amps = np.array(initial, dtype=float, order="C")
+    _ry_layer(amps, cos[0], sin[0], flip, sign)
     for d in range(1, theta.shape[0]):
         amps = amps[chain]
-        for q in range(n_qubits):
-            _ry_kernel(amps, q, theta[d, q])
+        _ry_layer(amps, cos[d], sin[d], flip, sign)
     return amps
 
 
@@ -129,20 +167,6 @@ def prepare_state(params: AnsatzParams, initial: np.ndarray) -> np.ndarray:
     return _run_circuit(params.theta[:, :, None], initial[:, None])[:, 0]
 
 
-@lru_cache(maxsize=None)
-def _flip_tables(n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
-    """(flip, sign), each (n_qubits, 2**n): (J_q v)[i] = sign[q, i] * v[flip[q, i]].
-
-    J = [[0, -1], [1, 0]] is the derivative generator of RY:
-    d RY(a) / da = 0.5 * J @ RY(a).
-    """
-    index = np.arange(2 ** n_qubits)
-    masks = 1 << np.arange(n_qubits - 1, -1, -1)          # qubit 0 = MSB
-    flip = index[None, :] ^ masks[:, None]
-    sign = np.where(index[None, :] & masks[:, None], 1.0, -1.0)
-    return flip, sign
-
-
 def _adjoint_pass(angles: AnsatzParams, states: np.ndarray,
                   adjoints: np.ndarray) -> np.ndarray:
     """(D+1, n, B) angle gradients: [..., b] is sum_i adjoints[i, b] * d states[i, b] / d angles.
@@ -153,14 +177,16 @@ def _adjoint_pass(angles: AnsatzParams, states: np.ndarray,
     derivatives of layer d are 0.5 * adjoint^T J_q state at that point of
     the circuit: one gather for every column, then one matrix-vector product
     per column. The states and adjoints are then carried back through the
-    layer together in one (dim, 2B) buffer: RY with negated angles, then the
-    inverse CNOT permutation.
+    layer together in one (dim, 2B) buffer: the RY layer with its sine term
+    negated, then the inverse CNOT permutation.
     """
     theta = angles.theta
     n_layers, n_qubits, batch = theta.shape
     flip, sign = _flip_tables(n_qubits)
     _, inverse = _cnot_chain(n_qubits)
-    undo = -np.concatenate((theta, theta), axis=2)
+    half = np.multiply(np.concatenate((theta, theta), axis=2), 0.5)
+    cos, sin = np.cos(half), np.sin(half)
+    undo = -sign
     buf = np.concatenate((states, adjoints), axis=1)
     grad = np.empty((n_layers, n_qubits, batch))
     for d in range(n_layers - 1, -1, -1):
@@ -172,7 +198,6 @@ def _adjoint_pass(angles: AnsatzParams, states: np.ndarray,
         grad[d] = 0.5 * np.matmul(gathered, rows[batch:, :, None])[:, :, 0].T
         if d == 0:
             break
-        for q in range(n_qubits):
-            _ry_kernel(buf, q, undo[d, q])
+        _ry_layer(buf, cos[d], sin[d], flip, undo)
         buf = buf[inverse]
     return grad

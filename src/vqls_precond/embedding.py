@@ -9,8 +9,14 @@ is the ancilla-0 block and the bottom half the ancilla-1 block.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from sys import float_info
 
 import numpy as np
+
+
+def is_normal_float(x: float) -> bool:
+    """x is a normal float: finite, nonzero and not subnormal."""
+    return float_info.min <= abs(x) <= float_info.max
 
 
 class DegenerateBlockError(RuntimeError):
@@ -61,9 +67,14 @@ def build_system(A, b, mode: str) -> QuantumSystem:
     A_pad[:n, :n] = A
     b_pad = np.zeros(m)
     b_pad[:n] = b
+    # Normalizing squares the entries: a squared norm that underflows or
+    # overflows leaves b / |b| off unit norm.
+    with np.errstate(over="ignore"):
+        square = float(b_pad @ b_pad)
+    if not is_normal_float(square):
+        raise ValueError(f"right-hand side has (near) zero norm or cannot be normalized: "
+                         f"its squared 2-norm {square} is not a normal float")
     norm_b = float(np.linalg.norm(b_pad))
-    if norm_b < 1e-300:
-        raise ValueError("right-hand side has (near) zero norm")
     k = m.bit_length() - 1
     if mode == "direct":
         return QuantumSystem(n_qubits=k, op=A_pad, rhs_state=b_pad / norm_b, hermitized=False)

@@ -29,14 +29,13 @@ import os
 import statistics
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from sys import float_info
 
 import numpy as np
 
 from . import __version__
 from .ansatz import prepare_state
 from .dense import condition_number, lu_solve, singular_values
-from .embedding import build_system, extract_solution
+from .embedding import build_system, extract_solution, is_normal_float
 from .ilu import IluFactors, ZeroPivotError, ilu0, preconditioned_system
 from .sparse import (CsrMatrix, check_random_sparse, format_matrix_market, poisson_1d,
                      random_rhs, random_sparse)
@@ -45,6 +44,13 @@ from .vqls import TrainResult, VqlsConfig, aligned, check_field_types, residuals
 DEFAULT_SEEDS = list(range(1, 11))   # the 10 committed paper-scale seeds
 
 MAX_SKIP_ATTEMPTS = 100
+
+# Largest system size a config may ask for. Every arm is held as dense n x n
+# arrays, factored, solved and SVD'd densely (O(n^3)), and embedded in a dense
+# operator of up to (4n)^2 entries: at 4096 one hermitized operator is already
+# 8192^2 doubles, 512 MB. The bound also keeps n * n and rod_length / (n + 1)
+# inside the floats.
+MAX_N = 4096
 
 
 @dataclass
@@ -72,9 +78,11 @@ class ExperimentConfig:
         check_field_types(self)
         if self.kind not in COMMANDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
-        if self.n < 1 or min(self.seeds, default=-1) < 0 or min(self.depths, default=-1) < 0:
-            raise ValueError(f"need n >= 1 and non-empty seeds and depths >= 0, got n {self.n}, "
-                             f"seeds {self.seeds}, depths {self.depths}")
+        if not 1 <= self.n <= MAX_N:
+            raise ValueError(f"need 1 <= n <= {MAX_N}, got n {self.n}")
+        if min(self.seeds, default=-1) < 0 or min(self.depths, default=-1) < 0:
+            raise ValueError(f"need non-empty seeds and depths >= 0, got seeds {self.seeds}, "
+                             f"depths {self.depths}")
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError(f"seeds must be distinct, got {self.seeds}")
         if self.kind == "sweep_depth" and len(self.seeds) < 2:
@@ -90,7 +98,7 @@ class ExperimentConfig:
         h = self.rod_length / (self.n + 1)
         low = abs(self.heat_rate) * h * h / 2
         high = low * (self.n + 1) * (self.n + 1) / 2
-        if not float_info.min <= self.n * low * low <= self.n * high * high <= float_info.max:
+        if not (is_normal_float(self.n * low * low) and is_normal_float(self.n * high * high)):
             raise ValueError(f"heat_rate {self.heat_rate} and rod_length {self.rod_length} give "
                              f"a right-hand side that cannot be normalized at n {self.n}")
 

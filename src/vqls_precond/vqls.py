@@ -20,8 +20,10 @@ Training is lockstep: ``train`` moves B (system, seed) columns under one
 config with one forward pass over a (dim, B) buffer, one adjoint walk over
 a (dim, 2B) buffer and one Adam step on the (D+1, n, B) angle array per
 iteration; the gradients share that layout. A step costs about three
-circuit passes over its B columns, linear in depth, and pays the per-gate
-Python overhead once for all of them. Each column's operator is applied on
+circuit passes over its B columns (the forward pass over B, the walk's undo
+over 2B), linear in depth. Every RY gate of a pass is four whole-buffer
+numpy calls in the gather form of ``ansatz``, so the per-gate Python
+overhead is paid once for all columns. Each column's operator is applied on
 its own, so every column's numbers are bit for bit those of training it
 alone; a single system is the B = 1 case.
 

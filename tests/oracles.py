@@ -15,12 +15,19 @@ dense right-looking ``ilu.ilu0`` replaced. It touches only stored positions,
 locating each row's matching upper entries with ``searchsorted``; ``ilu0``
 must reproduce its factors bit for bit and its zero pivots row for row.
 
+Reshape-view RY. ``ry_reshape`` is the gate as the 2x2 matrix
+[[cos(a/2), -sin(a/2)], [sin(a/2), cos(a/2)]] applied to the amplitude
+pairs of a strided (2**q, 2, 2**(n-q-1), batch) view, the kernel that the
+gather form ``ansatz._ry_kernel`` replaced. The gather form must reproduce
+it bit for bit, and the serial oracles below run on it.
+
 Serial training. ``train_serial`` is the one-system training loop that
 lockstep ``vqls.train`` replaced: one column per circuit pass, the CNOT
-chain gate by gate, a two-column adjoint walk and Adam on one circuit's
-(D+1, n) angles. Lockstep training must reproduce every column's numbers
-bit for bit. ``cost_and_grad_one`` runs the production step on a single
-column, and ``cost`` gives the one-state cost at given angles.
+chain and the RY gates one by one through the reshape-view kernels, a
+two-column adjoint walk and Adam on one circuit's (D+1, n) angles.
+Lockstep training must reproduce every column's numbers bit for bit.
+``cost_and_grad_one`` runs the production step on a single column, and
+``cost`` gives the one-state cost at given angles.
 
 Pauli sums. ``pauli_decompose`` expands a real symmetric operator over
 Pauli words and ``cost_via_decomposition`` assembles the cost term by term,
@@ -35,8 +42,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from vqls_precond.ansatz import (AnsatzParams, _cnot_kernel, _flip_tables, _ry_kernel,
-                                 _run_circuit, prepare_state)
+from vqls_precond.ansatz import (AnsatzParams, _cnot_kernel, _flip_tables, _run_circuit,
+                                 prepare_state)
 from vqls_precond.embedding import QuantumSystem
 from vqls_precond.ilu import PIVOT_FLOOR, IluFactors, ZeroPivotError
 from vqls_precond.sparse import STREAM_THETA, CsrMatrix
@@ -136,18 +143,33 @@ def cost_and_grad_one(params: AnsatzParams, sys: QuantumSystem):
     return float(costs[0]), grads[:, :, 0]
 
 
+def ry_reshape(amps: np.ndarray, qubit: int, angle) -> None:
+    """In-place RY on one qubit of a (dim, batch) buffer through a reshape view.
+
+    ``angle`` may be a scalar or a (batch,)-vector of per-column angles.
+    """
+    c = np.cos(np.multiply(angle, 0.5))
+    s = np.sin(np.multiply(angle, 0.5))
+    batch = amps.shape[1]
+    view = amps.reshape(2 ** qubit, 2, -1, batch)
+    a0, a1 = view[:, 0], view[:, 1]
+    new0 = c * a0 - s * a1
+    view[:, 1] = s * a0 + c * a1
+    view[:, 0] = new0
+
+
 def run_circuit_serial(theta: np.ndarray, initial: np.ndarray) -> np.ndarray:
     """The ansatz for (D+1, n, B) angles from one shared (dim,) start, the CNOT
-    chain gate by gate."""
+    chain and the RYs gate by gate through the reshape-view kernels."""
     n_layers, n_qubits, batch = theta.shape
     amps = np.repeat(initial[:, None], batch, axis=1)
     for q in range(n_qubits):
-        _ry_kernel(amps, q, theta[0, q])
+        ry_reshape(amps, q, theta[0, q])
     for d in range(1, n_layers):
         for q in range(n_qubits - 1):
             _cnot_kernel(amps, q, q + 1)
         for q in range(n_qubits):
-            _ry_kernel(amps, q, theta[d, q])
+            ry_reshape(amps, q, theta[d, q])
     return amps
 
 
@@ -162,7 +184,7 @@ def _adjoint_pass_serial(theta: np.ndarray, state: np.ndarray,
         if d == 0:
             break
         for q in range(n_qubits):
-            _ry_kernel(buf, q, -theta[d, q])
+            ry_reshape(buf, q, -theta[d, q])
         for q in range(n_qubits - 2, -1, -1):
             _cnot_kernel(buf, q, q + 1)
     return grad

@@ -3,10 +3,16 @@
 import numpy as np
 import pytest
 
-from oracles import (random_params, run_circuit_serial, shift_rule_tangent, shift_states,
-                     shifted_state)
-from vqls_precond.ansatz import (AnsatzParams, _cnot_chain, _cnot_kernel, _ry_kernel,
-                                 _run_circuit, prepare_state)
+from oracles import (_adjoint_pass_serial, random_params, ry_reshape, run_circuit_serial,
+                     shift_rule_tangent, shift_states, shifted_state)
+from vqls_precond.ansatz import (AnsatzParams, _adjoint_pass, _cnot_chain, _cnot_kernel,
+                                 _flip_tables, _ry_kernel, _run_circuit, prepare_state)
+
+# Quarter, half and whole turns (half angles where cos and sin are equal, 0
+# or +-1 in exact arithmetic), signed zeros, and a large angle with a long
+# argument reduction.
+EDGE_ANGLES = (0.0, -0.0, np.pi / 2, -np.pi / 2, np.pi, -np.pi, 2 * np.pi, -2 * np.pi,
+               1e3, -1e3)
 
 
 def random_state(n_qubits, rng):
@@ -19,10 +25,20 @@ def zero_state(n_qubits):
     return np.eye(2 ** n_qubits)[0]
 
 
+def kernel_ry(buf, qubit, angles, undo=False):
+    """RY by the (batch,) ``angles`` on one qubit of the (dim, batch) ``buf``, in
+    place, through ``_ry_kernel`` and the tables the circuit passes build;
+    ``undo`` negates the sign table, as the adjoint walk does."""
+    flip, sign = _flip_tables(buf.shape[0].bit_length() - 1)
+    half = np.multiply(angles, 0.5)
+    signed = (-sign if undo else sign)[qubit][:, None] * np.sin(half)[None, :]
+    _ry_kernel(buf, flip[qubit], np.cos(half), signed)
+
+
 def ry(amps, qubit, angle):
-    """RY through the kernel on a (dim, 1) copy of ``amps``."""
+    """RY through the production kernel on a (dim, 1) copy of ``amps``."""
     buf = amps[:, None].copy()
-    _ry_kernel(buf, qubit, angle)
+    kernel_ry(buf, qubit, np.array([angle]))
     return buf[:, 0]
 
 
@@ -95,6 +111,39 @@ def test_run_circuit_columns_match_gate_by_gate_runs():
         for b in range(batch):
             one = run_circuit_serial(theta[:, :, b:b + 1], starts[:, b])[:, 0]
             assert out[:, b].tobytes() == one.tobytes()
+
+
+def test_ry_kernel_matches_reshape_oracle_bit_for_bit():
+    rng = np.random.default_rng(22)
+    for n in range(1, 9):
+        for batch in range(1, 6):
+            amps = rng.normal(size=(2 ** n, batch))
+            amps.flat[::7] = 0.0
+            amps.flat[3::7] = -0.0
+            angle_sets = [rng.uniform(-2 * np.pi, 2 * np.pi, batch)]
+            angle_sets += [np.full(batch, a) for a in EDGE_ANGLES]
+            for q in range(n):
+                for angles in angle_sets:
+                    for undo in (False, True):
+                        got, want = amps.copy(), amps.copy()
+                        kernel_ry(got, q, angles, undo)
+                        ry_reshape(want, q, -angles if undo else angles)
+                        assert got.tobytes() == want.tobytes(), (n, batch, q, angles, undo)
+    # whole circuits and adjoint walks, against the gate-by-gate oracles on the
+    # reshape-view kernel, column by column
+    for n in (1, 4, 8):
+        for depth in (0, 1, 14):
+            theta = rng.uniform(-np.pi, np.pi, (depth + 1, n, 3))
+            theta[0, 0] = EDGE_ANGLES[2:5]
+            starts = rng.normal(size=(2 ** n, 3))
+            states = _run_circuit(theta, starts)
+            adjoints = rng.normal(size=states.shape)
+            grads = _adjoint_pass(AnsatzParams(theta), states, adjoints)
+            for b in range(3):
+                one = run_circuit_serial(theta[:, :, b:b + 1], starts[:, b])[:, 0]
+                assert states[:, b].tobytes() == one.tobytes()
+                walked = _adjoint_pass_serial(theta[:, :, b], one, adjoints[:, b])
+                assert grads[:, :, b].tobytes() == walked.tobytes()
 
 
 def test_angle_array_fixes_the_circuit_shape():

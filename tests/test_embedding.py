@@ -12,6 +12,8 @@ import pytest
 from oracles import pauli_decompose, pauli_reconstruct, pauli_word_matrix
 from vqls_precond.dense import lu_solve
 from vqls_precond.embedding import DegenerateBlockError, build_system, extract_solution
+from vqls_precond.ilu import ilu0, preconditioned_system
+from vqls_precond.sparse import poisson_1d
 
 
 def test_pad_noop_for_power_of_two():
@@ -74,6 +76,25 @@ def test_hermitize_rejects_zero_rhs():
             build_system(np.eye(2), np.zeros(2), mode)
         with pytest.raises(ValueError, match="square"):
             build_system(np.eye(2), np.ones(3), mode)
+
+
+@pytest.mark.parametrize("n, heat_rate", [(8, 1e-160), (128, 1e157)])
+def test_rhs_whose_squared_norm_is_not_normal_gets_its_own_error(n, heat_rate):
+    # M^-1 b of these rods has a squared norm that underflows to a subnormal
+    # or overflows; a RuntimeWarning here fails the test
+    A, b = poisson_1d(n, heat_rate)
+    arm = preconditioned_system(A, b, ilu0(A))
+    for mode in ("direct", "hermitized"):
+        with pytest.raises(ValueError, match="cannot be normalized"):
+            build_system(*arm, mode)
+
+
+@pytest.mark.parametrize("heat_rate", [1e-140, 1.0, 1e150])
+def test_normalization_of_a_valid_rhs_is_b_over_its_norm(heat_rate):
+    A, b = poisson_1d(8, heat_rate)
+    for op, rhs in ((A.to_dense(), b), preconditioned_system(A, b, ilu0(A))):
+        sys = build_system(op, rhs, "direct")
+        assert sys.rhs_state.tobytes() == (rhs / np.linalg.norm(rhs)).tobytes()
 
 
 def test_pauli_decompose_single_qubit_x():

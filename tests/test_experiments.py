@@ -11,7 +11,7 @@ import vqls_precond.experiments as exp
 from oracles import csr_from_dense, make_system
 from vqls_precond.cli import main
 from vqls_precond.dense import lu_solve
-from vqls_precond.experiments import (DEFAULT_SEEDS, ExperimentConfig,
+from vqls_precond.experiments import (DEFAULT_SEEDS, MAX_N, ExperimentConfig,
                                       NoFactorableInstanceError, SeedStatus, generate_instance,
                                       load_config, mean_sem, run, write_trace_csv)
 from vqls_precond.ilu import ZeroPivotError
@@ -371,6 +371,11 @@ def test_cli_config_error_exit_code(tmp_path):
     ("heat", {"heat_rate": 1e308}, ["--profile", "ci"]),               # squared norm overflows
     ("heat", {"rod_length": 1e200}, ["--profile", "ci"]),              # h^2 overflows
     ("heat", {"heat_rate": 1e157}, ["--profile", "ci"]),               # only M^-1 b overflows
+    ("solve", {"n": 10 ** 400}, ["--profile", "ci"]),                  # n * n overflows a float
+    ("sweep-depth", {"n": 10 ** 400}, ["--profile", "ci"]),
+    ("spectrum", {"n": 10 ** 400}, ["--profile", "ci"]),
+    ("heat", {"n": 10 ** 400}, ["--profile", "ci"]),                   # n + 1 overflows a float
+    ("heat", {"n": MAX_N + 1}, ["--profile", "ci"]),
 ], ids=["density-too-low", "sweep-one-seed", "negative-depth", "n-not-int",
         "repeated-seed", "heat-no-nodes", "heat-rod-length-zero", "trace-every",
         "adam-beta1", "instance", "diag-offset", "seed-flag-negative", "seed-negative",
@@ -381,7 +386,9 @@ def test_cli_config_error_exit_code(tmp_path):
         "file-holds-list", "file-holds-string", "output-dir-int",
         "no-precond-string", "dump-matrix-string", "density-bool",
         "preconditioned-string", "heat-rate-tiny", "heat-rod-length-tiny",
-        "heat-rate-huge", "heat-rod-length-huge", "heat-rate-precond-overflow"])
+        "heat-rate-huge", "heat-rod-length-huge", "heat-rate-precond-overflow",
+        "solve-n-unbounded", "sweep-n-unbounded", "spectrum-n-unbounded",
+        "heat-n-unbounded", "heat-n-above-max"])
 def test_bad_config_exits_2_before_any_work(tmp_path, monkeypatch, capsys, command, config,
                                             flags):
     monkeypatch.chdir(tmp_path)     # a config that slipped through would write here
