@@ -8,11 +8,11 @@ vector of that gate's angles. Gradients and the optimizer state use the
 same layout. Gates are orthogonal maps on real amplitudes, so no complex
 storage is ever needed.
 
-The kernels operate on amplitude arrays of shape (2**n, batch), one column
-per circuit. Training runs B circuits of one shape in lockstep: the forward
-pass moves B columns, each with its own angles and start state, and the
-adjoint walk carries the B states and their B cost adjoints side by side in
-one (2**n, 2B) buffer. A layer's CNOT chain is one fixed permutation of the
+The circuit passes keep B circuits of one shape as the rows of a (B, 2**n)
+buffer, each with its own angles and start state, so elementwise ops run
+along contiguous rows. The forward pass stores every layer's state in one
+(D+1, B, 2**n) array; the adjoint walk reads those and carries only the B
+cost adjoints back. A layer's CNOT chain is one fixed permutation of the
 basis, applied as a single gather.
 
 RY on qubit q is RY(a) = cos(a/2) I + sin(a/2) J_q, where J = [[0, -1],
@@ -20,7 +20,7 @@ RY on qubit q is RY(a) = cos(a/2) I + sin(a/2) J_q, where J = [[0, -1],
 v[flip[q, i]], from the cached per-n tables of ``_flip_tables``. The same
 table pair gives the gate, its inverse (the sine term negated) and its
 derivative d RY(a) / da = 0.5 J_q RY(a), so a gate is four whole-buffer
-numpy calls on contiguous (dim, batch) operands.
+numpy calls on contiguous (batch, dim) operands.
 """
 
 from __future__ import annotations
@@ -68,16 +68,16 @@ def _flip_tables(n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _ry_kernel(amps: np.ndarray, flip: np.ndarray, cos: np.ndarray,
                signed_sin: np.ndarray) -> None:
-    """In-place RY on one qubit q of a (dim, batch) buffer: amps <- cos amps + sin J_q amps.
+    """In-place RY on one qubit q of a (batch, dim) buffer: amps <- cos amps + sin J_q amps.
 
-    ``flip`` is row q of the flip table, ``cos`` the (batch,) cosines of the
-    columns' half angles and ``signed_sin`` the (dim, batch) table
-    sign[q, i] * sin(a_b / 2) (``_ry_layer`` builds it). Per amplitude pair
+    ``flip`` is row q of the flip table, ``cos`` the (batch, 1) cosines of the
+    rows' half angles and ``signed_sin`` the (batch, dim) table
+    sin(a_b / 2) * sign[q, i] (``_ry_layer`` builds it). Per amplitude pair
     this rounds as [[c, -s], [s, c]] applied to (a0, a1) does: multiplying
     by +-1 is exact and the sum is taken in either order. Negating
     ``signed_sin`` applies RY(-a), the inverse.
     """
-    tmp = np.take(amps, flip, axis=0)
+    tmp = amps.take(flip, axis=1)
     tmp *= signed_sin
     amps *= cos
     amps += tmp
@@ -103,10 +103,10 @@ def _cnot_kernel(amps: np.ndarray, control: int, target: int) -> None:
 def _cnot_chain(n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
     """(forward, inverse) basis permutations of one layer's CNOT chain.
 
-    ``amps[forward]`` applies the ascending chain (control q, target q+1)
-    and ``amps[inverse]`` undoes it. Both come from running ``_cnot_kernel``
-    over a column of basis indices, the inverse with the chain reversed
-    (each CNOT is its own inverse), so the gate is defined in one place.
+    ``amps[..., forward]`` applies the ascending chain (control q, target
+    q+1) to (batch, dim) rows, ``amps[..., inverse]`` undoes it. Both come
+    from running ``_cnot_kernel`` over a column of basis indices, the
+    inverse with the chain reversed (each CNOT is its own inverse).
     """
     forward = np.arange(2 ** n_qubits)[:, None]
     inverse = forward.copy()
@@ -119,36 +119,39 @@ def _cnot_chain(n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _ry_layer(amps: np.ndarray, cos: np.ndarray, sin: np.ndarray, flip: np.ndarray,
               sign: np.ndarray) -> None:
-    """RY on every qubit of a (dim, batch) buffer, in place.
+    """RY on every qubit of a (batch, dim) buffer, in place.
 
     ``cos`` and ``sin`` are the layer's (n, batch) half-angle cosines and
     sines, ``flip`` and ``sign`` the tables of ``_flip_tables``; the negated
-    ``sign`` undoes the layer. One (n, dim, batch) signed-sine table serves
+    ``sign`` undoes the layer. One (n, batch, dim) signed-sine table serves
     all n gates.
     """
-    signed = sign[:, :, None] * sin[:, None, :]
+    signed = sin[:, :, None] * sign[:, None, :]
+    cos = cos[:, :, None]
     for q in range(len(cos)):
         _ry_kernel(amps, flip[q], cos[q], signed[q])
 
 
 def _run_circuit(theta: np.ndarray, initial: np.ndarray) -> np.ndarray:
-    """Apply the full ansatz to every column.
+    """(D+1, batch, 2**n) states of every row after each layer of the ansatz.
 
-    ``theta`` has shape (D+1, n, batch) and ``initial`` shape (2**n, batch):
-    column b of the returned (2**n, batch) array is the circuit with angles
-    ``theta[..., b]`` run from start ``initial[:, b]``.
+    ``theta`` has shape (D+1, n, batch) and ``initial`` shape (batch, 2**n):
+    row b of ``[d]`` is the state after layer d of the circuit with angles
+    ``theta[..., b]`` run from start ``initial[b]``; ``[-1]`` is the output.
     """
-    n_qubits = theta.shape[1]
+    n_layers, n_qubits = theta.shape[:2]
     half = np.multiply(theta, 0.5)
     cos, sin = np.cos(half), np.sin(half)
     flip, sign = _flip_tables(n_qubits)
     chain, _ = _cnot_chain(n_qubits)
-    amps = np.array(initial, dtype=float, order="C")
-    _ry_layer(amps, cos[0], sin[0], flip, sign)
-    for d in range(1, theta.shape[0]):
-        amps = amps[chain]
-        _ry_layer(amps, cos[d], sin[d], flip, sign)
-    return amps
+    states = np.empty((n_layers,) + np.shape(initial))
+    states[0] = initial
+    _ry_layer(states[0], cos[0], sin[0], flip, sign)
+    for d in range(1, n_layers):
+        # "clip" lets take write straight into ``out``; a permutation never clips.
+        states[d - 1].take(chain, axis=1, out=states[d], mode="clip")
+        _ry_layer(states[d], cos[d], sin[d], flip, sign)
+    return states
 
 
 def prepare_state(params: AnsatzParams, initial: np.ndarray) -> np.ndarray:
@@ -164,40 +167,37 @@ def prepare_state(params: AnsatzParams, initial: np.ndarray) -> np.ndarray:
     initial = np.asarray(initial, dtype=float)
     if initial.shape != (2 ** params.n_qubits,):
         raise ValueError(f"initial state length {initial.shape} != 2^{params.n_qubits}")
-    return _run_circuit(params.theta[:, :, None], initial[:, None])[:, 0]
+    return _run_circuit(params.theta[:, :, None], initial[None, :])[-1, 0]
 
 
-def _adjoint_pass(angles: AnsatzParams, states: np.ndarray,
+def _adjoint_pass(angles: AnsatzParams, layers: np.ndarray,
                   adjoints: np.ndarray) -> np.ndarray:
-    """(D+1, n, B) angle gradients: [..., b] is sum_i adjoints[i, b] * d states[i, b] / d angles.
+    """(D+1, n, B) angle gradients: [..., b] = sum_i adjoints[b, i] d layers[-1, b, i] / d angles.
 
-    ``angles`` holds the B circuits' (D+1, n, B) angles, ``states`` their
-    outputs and ``adjoints`` the costs' derivatives with respect to them,
-    both (dim, B). Walking layers D..0, the RYs of a layer commute, so all n
-    derivatives of layer d are 0.5 * adjoint^T J_q state at that point of
-    the circuit: one gather for every column, then one matrix-vector product
-    per column. The states and adjoints are then carried back through the
-    layer together in one (dim, 2B) buffer: the RY layer with its sine term
-    negated, then the inverse CNOT permutation.
+    ``angles`` holds the B circuits' (D+1, n, B) angles, ``layers`` their
+    (D+1, B, dim) states after each layer and ``adjoints`` the costs' (B, dim)
+    derivatives with respect to the outputs; neither is written. Walking
+    layers D..0, the RYs of a layer commute, so all n derivatives of layer d
+    are 0.5 * adjoint^T J_q layers[d]: one gather for every row, then one
+    matrix-vector product per row. The adjoints then go back through the
+    layer: the RY layer with its sine term negated, then the inverse CNOTs.
     """
     theta = angles.theta
     n_layers, n_qubits, batch = theta.shape
     flip, sign = _flip_tables(n_qubits)
     _, inverse = _cnot_chain(n_qubits)
-    half = np.multiply(np.concatenate((theta, theta), axis=2), 0.5)
+    half = np.multiply(theta, 0.5)
     cos, sin = np.cos(half), np.sin(half)
     undo = -sign
-    buf = np.concatenate((states, adjoints), axis=1)
+    mu = adjoints.copy()
     grad = np.empty((n_layers, n_qubits, batch))
     for d in range(n_layers - 1, -1, -1):
-        # (B, n, dim) @ (B, dim, 1) on C-ordered operands: per column, the
-        # same BLAS product as a one-column walk. A strided operand may be
-        # summed in another order.
-        rows = buf.T.copy()
-        gathered = sign * np.take(rows[:batch], flip, axis=1)
-        grad[d] = 0.5 * np.matmul(gathered, rows[batch:, :, None])[:, :, 0].T
+        # (B, n, dim) @ (B, dim, 1) on C-ordered operands: per row, the same BLAS
+        # product as a one-row walk; a strided operand may be summed in another order.
+        gathered = sign * layers[d].take(flip, axis=1)
+        grad[d] = 0.5 * np.matmul(gathered, mu[:, :, None])[:, :, 0].T
         if d == 0:
             break
-        _ry_layer(buf, cos[d], sin[d], flip, undo)
-        buf = buf[inverse]
+        _ry_layer(mu, cos[d], sin[d], flip, undo)
+        mu = mu.take(inverse, axis=1)
     return grad

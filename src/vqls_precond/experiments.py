@@ -83,8 +83,9 @@ class ExperimentConfig:
         if min(self.seeds, default=-1) < 0 or min(self.depths, default=-1) < 0:
             raise ValueError(f"need non-empty seeds and depths >= 0, got seeds {self.seeds}, "
                              f"depths {self.depths}")
-        if len(set(self.seeds)) != len(self.seeds):
-            raise ValueError(f"seeds must be distinct, got {self.seeds}")
+        for name, values in (("seeds", self.seeds), ("depths", self.depths)):
+            if len(set(values)) != len(values):
+                raise ValueError(f"{name} must be distinct, got {values}")
         if self.kind == "sweep_depth" and len(self.seeds) < 2:
             raise ValueError("the depth sweep needs at least 2 seeds")
         if self.kind != "heat":

@@ -9,23 +9,22 @@ C into [0, 1]; rounding can take 1 - g^2/h a few ulps below 0 when the state
 solves the system, so the shared cost helper clamps it at 0.
 
 Gradients use the adjoint (reverse-mode) method of Jones & Gacon
-(arXiv:2009.02823): one forward circuit pass gives x, the cost's adjoint is
-mu = dC/dx = op^T (-(2g/h) rhs + (2g^2/h^2) op x), and one backward walk over
-the layers carries x and mu together, reading off each layer's angle
-derivatives on the way (``ansatz._adjoint_pass``). The parameter-shift rule,
-which is what hardware would measure, is kept in the test suite as the
-oracle this gradient is checked against.
+(arXiv:2009.02823): one forward pass gives x and stores every layer's
+state, the cost's adjoint is mu = dC/dx = op^T (-(2g/h) rhs + (2g^2/h^2)
+op x), and one backward walk carries mu alone, reading each layer's angle
+derivatives off mu and that layer's stored state (``ansatz._adjoint_pass``).
+The parameter-shift rule, which is what hardware would measure, is kept in
+the test suite as the oracle this gradient is checked against.
 
 Training is lockstep: ``train`` moves B (system, seed) columns under one
-config with one forward pass over a (dim, B) buffer, one adjoint walk over
-a (dim, 2B) buffer and one Adam step on the (D+1, n, B) angle array per
-iteration; the gradients share that layout. A step costs about three
-circuit passes over its B columns (the forward pass over B, the walk's undo
-over 2B), linear in depth. Every RY gate of a pass is four whole-buffer
-numpy calls in the gather form of ``ansatz``, so the per-gate Python
-overhead is paid once for all columns. Each column's operator is applied on
-its own, so every column's numbers are bit for bit those of training it
-alone; a single system is the B = 1 case.
+config with one forward pass over (B, dim) rows, one adjoint walk and one
+Adam step on the (D+1, n, B) angle array per iteration; the gradients
+share that layout. A step costs about two circuit passes over its B
+columns, linear in depth, and stores (D+1) B dim amplitudes. Every RY gate
+of a pass is four whole-buffer numpy calls in the gather form of
+``ansatz``, so the per-gate Python overhead is paid once for all columns.
+Each column's operator is applied on its own, so every column's numbers
+are bit for bit those of training it alone; a single system is B = 1.
 
 The protocol is fixed apart from what ``VqlsConfig`` carries: angles start
 uniform on [-INIT_SCALE, INIT_SCALE], Adam keeps the standard moments of
@@ -170,17 +169,17 @@ def cost_and_grad(angles: AnsatzParams, systems: list[QuantumSystem]):
     side; the seed of the adjoint walk is mu = dC/dx = op^T (-(2g/h) rhs +
     (2g^2/h^2) op x), formed column by column with that column's operator.
     """
-    states = _run_circuit(angles.theta, np.column_stack([sys.rhs_state for sys in systems]))
+    layers = _run_circuit(angles.theta, np.stack([sys.rhs_state for sys in systems]))
     costs = np.empty(len(systems))
-    adjoints = np.empty_like(states)
-    for b, (x, sys) in enumerate(zip(states.T.copy(), systems)):
+    adjoints = np.empty_like(layers[-1])
+    for b, (x, sys) in enumerate(zip(layers[-1], systems)):
         try:
             costs[b], g, h, y = _cost_from_state(x, sys)
         except DegenerateOperatorError as exc:
             exc.column = b
             raise
-        adjoints[:, b] = (-2.0 * g / h * sys.rhs_state + 2.0 * g * g / (h * h) * y) @ sys.op
-    return costs, _adjoint_pass(angles, states, adjoints)
+        adjoints[b] = (-2.0 * g / h * sys.rhs_state + 2.0 * g * g / (h * h) * y) @ sys.op
+    return costs, _adjoint_pass(angles, layers, adjoints)
 
 
 def _checked_step(angles: AnsatzParams, systems: list, iteration: int, labels: list):

@@ -23,8 +23,9 @@ it bit for bit, and the serial oracles below run on it.
 
 Serial training. ``train_serial`` is the one-system training loop that
 lockstep ``vqls.train`` replaced: one column per circuit pass, the CNOT
-chain and the RY gates one by one through the reshape-view kernels, a
-two-column adjoint walk and Adam on one circuit's (D+1, n) angles.
+chain and the RY gates one by one through the reshape-view kernels, each
+layer's state kept, an adjoint walk that reads those states and carries
+only the one-column adjoint back, and Adam on one circuit's (D+1, n) angles.
 Lockstep training must reproduce every column's numbers bit for bit.
 ``cost_and_grad_one`` runs the production step on a single column, and
 ``cost`` gives the one-state cost at given angles.
@@ -108,7 +109,7 @@ def shift_rule_tangent(params: AnsatzParams, index: int,
 
 
 def shift_states(params: AnsatzParams, initial: np.ndarray) -> np.ndarray:
-    """(dim, 2P + 1) states from one circuit pass: column 0 unshifted, columns
+    """(2P + 1, dim) states from one circuit pass: row 0 unshifted, rows
     2j+1 / 2j+2 with angle j shifted by +pi/2 / -pi/2."""
     n_params = params.theta.size
     cols = np.repeat(params.theta.reshape(n_params, 1), 2 * n_params + 1, axis=1)
@@ -116,7 +117,7 @@ def shift_states(params: AnsatzParams, initial: np.ndarray) -> np.ndarray:
     cols[idx, 2 * idx + 1] += np.pi / 2
     cols[idx, 2 * idx + 2] -= np.pi / 2
     theta = cols.reshape(params.theta.shape + (2 * n_params + 1,))
-    return _run_circuit(theta, np.repeat(initial[:, None], 2 * n_params + 1, axis=1))
+    return _run_circuit(theta, np.repeat(initial[None, :], 2 * n_params + 1, axis=0))[-1]
 
 
 def shift_rule_cost_and_grad(params: AnsatzParams, sys: QuantumSystem):
@@ -127,9 +128,9 @@ def shift_rule_cost_and_grad(params: AnsatzParams, sys: QuantumSystem):
         dC_j = -(2 g h dg_j - g^2 dh_j) / h^2
     """
     states = shift_states(params, sys.rhs_state)
-    y = sys.op @ states
-    g_all = sys.rhs_state @ y
-    h_all = np.einsum("ib,ib->b", y, y)
+    y = states @ sys.op.T
+    g_all = y @ sys.rhs_state
+    h_all = np.einsum("bi,bi->b", y, y)
     g, h = float(g_all[0]), float(h_all[0])
     dg = (g_all[1::2] - g_all[2::2]) / (2.0 * SQRT2)
     dh = (h_all[1::2] - h_all[2::2]) / 2.0
@@ -159,43 +160,47 @@ def ry_reshape(amps: np.ndarray, qubit: int, angle) -> None:
 
 
 def run_circuit_serial(theta: np.ndarray, initial: np.ndarray) -> np.ndarray:
-    """The ansatz for (D+1, n, B) angles from one shared (dim,) start, the CNOT
-    chain and the RYs gate by gate through the reshape-view kernels."""
+    """(D+1, dim, B) states after each layer of the ansatz for (D+1, n, B) angles
+    from one shared (dim,) start, the CNOT chain and the RYs gate by gate
+    through the reshape-view kernels."""
     n_layers, n_qubits, batch = theta.shape
     amps = np.repeat(initial[:, None], batch, axis=1)
-    for q in range(n_qubits):
-        ry_reshape(amps, q, theta[0, q])
-    for d in range(1, n_layers):
-        for q in range(n_qubits - 1):
-            _cnot_kernel(amps, q, q + 1)
+    layers = []
+    for d in range(n_layers):
+        if d:
+            for q in range(n_qubits - 1):
+                _cnot_kernel(amps, q, q + 1)
         for q in range(n_qubits):
             ry_reshape(amps, q, theta[d, q])
-    return amps
+        layers.append(amps.copy())
+    return np.stack(layers)
 
 
-def _adjoint_pass_serial(theta: np.ndarray, state: np.ndarray,
+def _adjoint_pass_serial(theta: np.ndarray, layers: np.ndarray,
                          adjoint: np.ndarray) -> np.ndarray:
+    """(D+1, n) gradient of one circuit from its (D+1, dim) stored layer states,
+    walking only the adjoint back through RY(-theta) and the reversed CNOTs."""
     n_layers, n_qubits = theta.shape
     flip, sign = _flip_tables(n_qubits)
-    buf = np.column_stack((state, adjoint))
+    mu = adjoint[:, None].copy()
     grad = np.empty((n_layers, n_qubits))
     for d in range(n_layers - 1, -1, -1):
-        grad[d] = 0.5 * (sign * buf[flip, 0]) @ buf[:, 1]
+        grad[d] = 0.5 * (sign * layers[d][flip]) @ mu[:, 0]
         if d == 0:
             break
         for q in range(n_qubits):
-            ry_reshape(buf, q, -theta[d, q])
+            ry_reshape(mu, q, -theta[d, q])
         for q in range(n_qubits - 2, -1, -1):
-            _cnot_kernel(buf, q, q + 1)
+            _cnot_kernel(mu, q, q + 1)
     return grad
 
 
 def cost_and_grad_serial(params: AnsatzParams, sys: QuantumSystem):
-    """(cost, gradient) of one system from a one-column pass and a two-column walk."""
-    x = run_circuit_serial(params.theta[:, :, None], sys.rhs_state)[:, 0]
-    c, g, h, y = _cost_from_state(x, sys)
+    """(cost, gradient) of one system from a one-column pass and a one-column walk."""
+    layers = run_circuit_serial(params.theta[:, :, None], sys.rhs_state)[:, :, 0]
+    c, g, h, y = _cost_from_state(layers[-1], sys)
     mu = (-2.0 * g / h * sys.rhs_state + 2.0 * g * g / (h * h) * y) @ sys.op
-    return c, _adjoint_pass_serial(params.theta, x, mu)
+    return c, _adjoint_pass_serial(params.theta, layers, mu)
 
 
 def _checked_step_serial(params: AnsatzParams, sys: QuantumSystem, iteration: int):

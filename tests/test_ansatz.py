@@ -26,20 +26,20 @@ def zero_state(n_qubits):
 
 
 def kernel_ry(buf, qubit, angles, undo=False):
-    """RY by the (batch,) ``angles`` on one qubit of the (dim, batch) ``buf``, in
+    """RY by the (batch,) ``angles`` on one qubit of the (batch, dim) ``buf``, in
     place, through ``_ry_kernel`` and the tables the circuit passes build;
     ``undo`` negates the sign table, as the adjoint walk does."""
-    flip, sign = _flip_tables(buf.shape[0].bit_length() - 1)
+    flip, sign = _flip_tables(buf.shape[1].bit_length() - 1)
     half = np.multiply(angles, 0.5)
-    signed = (-sign if undo else sign)[qubit][:, None] * np.sin(half)[None, :]
-    _ry_kernel(buf, flip[qubit], np.cos(half), signed)
+    signed = np.sin(half)[:, None] * (-sign if undo else sign)[qubit][None, :]
+    _ry_kernel(buf, flip[qubit], np.cos(half)[:, None], signed)
 
 
 def ry(amps, qubit, angle):
-    """RY through the production kernel on a (dim, 1) copy of ``amps``."""
-    buf = amps[:, None].copy()
+    """RY through the production kernel on a (1, dim) copy of ``amps``."""
+    buf = amps[None, :].copy()
     kernel_ry(buf, qubit, np.array([angle]))
-    return buf[:, 0]
+    return buf[0]
 
 
 def cnot(amps, control, target):
@@ -101,16 +101,41 @@ def test_cnot_chain_permutations_match_the_kernels():
 
 
 def test_run_circuit_columns_match_gate_by_gate_runs():
-    # per-column angles and per-column starts, against one-column runs that
-    # apply the CNOT chain gate by gate
+    # per-row angles and per-row starts, against one-column runs that apply
+    # the CNOT chain gate by gate, every stored layer compared
     rng = np.random.default_rng(21)
     for n, depth, batch in ((1, 2, 3), (3, 0, 2), (4, 3, 5), (8, 6, 4)):
         theta = rng.uniform(-np.pi, np.pi, (depth + 1, n, batch))
         starts = rng.normal(size=(2 ** n, batch))
-        out = _run_circuit(theta, starts)
+        out = _run_circuit(theta, starts.T.copy())
+        assert out.shape == (depth + 1, batch, 2 ** n)
         for b in range(batch):
-            one = run_circuit_serial(theta[:, :, b:b + 1], starts[:, b])[:, 0]
+            one = run_circuit_serial(theta[:, :, b:b + 1], starts[:, b])[:, :, 0]
             assert out[:, b].tobytes() == one.tobytes()
+
+
+def test_run_circuit_layers_are_the_shorter_circuits():
+    # [d] of the stored layers is, byte for byte, the output of the circuit
+    # cut after layer d
+    rng = np.random.default_rng(23)
+    for n in (1, 4, 8):
+        theta = rng.uniform(-np.pi, np.pi, (15, n, 3))
+        starts = rng.normal(size=(3, 2 ** n))
+        layers = _run_circuit(theta, starts)
+        for d in range(15):
+            assert layers[d].tobytes() == _run_circuit(theta[:d + 1], starts)[-1].tobytes()
+
+
+def test_adjoint_pass_leaves_its_inputs_unchanged():
+    rng = np.random.default_rng(24)
+    for n, depth in ((1, 3), (4, 14), (8, 2)):
+        theta = rng.uniform(-np.pi, np.pi, (depth + 1, n, 3))
+        layers = _run_circuit(theta, rng.normal(size=(3, 2 ** n)))
+        adjoints = rng.normal(size=(3, 2 ** n))
+        layers_before, adjoints_before = layers.tobytes(), adjoints.tobytes()
+        _adjoint_pass(AnsatzParams(theta), layers, adjoints)
+        assert layers.tobytes() == layers_before
+        assert adjoints.tobytes() == adjoints_before
 
 
 def test_ry_kernel_matches_reshape_oracle_bit_for_bit():
@@ -125,10 +150,12 @@ def test_ry_kernel_matches_reshape_oracle_bit_for_bit():
             for q in range(n):
                 for angles in angle_sets:
                     for undo in (False, True):
-                        got, want = amps.copy(), amps.copy()
+                        got, want = amps.T.copy(), amps.copy()
                         kernel_ry(got, q, angles, undo)
                         ry_reshape(want, q, -angles if undo else angles)
-                        assert got.tobytes() == want.tobytes(), (n, batch, q, angles, undo)
+                        for b in range(batch):
+                            assert got[b].tobytes() == want[:, b].tobytes(), \
+                                (n, batch, q, angles, undo)
     # whole circuits and adjoint walks, against the gate-by-gate oracles on the
     # reshape-view kernel, column by column
     for n in (1, 4, 8):
@@ -136,13 +163,13 @@ def test_ry_kernel_matches_reshape_oracle_bit_for_bit():
             theta = rng.uniform(-np.pi, np.pi, (depth + 1, n, 3))
             theta[0, 0] = EDGE_ANGLES[2:5]
             starts = rng.normal(size=(2 ** n, 3))
-            states = _run_circuit(theta, starts)
-            adjoints = rng.normal(size=states.shape)
-            grads = _adjoint_pass(AnsatzParams(theta), states, adjoints)
+            layers = _run_circuit(theta, starts.T.copy())
+            adjoints = rng.normal(size=(2 ** n, 3)).T.copy()
+            grads = _adjoint_pass(AnsatzParams(theta), layers, adjoints)
             for b in range(3):
-                one = run_circuit_serial(theta[:, :, b:b + 1], starts[:, b])[:, 0]
-                assert states[:, b].tobytes() == one.tobytes()
-                walked = _adjoint_pass_serial(theta[:, :, b], one, adjoints[:, b])
+                one = run_circuit_serial(theta[:, :, b:b + 1], starts[:, b])[:, :, 0]
+                assert layers[:, b].tobytes() == one.tobytes()
+                walked = _adjoint_pass_serial(theta[:, :, b], one, adjoints[b])
                 assert grads[:, :, b].tobytes() == walked.tobytes()
 
 
@@ -239,9 +266,9 @@ def test_batched_kernel_matches_sequential_shifts():
     params = random_params(n, depth, 0.7, rng)
     init = random_state(n, rng)
     batch = shift_states(params, init)
-    np.testing.assert_array_equal(batch[:, 0], prepare_state(params, init))
+    np.testing.assert_array_equal(batch[0], prepare_state(params, init))
     for j in range(params.theta.size):
         plus = shifted_state(params, j, +np.pi / 2, init)
         minus = shifted_state(params, j, -np.pi / 2, init)
-        np.testing.assert_array_equal(batch[:, 2 * j + 1], plus)
-        np.testing.assert_array_equal(batch[:, 2 * j + 2], minus)
+        np.testing.assert_array_equal(batch[2 * j + 1], plus)
+        np.testing.assert_array_equal(batch[2 * j + 2], minus)

@@ -376,6 +376,7 @@ def test_cli_config_error_exit_code(tmp_path):
     ("spectrum", {"n": 10 ** 400}, ["--profile", "ci"]),
     ("heat", {"n": 10 ** 400}, ["--profile", "ci"]),                   # n + 1 overflows a float
     ("heat", {"n": MAX_N + 1}, ["--profile", "ci"]),
+    ("sweep-depth", {"depths": [2, 2]}, ["--profile", "ci"]),
 ], ids=["density-too-low", "sweep-one-seed", "negative-depth", "n-not-int",
         "repeated-seed", "heat-no-nodes", "heat-rod-length-zero", "trace-every",
         "adam-beta1", "instance", "diag-offset", "seed-flag-negative", "seed-negative",
@@ -388,7 +389,7 @@ def test_cli_config_error_exit_code(tmp_path):
         "preconditioned-string", "heat-rate-tiny", "heat-rod-length-tiny",
         "heat-rate-huge", "heat-rod-length-huge", "heat-rate-precond-overflow",
         "solve-n-unbounded", "sweep-n-unbounded", "spectrum-n-unbounded",
-        "heat-n-unbounded", "heat-n-above-max"])
+        "heat-n-unbounded", "heat-n-above-max", "depths-duplicate"])
 def test_bad_config_exits_2_before_any_work(tmp_path, monkeypatch, capsys, command, config,
                                             flags):
     monkeypatch.chdir(tmp_path)     # a config that slipped through would write here
