@@ -88,11 +88,15 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be distinct, got {values}")
         if self.kind == "sweep_depth" and len(self.seeds) < 2:
             raise ValueError("the depth sweep needs at least 2 seeds")
+        if self.dump_matrix and self.kind not in ("solve", "heat"):
+            raise ValueError(f"dump_matrix applies to solve and heat, not {self.kind}")
         if self.kind != "heat":
             check_random_sparse(self.n, self.density)
             return
         if self.rod_length <= 0:
             raise ValueError(f"rod_length must be positive, got {self.rod_length}")
+        if self.n == 1 and self.vqls.mode == "direct":
+            raise ValueError("the direct embedding of a 1-node rod has no qubits; need n >= 2")
         # The plain arm's right-hand side is n copies of b = f h^2, the preconditioned one
         # the solution b i (n+1-i) / 2, so every entry lies in [b/2, b (n+1)^2 / 4]. The
         # embedding squares them to normalize: both squared norms must be normal floats.

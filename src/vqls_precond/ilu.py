@@ -1,16 +1,20 @@
-"""Zero-fill incomplete LU factorization and preconditioner application.
+"""Zero-fill incomplete LU factorization and the preconditioned system.
 
 The factorization runs right-looking (KIJ) Gaussian elimination on a dense
 n x n copy of A, restricted to the stored pattern: step k scales the stored
 entries below the pivot and updates the rows and columns that column k and
-row k store. Values that land outside the pattern are never read back, so L
-and U together occupy exactly the pattern of A (L's unit diagonal is
-implicit and never stored). Each stored entry receives the same updates in
-the same order as in row-by-row (IKJ) elimination, so the factors agree with
-it bit for bit. On patterns where elimination creates no fill, the result is
-the exact LU factorization. The workspace costs O(n^2) memory, which is
-small at workbench sizes (n <= 256), where preconditioned_system builds
-dense n x n matrices anyway.
+row k store. Values that land outside the pattern are never read back and
+are zeroed at the end, so L and U are dense n x n arrays that together
+occupy exactly the pattern of A, plus L's stored unit diagonal. Each stored
+entry receives the same updates in the same order as in row-by-row (IKJ)
+elimination, so the factors agree with it bit for bit. On patterns where
+elimination creates no fill, the result is the exact LU factorization.
+
+The preconditioner M = L @ U is applied once per instance, to A and b
+together: one forward and one backward substitution over the dense rows of
+[A | b] give (M^-1 A, M^-1 b). Dense factors cost O(n^2) memory, which is
+small at workbench sizes (n <= 256), where M^-1 A is a dense n x n matrix
+anyway.
 """
 
 from __future__ import annotations
@@ -39,10 +43,11 @@ class ZeroPivotError(RuntimeError):
 
 @dataclass
 class IluFactors:
-    """L strictly lower (unit diagonal implicit) and U upper including diagonal."""
+    """Dense n x n factors of M = L @ U: L unit lower triangular with its
+    diagonal stored, U upper triangular; both are zero off the pattern of A."""
 
-    L: CsrMatrix
-    U: CsrMatrix
+    L: np.ndarray
+    U: np.ndarray
 
 
 def ilu0(A: CsrMatrix) -> IluFactors:
@@ -52,9 +57,8 @@ def ilu0(A: CsrMatrix) -> IluFactors:
     (L U)[i, j] equals A[i, j] exactly for every stored (i, j).
     """
     n = A.n
-    row_of = A.row_index()
     pattern = np.zeros((n, n), dtype=bool)
-    pattern[row_of, A.col_idx] = True
+    pattern[A.row_index(), A.col_idx] = True
     missing = np.flatnonzero(~pattern.diagonal())
     if len(missing):
         i = int(missing[0])
@@ -76,50 +80,29 @@ def ilu0(A: CsrMatrix) -> IluFactors:
         cols = k + 1 + np.flatnonzero(pattern[k, k + 1:])
         W[np.ix_(rows, cols)] -= np.outer(l, W[k, cols])
 
-    vals = W[row_of, A.col_idx]
-    lower = A.col_idx < row_of
-    upper = ~lower
-    return IluFactors(L=CsrMatrix.from_rows(n, row_of[lower], A.col_idx[lower], vals[lower]),
-                      U=CsrMatrix.from_rows(n, row_of[upper], A.col_idx[upper], vals[upper]))
-
-
-def apply_minv(factors: IluFactors, v) -> np.ndarray:
-    """x = U^-1 (L^-1 v) by sparse forward then backward substitution."""
-    v = np.asarray(v, dtype=float)
-    if v.shape != (factors.U.n,):
-        raise ValueError(f"vector length {v.shape} does not match n={factors.U.n}")
-    return _usolve(factors.U, _lsolve(factors.L, v))
-
-
-def _lsolve(L: CsrMatrix, v: np.ndarray) -> np.ndarray:
-    """Forward substitution with implicit unit diagonal; v may be (n,) or (n, m)."""
-    x = np.array(v, dtype=float)
-    for i in range(L.n):
-        cols, vals = L.row(i)
-        if len(cols):
-            x[i] -= vals @ x[cols]
-    return x
-
-
-def _usolve(U: CsrMatrix, v: np.ndarray) -> np.ndarray:
-    """Backward substitution; row diagonals are the leading stored entries."""
-    x = np.array(v, dtype=float)
-    for i in range(U.n - 1, -1, -1):
-        cols, vals = U.row(i)
-        if len(cols) > 1:
-            x[i] -= vals[1:] @ x[cols[1:]]
-        x[i] /= vals[0]
-    return x
+    W[~pattern] = 0.0
+    L = np.tril(W, -1)
+    np.fill_diagonal(L, 1.0)
+    return IluFactors(L=L, U=np.triu(W))
 
 
 def preconditioned_system(A: CsrMatrix, b, factors: IluFactors):
-    """Assemble (M^-1 A, M^-1 b) with M = L U from the incomplete factors.
+    """(M^-1 A, M^-1 b) with M = L U, from one substitution on X = [A | b].
 
-    M^-1 A is generally dense, so it is materialized column by column as
-    apply_minv(F, A e_j); at workbench sizes (n <= 256) that is cheap and the
-    downstream cost function and spectrum reports want dense access anyway.
+    The forward pass runs X[i] -= L[i, :i] @ X[:i] down the rows, the
+    backward pass X[i] = (X[i] - U[i, i+1:] @ X[i+1:]) / U[i, i] up them.
+    M^-1 A is generally dense; the downstream cost function and spectrum
+    reports want dense access anyway.
     """
+    L, U = factors.L, factors.U
+    n = len(U)
     b = np.asarray(b, dtype=float)
-    A_tilde = _usolve(factors.U, _lsolve(factors.L, A.to_dense()))
-    b_tilde = apply_minv(factors, b)
-    return A_tilde, b_tilde
+    if b.shape != (n,):
+        raise ValueError(f"right-hand side shape {b.shape} does not match n={n}")
+    X = np.column_stack((A.to_dense(), b))
+    for i in range(1, n):
+        X[i] -= L[i, :i] @ X[:i]
+    for i in range(n - 1, -1, -1):
+        X[i] -= U[i, i + 1:] @ X[i + 1:]
+        X[i] /= U[i, i]
+    return X[:, :-1], X[:, -1]

@@ -65,11 +65,6 @@ class CsrMatrix:
     def nnz(self) -> int:
         return len(self.vals)
 
-    def row(self, i: int):
-        """(cols, vals) views of stored row i."""
-        lo, hi = self.row_ptr[i], self.row_ptr[i + 1]
-        return self.col_idx[lo:hi], self.vals[lo:hi]
-
     def row_index(self) -> np.ndarray:
         """The row of every stored entry, aligned with col_idx and vals."""
         return np.repeat(np.arange(self.n), np.diff(self.row_ptr))
@@ -83,15 +78,10 @@ class CsrMatrix:
     def from_mask(cls, mask, vals) -> "CsrMatrix":
         """Build from a boolean pattern mask plus row-major values."""
         mask = np.asarray(mask, dtype=bool)
-        rows, cols = np.nonzero(mask)
-        return cls.from_rows(mask.shape[0], rows, cols, vals)
-
-    @classmethod
-    def from_rows(cls, n: int, rows, cols, vals) -> "CsrMatrix":
-        """Build from (row, column, value) triplets sorted row-major."""
+        n = mask.shape[0]
         row_ptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=n), out=row_ptr[1:])
-        return cls(n, row_ptr, cols, vals)
+        np.cumsum(mask.sum(axis=1), out=row_ptr[1:])
+        return cls(n, row_ptr, np.nonzero(mask)[1], vals)
 
 
 def check_random_sparse(n: int, density: float) -> None:

@@ -12,7 +12,8 @@ row-major, j = layer * n + qubit.
 
 IKJ ILU(0). ``ilu0_ikj`` is the row-by-row sparse elimination that the
 dense right-looking ``ilu.ilu0`` replaced. It touches only stored positions,
-locating each row's matching upper entries with ``searchsorted``; ``ilu0``
+locating each row's matching upper entries with ``searchsorted``, and
+scatters the eliminated values into dense factors once at the end; ``ilu0``
 must reproduce its factors bit for bit and its zero pivots row for row.
 
 Reshape-view RY. ``ry_reshape`` is the gate as the 2x2 matrix
@@ -271,29 +272,11 @@ def ilu0_ikj(A: CsrMatrix) -> IluFactors:
         if abs(work[diag_pos[i]]) < PIVOT_FLOOR:
             raise ZeroPivotError(i, float(work[diag_pos[i]]))
 
-    return IluFactors(L=_take_lower(A, work, diag_pos), U=_take_upper(A, work, diag_pos))
-
-
-def _take_lower(A: CsrMatrix, work: np.ndarray, diag_pos: np.ndarray) -> CsrMatrix:
-    row_ptr = np.zeros(A.n + 1, dtype=np.int64)
-    cols, vals = [], []
-    for i in range(A.n):
-        lo = A.row_ptr[i]
-        cols.append(A.col_idx[lo:diag_pos[i]])
-        vals.append(work[lo:diag_pos[i]])
-        row_ptr[i + 1] = row_ptr[i] + (diag_pos[i] - lo)
-    return CsrMatrix(A.n, row_ptr, np.concatenate(cols), np.concatenate(vals))
-
-
-def _take_upper(A: CsrMatrix, work: np.ndarray, diag_pos: np.ndarray) -> CsrMatrix:
-    row_ptr = np.zeros(A.n + 1, dtype=np.int64)
-    cols, vals = [], []
-    for i in range(A.n):
-        hi = A.row_ptr[i + 1]
-        cols.append(A.col_idx[diag_pos[i]:hi])
-        vals.append(work[diag_pos[i]:hi])
-        row_ptr[i + 1] = row_ptr[i] + (hi - diag_pos[i])
-    return CsrMatrix(A.n, row_ptr, np.concatenate(cols), np.concatenate(vals))
+    W = np.zeros((n, n))
+    W[A.row_index(), A.col_idx] = work
+    L = np.tril(W, -1)
+    L[np.diag_indices(n)] = 1.0
+    return IluFactors(L=L, U=np.triu(W))
 
 
 @dataclass

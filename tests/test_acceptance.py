@@ -44,7 +44,7 @@ def test_criterion_01_pattern_exactness():
             A = random_sparse(128, 0.2, seed)
             dense = A.to_dense()
             F = ilu0(A)
-            prod = (np.eye(128) + F.L.to_dense()) @ F.U.to_dense()
+            prod = F.L @ F.U
             mask = dense != 0.0
             err = np.abs(prod - dense)[mask].max()
             assert err < 1e-10 * np.abs(dense).max(), f"seed {seed}: {err:.3e}"

@@ -1,12 +1,13 @@
-"""Zero-fill incomplete factorization: exactness on the pattern, substitution,
-preconditioned-system assembly and the dense-LU oracle on no-fill patterns."""
+"""Zero-fill incomplete factorization: exactness on the pattern, the IKJ
+oracle, preconditioned-system assembly against a LAPACK solve, and the
+dense-LU oracle on no-fill patterns."""
 
 import numpy as np
 import pytest
 
 from oracles import csr_from_dense, ilu0_ikj
 from vqls_precond.dense import condition_number, lu_solve
-from vqls_precond.ilu import ZeroPivotError, apply_minv, ilu0, preconditioned_system
+from vqls_precond.ilu import ZeroPivotError, ilu0, preconditioned_system
 from vqls_precond.sparse import CsrMatrix, poisson_1d, random_rhs, random_sparse
 
 SEEDS = list(range(1, 11))
@@ -25,34 +26,30 @@ def dense_restricted_elimination(A, pattern):
             for j in range(k + 1, n):
                 if pattern[i, j] and pattern[k, j]:
                     W[i, j] -= l * W[k, j]
-    return np.tril(W, -1) * pattern, np.triu(W) * pattern
-
-
-def reassemble(factors, n):
-    return (np.eye(n) + factors.L.to_dense()) @ factors.U.to_dense()
+    return np.tril(W, -1) * pattern + np.eye(n), np.triu(W) * pattern
 
 
 def test_ilu0_diagonal_matrix():
     A = csr_from_dense(np.diag([2.0, -3.0, 5.0]), keep_zeros=False)
     F = ilu0(A)
-    assert F.L.nnz == 0
-    np.testing.assert_array_equal(F.U.to_dense(), np.diag([2.0, -3.0, 5.0]))
+    np.testing.assert_array_equal(F.L, np.eye(3))
+    np.testing.assert_array_equal(F.U, np.diag([2.0, -3.0, 5.0]))
 
 
 def test_ilu0_dense_2x2_hand_elimination():
     A = csr_from_dense(np.array([[4.0, 3.0], [6.0, 3.0]]))
     F = ilu0(A)
-    np.testing.assert_allclose(F.L.to_dense(), [[0.0, 0.0], [1.5, 0.0]], atol=0)
-    np.testing.assert_allclose(F.U.to_dense(), [[4.0, 3.0], [0.0, -1.5]], atol=0)
+    np.testing.assert_allclose(F.L, [[1.0, 0.0], [1.5, 1.0]], atol=0)
+    np.testing.assert_allclose(F.U, [[4.0, 3.0], [0.0, -1.5]], atol=0)
 
 
 def test_ilu0_no_fill_pattern_equals_lu():
     A_dense = np.array([[2.0, 0.0, 1.0], [0.0, 3.0, 0.0], [1.0, 0.0, 2.0]])
     A = csr_from_dense(A_dense)
     F = ilu0(A)
-    assert F.L.to_dense()[2, 0] == pytest.approx(0.5)
-    assert F.U.to_dense()[2, 2] == pytest.approx(1.5)
-    assert np.abs(reassemble(F, 3) - A_dense).max() < 1e-15
+    assert F.L[2, 0] == pytest.approx(0.5)
+    assert F.U[2, 2] == pytest.approx(1.5)
+    assert np.abs(F.L @ F.U - A_dense).max() < 1e-15
 
 
 def test_ilu0_matches_dense_reference():
@@ -66,8 +63,8 @@ def test_ilu0_matches_dense_reference():
         A_dense[np.arange(n), np.arange(n)] = np.where(d >= 0, d + 2.0, d - 2.0)
         L_ref, U_ref = dense_restricted_elimination(A_dense, mask)
         F = ilu0(CsrMatrix.from_mask(mask, A_dense[mask]))
-        np.testing.assert_allclose(F.L.to_dense(), L_ref, atol=1e-13)
-        np.testing.assert_allclose(F.U.to_dense(), U_ref, atol=1e-13)
+        np.testing.assert_allclose(F.L, L_ref, atol=1e-13)
+        np.testing.assert_allclose(F.U, U_ref, atol=1e-13)
 
 
 def test_ilu0_pattern_exactness_at_scale():
@@ -75,7 +72,7 @@ def test_ilu0_pattern_exactness_at_scale():
         A = random_sparse(128, 0.2, seed)
         dense = A.to_dense()
         F = ilu0(A)
-        prod = reassemble(F, 128)
+        prod = F.L @ F.U
         mask = dense != 0.0
         assert np.abs(prod - dense)[mask].max() < 1e-10 * np.abs(dense).max()
 
@@ -84,8 +81,10 @@ def test_ilu0_zero_fill_in():
     A = random_sparse(64, 0.2, seed=2)
     F = ilu0(A)
     dense = A.to_dense()
-    strict_lower = (F.L.to_dense() != 0.0)
-    upper = (F.U.to_dense() != 0.0)
+    np.testing.assert_array_equal(F.L.diagonal(), 1.0)
+    strict_lower = (np.tril(F.L, -1) != 0.0)
+    upper = (F.U != 0.0)
+    assert not np.any(np.triu(F.L, 1))
     assert not np.any(strict_lower & (dense == 0.0))
     assert not np.any(upper & (dense == 0.0))
     assert not np.any(np.triu(strict_lower))
@@ -124,7 +123,7 @@ def _outcome(factor, A):
         F = factor(A)
     except ZeroPivotError as exc:
         return ("zero pivot", exc.row, np.float64(exc.value).tobytes())
-    return tuple(arr.tobytes() for M in (F.L, F.U) for arr in (M.row_ptr, M.col_idx, M.vals))
+    return F.L.tobytes(), F.U.tobytes()
 
 
 def _integer_instances():
@@ -164,19 +163,45 @@ def test_ilu0_matches_ikj_oracle_bit_for_bit():
     assert {0, 1, 2, 3} <= zero_pivot_rows
 
 
-def test_apply_minv_identity_and_diagonal():
-    F = ilu0(csr_from_dense(np.eye(4)))
+def minv_b(A, v):
+    """M^-1 v: the b output of preconditioned_system."""
+    return preconditioned_system(A, v, ilu0(A))[1]
+
+
+def test_preconditioned_rhs_identity_and_diagonal():
     v = np.array([1.0, -2.0, 3.0, 4.0])
-    np.testing.assert_array_equal(apply_minv(F, v), v)
-    F2 = ilu0(csr_from_dense(np.diag([2.0, 4.0])))
-    np.testing.assert_array_equal(apply_minv(F2, np.array([2.0, 4.0])), [1.0, 1.0])
+    np.testing.assert_array_equal(minv_b(csr_from_dense(np.eye(4)), v), v)
+    A2 = csr_from_dense(np.diag([2.0, 4.0]))
+    np.testing.assert_array_equal(minv_b(A2, np.array([2.0, 4.0])), [1.0, 1.0])
 
 
-def test_apply_minv_full_pattern_equals_dense_solve():
+def test_preconditioned_rhs_full_pattern_equals_dense_solve():
     A_dense = np.array([[4.0, 3.0], [6.0, 3.0]])
-    F = ilu0(csr_from_dense(A_dense))
     v = np.array([1.0, 0.0])
-    np.testing.assert_allclose(apply_minv(F, v), lu_solve(A_dense, v), atol=1e-14)
+    np.testing.assert_allclose(minv_b(csr_from_dense(A_dense), v), lu_solve(A_dense, v),
+                               atol=1e-14)
+
+
+def _full_pattern_12():
+    rng = np.random.default_rng(6)
+    A_dense = rng.uniform(-1, 1, (12, 12)) + np.diag(rng.choice([-4.0, 4.0], 12))
+    return csr_from_dense(A_dense, keep_zeros=True), rng.uniform(-1, 1, 12)
+
+
+def _lapack_corpus():
+    for seed in (1, 2, 3):
+        yield random_sparse(128, 0.2, seed), random_rhs(128, seed)
+    yield poisson_1d(128)
+    yield _full_pattern_12()
+
+
+def test_preconditioned_system_matches_lapack_oracle():
+    for A, b in _lapack_corpus():
+        F = ilu0(A)
+        X_ref = np.linalg.solve(F.L @ F.U, np.column_stack((A.to_dense(), b)))
+        A_tilde, b_tilde = preconditioned_system(A, b, F)
+        for got, ref in ((A_tilde, X_ref[:, :-1]), (b_tilde, X_ref[:, -1])):
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_preconditioned_system_identity():
@@ -188,10 +213,8 @@ def test_preconditioned_system_identity():
 
 
 def test_preconditioned_system_full_pattern_is_exact():
-    rng = np.random.default_rng(6)
-    A_dense = rng.uniform(-1, 1, (12, 12)) + np.diag(rng.choice([-4.0, 4.0], 12))
-    A = csr_from_dense(A_dense, keep_zeros=True)
-    b = rng.uniform(-1, 1, 12)
+    A, b = _full_pattern_12()
+    A_dense = A.to_dense()
     A_tilde, b_tilde = preconditioned_system(A, b, ilu0(A))
     assert np.abs(A_tilde - np.eye(12)).max() < 1e-8
     np.testing.assert_allclose(b_tilde, lu_solve(A_dense, b), rtol=1e-10, atol=1e-12)

@@ -38,7 +38,7 @@ def test_csr_validation_accepts_empty_rows_and_drops_at_row_boundaries():
     A = _csr(rows)
     assert A.nnz == sum(len(cols) for cols in rows)
     for i, cols in enumerate(rows):
-        np.testing.assert_array_equal(A.row(i)[0], cols)
+        np.testing.assert_array_equal(A.col_idx[A.row_ptr[i]:A.row_ptr[i + 1]], cols)
     _csr([[], [], []])      # no stored entries at all
     _csr([[1], [0]])        # the column drops from 1 to 0 across the boundary
 
