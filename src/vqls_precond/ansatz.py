@@ -9,18 +9,18 @@ same layout. Gates are orthogonal maps on real amplitudes, so no complex
 storage is ever needed.
 
 The circuit passes keep B circuits of one shape as the rows of a (B, 2**n)
-buffer, each with its own angles and start state, so elementwise ops run
-along contiguous rows. The forward pass stores every layer's state in one
-(D+1, B, 2**n) array; the adjoint walk reads those and carries only the B
-cost adjoints back. A layer's CNOT chain is one fixed permutation of the
-basis, applied as a single gather.
+buffer, each with its own angles and start state. The forward pass stores
+every layer's state in one (D+1, B, 2**n) array; the adjoint walk reads
+those and carries only the B cost adjoints back. A layer's CNOT chain is one
+fixed permutation of the basis, applied as a single gather.
 
-RY on qubit q is RY(a) = cos(a/2) I + sin(a/2) J_q, where J = [[0, -1],
-[1, 0]] acts on qubit q as one gather with signs, (J_q v)[i] = sign[q, i] *
-v[flip[q, i]], from the cached per-n tables of ``_flip_tables``. The same
-table pair gives the gate, its inverse (the sine term negated) and its
-derivative d RY(a) / da = 0.5 J_q RY(a), so a gate is four whole-buffer
-numpy calls on contiguous (batch, dim) operands.
+An RY layer is the tensor product of its n gates, so it splits into two
+Kronecker factors (Van Loan, "The ubiquitous Kronecker product", J. Comput.
+Appl. Math. 123, 2000): K1 over the top h = n // 2 qubits and K2 over the
+rest. With a row viewed as the (2**h, 2**(n-h)) matrix X (qubit 0 is the
+most significant bit), the layer is K1 X K2^T, two batched matrix products
+for all B rows. ``_layer_factors`` builds every layer's pair once per step;
+the forward pass and the adjoint walk share them.
 """
 
 from __future__ import annotations
@@ -29,6 +29,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+
+# RY(a) = cos(a/2) I + sin(a/2) J, and d RY(a) / da = 0.5 J RY(a).
+_J = np.array([[0.0, -1.0], [1.0, 0.0]])
 
 
 @dataclass
@@ -51,36 +54,69 @@ class AnsatzParams:
         return self.theta.shape[1]
 
 
+def _kron_chain(blocks: np.ndarray) -> np.ndarray:
+    """(..., 2**k, 2**k) Kronecker product of the k (..., 2, 2) ``blocks``, in order.
+
+    ``blocks`` has the qubit axis first; with no qubits the product is [[1]].
+    The product grows from the last block, so each multiply's innermost run
+    is the whole row of the product so far.
+    """
+    if not len(blocks):
+        return np.ones(blocks.shape[1:-2] + (1, 1))
+    out = blocks[-1]
+    for block in blocks[-2::-1]:
+        size = 2 * out.shape[-1]
+        out = (block[..., :, None, :, None] * out[..., None, :, None, :]).reshape(
+            out.shape[:-2] + (size, size))
+    return out
+
+
+def _layer_factors(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(K1, K2) of every RY layer and column: (D+1, B, 2**h, 2**h) and
+    (D+1, B, 2**(n-h), 2**(n-h)) for (D+1, n, B) angles, h = n // 2.
+
+    Layer d of column b is K1[d, b] (x) K2[d, b], the Kronecker product of
+    its gates [[cos(a/2), -sin(a/2)], [sin(a/2), cos(a/2)]] in qubit order.
+    """
+    half = np.multiply(theta, 0.5).transpose(1, 0, 2)[..., None, None]  # (n, D+1, B, 1, 1)
+    blocks = np.cos(half) * np.eye(2) + np.sin(half) * _J
+    top = len(blocks) // 2
+    return _kron_chain(blocks[:top]), _kron_chain(blocks[top:])
+
+
 @lru_cache(maxsize=None)
-def _flip_tables(n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
-    """(flip, sign), each (n_qubits, 2**n): (J_q v)[i] = sign[q, i] * v[flip[q, i]].
+def _generator_table(n_qubits: int) -> np.ndarray:
+    """The +-1 table that reads a layer's n angle derivatives off [S M^T | M^T S].
 
-    J = [[0, -1], [1, 0]] is the derivative generator of RY:
-    d RY(a) / da = 0.5 * J @ RY(a).
+    Rows 0 .. 4**h - 1 match S M^T flattened, the rest M^T S. Column q holds
+    J_q^T for a top qubit q < h and J_q for the others, where J_q is J on
+    that qubit of its half and the identity on the rest of the half.
     """
-    index = np.arange(2 ** n_qubits)
-    masks = 1 << np.arange(n_qubits - 1, -1, -1)          # qubit 0 = MSB
-    flip = index[None, :] ^ masks[:, None]
-    sign = np.where(index[None, :] & masks[:, None], 1.0, -1.0)
-    flip.flags.writeable = sign.flags.writeable = False     # shared by the cache
-    return flip, sign
+    top = n_qubits // 2
+    split = 4 ** top
+    table = np.zeros((split + 4 ** (n_qubits - top), n_qubits))
+    for q in range(n_qubits):
+        size, pos = (top, q) if q < top else (n_qubits - top, q - top)
+        j_q = np.kron(np.kron(np.eye(2 ** pos), _J), np.eye(2 ** (size - pos - 1)))
+        if q < top:
+            table[:split, q] = j_q.T.ravel()
+        else:
+            table[split:, q] = j_q.ravel()
+    table.flags.writeable = False        # shared by the cache
+    return table
 
 
-def _ry_kernel(amps: np.ndarray, flip: np.ndarray, cos: np.ndarray,
-               signed_sin: np.ndarray) -> None:
-    """In-place RY on one qubit q of a (batch, dim) buffer: amps <- cos amps + sin J_q amps.
+def _ry_kernel(amps: np.ndarray, k1: np.ndarray, k2: np.ndarray, out: np.ndarray) -> None:
+    """out <- one RY layer on every row of the (batch, dim) ``amps``: K1 X K2^T per row.
 
-    ``flip`` is row q of the flip table, ``cos`` the (batch, 1) cosines of the
-    rows' half angles and ``signed_sin`` the (batch, dim) table
-    sin(a_b / 2) * sign[q, i] (``_ry_layer`` builds it). Per amplitude pair
-    this rounds as [[c, -s], [s, c]] applied to (a0, a1) does: multiplying
-    by +-1 is exact and the sum is taken in either order. Negating
-    ``signed_sin`` applies RY(-a), the inverse.
+    ``k1`` and ``k2`` are the rows' (batch, 2**h, 2**h) and
+    (batch, 2**(n-h), 2**(n-h)) Kronecker factors; passing both transposed
+    applies the inverse layer. ``out`` is a C-ordered (batch, dim) buffer
+    that does not overlap ``amps``. numpy multiplies the stack slice by
+    slice, so each row rounds as it would in a batch of one.
     """
-    tmp = amps.take(flip, axis=1)
-    tmp *= signed_sin
-    amps *= cos
-    amps += tmp
+    x = amps.reshape(k1.shape[:2] + (-1,))
+    np.matmul(np.matmul(k1, x), k2.swapaxes(1, 2), out=out.reshape(x.shape))
 
 
 def _cnot_kernel(amps: np.ndarray, control: int, target: int) -> None:
@@ -117,40 +153,23 @@ def _cnot_chain(n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
     return forward[:, 0], inverse[:, 0]
 
 
-def _ry_layer(amps: np.ndarray, cos: np.ndarray, sin: np.ndarray, flip: np.ndarray,
-              sign: np.ndarray) -> None:
-    """RY on every qubit of a (batch, dim) buffer, in place.
-
-    ``cos`` and ``sin`` are the layer's (n, batch) half-angle cosines and
-    sines, ``flip`` and ``sign`` the tables of ``_flip_tables``; the negated
-    ``sign`` undoes the layer. One (n, batch, dim) signed-sine table serves
-    all n gates.
-    """
-    signed = sin[:, :, None] * sign[:, None, :]
-    cos = cos[:, :, None]
-    for q in range(len(cos)):
-        _ry_kernel(amps, flip[q], cos[q], signed[q])
-
-
-def _run_circuit(theta: np.ndarray, initial: np.ndarray) -> np.ndarray:
+def _run_circuit(theta: np.ndarray, initial: np.ndarray, factors=None) -> np.ndarray:
     """(D+1, batch, 2**n) states of every row after each layer of the ansatz.
 
     ``theta`` has shape (D+1, n, batch) and ``initial`` shape (batch, 2**n):
     row b of ``[d]`` is the state after layer d of the circuit with angles
     ``theta[..., b]`` run from start ``initial[b]``; ``[-1]`` is the output.
+    ``factors`` is ``_layer_factors(theta)`` where the caller has it already.
     """
-    n_layers, n_qubits = theta.shape[:2]
-    half = np.multiply(theta, 0.5)
-    cos, sin = np.cos(half), np.sin(half)
-    flip, sign = _flip_tables(n_qubits)
-    chain, _ = _cnot_chain(n_qubits)
-    states = np.empty((n_layers,) + np.shape(initial))
-    states[0] = initial
-    _ry_layer(states[0], cos[0], sin[0], flip, sign)
-    for d in range(1, n_layers):
+    k1, k2 = _layer_factors(theta) if factors is None else factors
+    chain, _ = _cnot_chain(theta.shape[1])
+    states = np.empty((len(k1),) + np.shape(initial))
+    _ry_kernel(initial, k1[0], k2[0], states[0])
+    chained = np.empty_like(states[0])
+    for d in range(1, len(k1)):
         # "clip" lets take write straight into ``out``; a permutation never clips.
-        states[d - 1].take(chain, axis=1, out=states[d], mode="clip")
-        _ry_layer(states[d], cos[d], sin[d], flip, sign)
+        states[d - 1].take(chain, axis=1, out=chained, mode="clip")
+        _ry_kernel(chained, k1[d], k2[d], states[d])
     return states
 
 
@@ -170,34 +189,39 @@ def prepare_state(params: AnsatzParams, initial: np.ndarray) -> np.ndarray:
     return _run_circuit(params.theta[:, :, None], initial[None, :])[-1, 0]
 
 
-def _adjoint_pass(angles: AnsatzParams, layers: np.ndarray,
-                  adjoints: np.ndarray) -> np.ndarray:
+def _adjoint_pass(factors: tuple, layers: np.ndarray, adjoints: np.ndarray) -> np.ndarray:
     """(D+1, n, B) angle gradients: [..., b] = sum_i adjoints[b, i] d layers[-1, b, i] / d angles.
 
-    ``angles`` holds the B circuits' (D+1, n, B) angles, ``layers`` their
+    ``factors`` holds the B circuits' ``_layer_factors``, ``layers`` their
     (D+1, B, dim) states after each layer and ``adjoints`` the costs' (B, dim)
     derivatives with respect to the outputs; neither is written. Walking
-    layers D..0, the RYs of a layer commute, so all n derivatives of layer d
-    are 0.5 * adjoint^T J_q layers[d]: one gather for every row, then one
-    matrix-vector product per row. The adjoints then go back through the
-    layer: the RY layer with its sine term negated, then the inverse CNOTs.
+    layers D..0 with S the stored state and M the adjoint, each viewed as a
+    (2**h, 2**(n-h)) matrix per row, the RYs of a layer commute, so its n
+    derivatives are 0.5 <M, J_q applied to S>: 0.5 <S M^T, J_q^T> for a top
+    qubit, where J_q multiplies S from the left, and 0.5 <M^T S, J_q> for
+    the rest, where S J_q^T applies it; both read against
+    ``_generator_table``. The adjoints then go back through the layer,
+    K1^T M K2, and the inverse CNOT chain.
     """
-    theta = angles.theta
-    n_layers, n_qubits, batch = theta.shape
-    flip, sign = _flip_tables(n_qubits)
+    k1, k2 = factors
+    n_layers, batch = k1.shape[:2]
+    shape = (batch, k1.shape[-1], k2.shape[-1])
+    split = shape[1] ** 2
+    n_qubits = layers.shape[-1].bit_length() - 1
+    table = _generator_table(n_qubits)
     _, inverse = _cnot_chain(n_qubits)
-    half = np.multiply(theta, 0.5)
-    cos, sin = np.cos(half), np.sin(half)
-    undo = -sign
-    mu = adjoints.copy()
+    mu, undone = adjoints.copy(), np.empty_like(adjoints)
+    products = np.empty((batch, 1, len(table)))
     grad = np.empty((n_layers, n_qubits, batch))
     for d in range(n_layers - 1, -1, -1):
-        # (B, n, dim) @ (B, dim, 1) on C-ordered operands: per row, the same BLAS
-        # product as a one-row walk; a strided operand may be summed in another order.
-        gathered = sign * layers[d].take(flip, axis=1)
-        grad[d] = 0.5 * np.matmul(gathered, mu[:, :, None])[:, :, 0].T
+        s, m = layers[d].reshape(shape), mu.reshape(shape)
+        products[:, 0, :split] = np.matmul(s, m.swapaxes(1, 2)).reshape(batch, -1)
+        products[:, 0, split:] = np.matmul(m.swapaxes(1, 2), s).reshape(batch, -1)
+        # A (B, 1, K) @ (K, n) stack: each row takes the product it would take
+        # alone, where a (B, K) @ (K, n) product may round B-dependently.
+        grad[d] = 0.5 * np.matmul(products, table)[:, 0].T
         if d == 0:
             break
-        _ry_layer(mu, cos[d], sin[d], flip, undo)
-        mu = mu.take(inverse, axis=1)
+        _ry_kernel(mu, k1[d].swapaxes(1, 2), k2[d].swapaxes(1, 2), undone)
+        undone.take(inverse, axis=1, out=mu, mode="clip")
     return grad

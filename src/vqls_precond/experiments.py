@@ -204,10 +204,17 @@ def _embedded_arms(A: CsrMatrix, b: np.ndarray, factors: IluFactors,
                    cfg: ExperimentConfig) -> dict:
     """{arm name: QuantumSystem}: ``_arms`` embedded per cfg.vqls.mode.
 
-    The dense arm copies are dropped once embedded.
+    The dense arm copies are dropped once embedded. Callers pass the factors
+    without keeping them, so training never holds the two dense n x n arrays.
     """
     return {name: build_system(*system, cfg.vqls.mode)
             for name, system in _arms(A, b, factors, cfg).items()}
+
+
+def _embedded_instance(cfg: ExperimentConfig, seed: int):
+    """(A, b, {arm name: QuantumSystem}, status): ``generate_instance`` embedded."""
+    A, b, factors, status = generate_instance(cfg, seed)
+    return A, b, _embedded_arms(A, b, factors, cfg), status
 
 
 @dataclass
@@ -217,11 +224,10 @@ class ArmResult:
     x_best: np.ndarray    # unit norm, minimum-cost iterate
 
 
-def solve_instance(A: CsrMatrix, b: np.ndarray, factors: IluFactors,
+def solve_instance(A: CsrMatrix, b: np.ndarray, systems: dict,
                    cfg: ExperimentConfig, seed: int) -> tuple:
-    """Train every arm on one instance; returns (x_exact, {arm name: ArmResult})."""
+    """Train the embedded arms ``systems`` of (A, b); returns (x_exact, {arm name: ArmResult})."""
     x_exact = lu_solve(A.to_dense(), b)
-    systems = _embedded_arms(A, b, factors, cfg)
     trained = train(list(systems.values()), cfg.vqls, [seed] * len(systems),
                     [f"seed {seed}, arm {name}" for name in systems])
     return x_exact, {name: ArmResult(result=result,
@@ -300,8 +306,8 @@ def _write_manifest(out: Path, cfg: ExperimentConfig, statuses: list,
 
 def cmd_solve(cfg: ExperimentConfig, out: Path) -> tuple:
     """One instance, every arm: traces, solutions and residuals (Fig. 2 data)."""
-    A, b, factors, status = generate_instance(cfg, cfg.seeds[0])
-    x_exact, arms = solve_instance(A, b, factors, cfg, status.used)
+    A, b, systems, status = _embedded_instance(cfg, cfg.seeds[0])
+    x_exact, arms = solve_instance(A, b, systems, cfg, status.used)
     return [status], _emit_solve_outputs(out, cfg, A, x_exact, arms)
 
 
@@ -337,9 +343,9 @@ def cmd_sweep_depth(cfg: ExperimentConfig, out: Path) -> tuple:
     """Final cost vs depth, averaged over seeds (Fig. 3(a) data)."""
     statuses, instances = [], []     # instances: {arm name: QuantumSystem} per seed
     for seed in cfg.seeds:
-        A, b, factors, status = generate_instance(cfg, seed)
+        _, _, arms, status = _embedded_instance(cfg, seed)
         statuses.append(status)
-        instances.append(_embedded_arms(A, b, factors, cfg))
+        instances.append(arms)
     names = list(instances[0])
     # One lockstep column per (seed, arm), seed-major.
     systems = [sys for arms in instances for sys in arms.values()]
@@ -411,10 +417,9 @@ def cmd_heat(cfg: ExperimentConfig, out: Path) -> tuple:
     solution state.
     """
     A, b = poisson_1d(cfg.n, cfg.heat_rate, cfg.rod_length)
-    factors = ilu0(A)
     seed = cfg.seeds[0]
     status = SeedStatus(requested=seed, used=seed, skipped_zero_pivot=[])
-    x_exact, arms = solve_instance(A, b, factors, cfg, seed)
+    x_exact, arms = solve_instance(A, b, _embedded_arms(A, b, ilu0(A), cfg), cfg, seed)
 
     dh = cfg.rod_length / (cfg.n + 1)
     rows = []

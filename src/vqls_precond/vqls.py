@@ -20,11 +20,12 @@ Training is lockstep: ``train`` moves B (system, seed) columns under one
 config with one forward pass over (B, dim) rows, one adjoint walk and one
 Adam step on the (D+1, n, B) angle array per iteration; the gradients
 share that layout. A step costs about two circuit passes over its B
-columns, linear in depth, and stores (D+1) B dim amplitudes. Every RY gate
-of a pass is four whole-buffer numpy calls in the gather form of
-``ansatz``, so the per-gate Python overhead is paid once for all columns.
-Each column's operator is applied on its own, so every column's numbers
-are bit for bit those of training it alone; a single system is B = 1.
+columns, linear in depth, and stores (D+1) B dim amplitudes. Every RY layer
+of a pass is two batched matrix products with the layer's Kronecker
+factors (``ansatz``), built once per step for both passes, so the per-layer
+Python overhead is paid once for all columns. The products and each
+column's operator act row by row, so every column's numbers are bit for
+bit those of training it alone; a single system is B = 1.
 
 The protocol is fixed apart from what ``VqlsConfig`` carries: angles start
 uniform on [-INIT_SCALE, INIT_SCALE], Adam keeps the standard moments of
@@ -40,7 +41,7 @@ from sys import float_info
 
 import numpy as np
 
-from .ansatz import AnsatzParams, _adjoint_pass, _run_circuit
+from .ansatz import AnsatzParams, _adjoint_pass, _layer_factors, _run_circuit
 from .embedding import QuantumSystem
 from .sparse import STREAM_THETA, _rng
 
@@ -165,11 +166,13 @@ def cost_and_grad(angles: AnsatzParams, systems: list[QuantumSystem]):
     """(costs (B,), gradients (D+1, n, B)) of B columns: angles[..., b] on systems[b].
 
     ``angles`` holds (D+1, n, B) angles, and the gradients come back in the
-    same layout. One forward pass runs every column from its own right-hand
+    same layout. The layers' Kronecker factors are built once and serve both
+    passes. One forward pass runs every column from its own right-hand
     side; the seed of the adjoint walk is mu = dC/dx = op^T (-(2g/h) rhs +
     (2g^2/h^2) op x), formed column by column with that column's operator.
     """
-    layers = _run_circuit(angles.theta, np.stack([sys.rhs_state for sys in systems]))
+    factors = _layer_factors(angles.theta)
+    layers = _run_circuit(angles.theta, np.stack([sys.rhs_state for sys in systems]), factors)
     costs = np.empty(len(systems))
     adjoints = np.empty_like(layers[-1])
     for b, (x, sys) in enumerate(zip(layers[-1], systems)):
@@ -179,7 +182,7 @@ def cost_and_grad(angles: AnsatzParams, systems: list[QuantumSystem]):
             exc.column = b
             raise
         adjoints[b] = (-2.0 * g / h * sys.rhs_state + 2.0 * g * g / (h * h) * y) @ sys.op
-    return costs, _adjoint_pass(angles, layers, adjoints)
+    return costs, _adjoint_pass(factors, layers, adjoints)
 
 
 def _checked_step(angles: AnsatzParams, systems: list, iteration: int, labels: list):

@@ -18,16 +18,23 @@ must reproduce its factors bit for bit and its zero pivots row for row.
 
 Reshape-view RY. ``ry_reshape`` is the gate as the 2x2 matrix
 [[cos(a/2), -sin(a/2)], [sin(a/2), cos(a/2)]] applied to the amplitude
-pairs of a strided (2**q, 2, 2**(n-q-1), batch) view, the kernel that the
-gather form ``ansatz._ry_kernel`` replaced. The gather form must reproduce
-it bit for bit, and the serial oracles below run on it.
+pairs of a strided (2**q, 2, 2**(n-q-1), batch) view, and ``j_reshape``
+applies its generator J = [[0, -1], [1, 0]] the same way. The Kronecker
+layer ``ansatz._ry_kernel`` rounds differently (each factor entry is a
+product of cosines and sines, each row of K1 X K2^T a sum over 2**h or
+2**(n-h) terms), so it must agree with them to 1e-13, not bit for bit; the
+serial oracles below run on them.
+
+Dense circuit. ``dense_circuit`` builds every gate as a full 2**n matrix
+from ``np.kron`` factors and applies the gates one by one, an oracle that
+shares no code with the Kronecker split or the cached CNOT permutation.
 
 Serial training. ``train_serial`` is the one-system training loop that
 lockstep ``vqls.train`` replaced: one column per circuit pass, the CNOT
 chain and the RY gates one by one through the reshape-view kernels, each
 layer's state kept, an adjoint walk that reads those states and carries
 only the one-column adjoint back, and Adam on one circuit's (D+1, n) angles.
-Lockstep training must reproduce every column's numbers bit for bit.
+Lockstep training must agree with it to the tolerances the tests state.
 ``cost_and_grad_one`` runs the production step on a single column, and
 ``cost`` gives the one-state cost at given angles.
 
@@ -44,8 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from vqls_precond.ansatz import (AnsatzParams, _cnot_kernel, _flip_tables, _run_circuit,
-                                 prepare_state)
+from vqls_precond.ansatz import AnsatzParams, _cnot_kernel, _run_circuit, prepare_state
 from vqls_precond.embedding import QuantumSystem
 from vqls_precond.ilu import PIVOT_FLOOR, IluFactors, ZeroPivotError
 from vqls_precond.sparse import STREAM_THETA, CsrMatrix
@@ -160,6 +166,43 @@ def ry_reshape(amps: np.ndarray, qubit: int, angle) -> None:
     view[:, 0] = new0
 
 
+def j_reshape(amps: np.ndarray, qubit: int) -> np.ndarray:
+    """J = [[0, -1], [1, 0]] on one qubit of a (dim,) state, through a reshape view,
+    as a new array."""
+    view = amps.reshape(2 ** qubit, 2, -1)
+    out = np.empty_like(view)
+    out[:, 0] = -view[:, 1]
+    out[:, 1] = view[:, 0]
+    return out.reshape(amps.shape)
+
+
+def _kron_gate(n_qubits: int, ops: dict) -> np.ndarray:
+    """Dense 2**n matrix of ops[q] on each listed qubit q and I elsewhere (qubit 0 leftmost)."""
+    out = np.eye(1)
+    for q in range(n_qubits):
+        out = np.kron(out, ops.get(q, np.eye(2)))
+    return out
+
+
+def dense_circuit(theta: np.ndarray, initial: np.ndarray) -> np.ndarray:
+    """(D+1, dim) states after each layer of one circuit with (D+1, n) angles,
+    every gate a dense 2**n matrix applied to the state in turn."""
+    n_layers, n_qubits = theta.shape
+    low, high = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    flip = np.array([[0.0, 1.0], [1.0, 0.0]])
+    amps, layers = np.asarray(initial, dtype=float), []
+    for d in range(n_layers):
+        if d:
+            for q in range(n_qubits - 1):
+                amps = (_kron_gate(n_qubits, {q: low}) @ amps
+                        + _kron_gate(n_qubits, {q: high, q + 1: flip}) @ amps)
+        for q in range(n_qubits):
+            c, s = np.cos(theta[d, q] / 2), np.sin(theta[d, q] / 2)
+            amps = _kron_gate(n_qubits, {q: np.array([[c, -s], [s, c]])}) @ amps
+        layers.append(amps)
+    return np.array(layers)
+
+
 def run_circuit_serial(theta: np.ndarray, initial: np.ndarray) -> np.ndarray:
     """(D+1, dim, B) states after each layer of the ansatz for (D+1, n, B) angles
     from one shared (dim,) start, the CNOT chain and the RYs gate by gate
@@ -182,11 +225,10 @@ def _adjoint_pass_serial(theta: np.ndarray, layers: np.ndarray,
     """(D+1, n) gradient of one circuit from its (D+1, dim) stored layer states,
     walking only the adjoint back through RY(-theta) and the reversed CNOTs."""
     n_layers, n_qubits = theta.shape
-    flip, sign = _flip_tables(n_qubits)
     mu = adjoint[:, None].copy()
     grad = np.empty((n_layers, n_qubits))
     for d in range(n_layers - 1, -1, -1):
-        grad[d] = 0.5 * (sign * layers[d][flip]) @ mu[:, 0]
+        grad[d] = [0.5 * j_reshape(layers[d], q) @ mu[:, 0] for q in range(n_qubits)]
         if d == 0:
             break
         for q in range(n_qubits):

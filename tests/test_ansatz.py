@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from oracles import (_adjoint_pass_serial, random_params, ry_reshape, run_circuit_serial,
-                     shift_rule_tangent, shift_states, shifted_state)
+from oracles import (_adjoint_pass_serial, dense_circuit, random_params, ry_reshape,
+                     run_circuit_serial, shift_rule_tangent, shift_states, shifted_state)
 from vqls_precond.ansatz import (AnsatzParams, _adjoint_pass, _cnot_chain, _cnot_kernel,
-                                 _flip_tables, _ry_kernel, _run_circuit, prepare_state)
+                                 _layer_factors, _ry_kernel, _run_circuit, prepare_state)
 
 # Quarter, half and whole turns (half angles where cos and sin are equal, 0
 # or +-1 in exact arithmetic), signed zeros, and a large angle with a long
@@ -25,14 +25,27 @@ def zero_state(n_qubits):
     return np.eye(2 ** n_qubits)[0]
 
 
+def close(got, want, rtol):
+    """Max-norm agreement of two arrays, relative to the larger entry of ``want``."""
+    return np.abs(got - want).max() <= rtol * np.abs(want).max()
+
+
+def kernel_layer(buf, layer_angles, undo=False):
+    """One RY layer with (n, batch) ``layer_angles`` on the rows of the (batch, dim)
+    ``buf``, in place, through ``_ry_kernel`` and the factors the circuit passes
+    build; ``undo`` transposes both factors, as the adjoint walk does."""
+    k1, k2 = (k[0] for k in _layer_factors(np.asarray(layer_angles, dtype=float)[None]))
+    if undo:
+        k1, k2 = k1.swapaxes(1, 2), k2.swapaxes(1, 2)
+    _ry_kernel(buf.copy(), k1, k2, buf)
+
+
 def kernel_ry(buf, qubit, angles, undo=False):
     """RY by the (batch,) ``angles`` on one qubit of the (batch, dim) ``buf``, in
-    place, through ``_ry_kernel`` and the tables the circuit passes build;
-    ``undo`` negates the sign table, as the adjoint walk does."""
-    flip, sign = _flip_tables(buf.shape[1].bit_length() - 1)
-    half = np.multiply(angles, 0.5)
-    signed = np.sin(half)[:, None] * (-sign if undo else sign)[qubit][None, :]
-    _ry_kernel(buf, flip[qubit], np.cos(half)[:, None], signed)
+    place: a ``kernel_layer`` with every other angle 0."""
+    layer_angles = np.zeros((buf.shape[1].bit_length() - 1, buf.shape[0]))
+    layer_angles[qubit] = angles
+    kernel_layer(buf, layer_angles, undo)
 
 
 def ry(amps, qubit, angle):
@@ -102,7 +115,7 @@ def test_cnot_chain_permutations_match_the_kernels():
 
 def test_run_circuit_columns_match_gate_by_gate_runs():
     # per-row angles and per-row starts, against one-column runs that apply
-    # the CNOT chain gate by gate, every stored layer compared
+    # the CNOT chain and the RYs gate by gate, every stored layer compared
     rng = np.random.default_rng(21)
     for n, depth, batch in ((1, 2, 3), (3, 0, 2), (4, 3, 5), (8, 6, 4)):
         theta = rng.uniform(-np.pi, np.pi, (depth + 1, n, batch))
@@ -111,7 +124,20 @@ def test_run_circuit_columns_match_gate_by_gate_runs():
         assert out.shape == (depth + 1, batch, 2 ** n)
         for b in range(batch):
             one = run_circuit_serial(theta[:, :, b:b + 1], starts[:, b])[:, :, 0]
-            assert out[:, b].tobytes() == one.tobytes()
+            assert close(out[:, b], one, 1e-12), (n, depth, b)
+
+
+def test_run_circuit_matches_dense_kron_oracle():
+    # every layer of every column against gate-by-gate dense matrices; n = 1
+    # has an empty top factor
+    rng = np.random.default_rng(25)
+    for n in range(1, 11):
+        depth = 3 if n <= 8 else 1
+        theta = rng.uniform(-np.pi, np.pi, (depth + 1, n, 2))
+        starts = rng.normal(size=(2, 2 ** n))
+        layers = _run_circuit(theta, starts)
+        for b in range(2):
+            assert close(layers[:, b], dense_circuit(theta[:, :, b], starts[b]), 1e-13), (n, b)
 
 
 def test_run_circuit_layers_are_the_shorter_circuits():
@@ -133,12 +159,15 @@ def test_adjoint_pass_leaves_its_inputs_unchanged():
         layers = _run_circuit(theta, rng.normal(size=(3, 2 ** n)))
         adjoints = rng.normal(size=(3, 2 ** n))
         layers_before, adjoints_before = layers.tobytes(), adjoints.tobytes()
-        _adjoint_pass(AnsatzParams(theta), layers, adjoints)
+        factors = _layer_factors(theta)
+        factors_before = [k.tobytes() for k in factors]
+        _adjoint_pass(factors, layers, adjoints)
         assert layers.tobytes() == layers_before
         assert adjoints.tobytes() == adjoints_before
+        assert [k.tobytes() for k in factors] == factors_before
 
 
-def test_ry_kernel_matches_reshape_oracle_bit_for_bit():
+def test_ry_kernel_matches_reshape_oracle():
     rng = np.random.default_rng(22)
     for n in range(1, 9):
         for batch in range(1, 6):
@@ -147,15 +176,20 @@ def test_ry_kernel_matches_reshape_oracle_bit_for_bit():
             amps.flat[3::7] = -0.0
             angle_sets = [rng.uniform(-2 * np.pi, 2 * np.pi, batch)]
             angle_sets += [np.full(batch, a) for a in EDGE_ANGLES]
-            for q in range(n):
-                for angles in angle_sets:
-                    for undo in (False, True):
+            for undo in (False, True):
+                # one gate at a time, then a whole layer of random angles
+                for q in range(n):
+                    for angles in angle_sets:
                         got, want = amps.T.copy(), amps.copy()
                         kernel_ry(got, q, angles, undo)
                         ry_reshape(want, q, -angles if undo else angles)
-                        for b in range(batch):
-                            assert got[b].tobytes() == want[:, b].tobytes(), \
-                                (n, batch, q, angles, undo)
+                        assert close(got, want.T, 1e-13), (n, batch, q, angles, undo)
+                layer_angles = rng.uniform(-2 * np.pi, 2 * np.pi, (n, batch))
+                got, want = amps.T.copy(), amps.copy()
+                kernel_layer(got, layer_angles, undo)
+                for q in range(n):
+                    ry_reshape(want, q, -layer_angles[q] if undo else layer_angles[q])
+                assert close(got, want.T, 1e-13), (n, batch, undo)
     # whole circuits and adjoint walks, against the gate-by-gate oracles on the
     # reshape-view kernel, column by column
     for n in (1, 4, 8):
@@ -165,12 +199,12 @@ def test_ry_kernel_matches_reshape_oracle_bit_for_bit():
             starts = rng.normal(size=(2 ** n, 3))
             layers = _run_circuit(theta, starts.T.copy())
             adjoints = rng.normal(size=(2 ** n, 3)).T.copy()
-            grads = _adjoint_pass(AnsatzParams(theta), layers, adjoints)
+            grads = _adjoint_pass(_layer_factors(theta), layers, adjoints)
             for b in range(3):
                 one = run_circuit_serial(theta[:, :, b:b + 1], starts[:, b])[:, :, 0]
-                assert layers[:, b].tobytes() == one.tobytes()
+                assert close(layers[:, b], one, 1e-13), (n, depth, b)
                 walked = _adjoint_pass_serial(theta[:, :, b], one, adjoints[b])
-                assert grads[:, :, b].tobytes() == walked.tobytes()
+                assert close(grads[:, :, b], walked, 1e-13), (n, depth, b)
 
 
 def test_angle_array_fixes_the_circuit_shape():

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import weakref
 
 import numpy as np
 import pytest
@@ -446,6 +447,30 @@ def test_no_precond_drops_exactly_the_precond_arm(tmp_path, command):
         assert not [col for col in columns if "precond" in col]
         two_arm = _columns(both / name)
         assert columns == {col: two_arm[col] for col in columns}
+
+
+@pytest.mark.parametrize("command", ["heat", "solve", "sweep-depth"])
+def test_training_holds_no_ilu_factors(tmp_path, monkeypatch, command):
+    # Every factor object and array ilu0 returned is garbage by the time a
+    # command starts training.
+    refs, trainings = [], []
+
+    def tracked_ilu0(A):
+        factors = real_ilu0(A)
+        refs.extend(weakref.ref(obj) for obj in (factors, factors.L, factors.U))
+        return factors
+
+    def checked_train(*args, **kwargs):
+        trainings.append([ref for ref in refs if ref() is not None])
+        return real_train(*args, **kwargs)
+
+    real_ilu0, real_train = exp.ilu0, exp.train
+    monkeypatch.setattr(exp, "ilu0", tracked_ilu0)
+    monkeypatch.setattr(exp, "train", checked_train)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_TOY_CONFIGS[command]))
+    assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+    assert refs and trainings and all(alive == [] for alive in trainings)
 
 
 def test_out_naming_an_existing_file_exits_2(tmp_path, capsys):
