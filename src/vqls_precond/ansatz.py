@@ -12,15 +12,17 @@ The circuit passes keep B circuits of one shape as the rows of a (B, 2**n)
 buffer, each with its own angles and start state. The forward pass stores
 every layer's state in one (D+1, B, 2**n) array; the adjoint walk reads
 those and carries only the B cost adjoints back. A layer's CNOT chain is one
-fixed permutation of the basis, applied as a single gather.
+fixed permutation of the basis, the Gray code (``_cnot_chain``), and
+``_cnot_kernel`` applies it as a single gather: the forward permutation in
+the forward pass, its inverse in the walk.
 
 An RY layer is the tensor product of its n gates, so it splits into two
 Kronecker factors (Van Loan, "The ubiquitous Kronecker product", J. Comput.
 Appl. Math. 123, 2000): K1 over the top h = n // 2 qubits and K2 over the
 rest. With a row viewed as the (2**h, 2**(n-h)) matrix X (qubit 0 is the
 most significant bit), the layer is K1 X K2^T, two batched matrix products
-for all B rows. ``_layer_factors`` builds every layer's pair once per step;
-the forward pass and the adjoint walk share them.
+for all B rows. ``_run_circuit`` builds every layer's pair and hands them
+back with the states, so the adjoint walk reuses them.
 """
 
 from __future__ import annotations
@@ -119,58 +121,50 @@ def _ry_kernel(amps: np.ndarray, k1: np.ndarray, k2: np.ndarray, out: np.ndarray
     np.matmul(np.matmul(k1, x), k2.swapaxes(1, 2), out=out.reshape(x.shape))
 
 
-def _cnot_kernel(amps: np.ndarray, control: int, target: int) -> None:
-    """In-place CNOT on a (dim, batch) buffer; swaps target pairs where control=1."""
-    lo, hi = sorted((control, target))
-    batch = amps.shape[1]
-    view = amps.reshape(2 ** lo, 2, 2 ** (hi - lo - 1), 2, -1, batch)
-    if control < target:
-        block = view[:, 1]
-        tmp = block[:, :, 0].copy()
-        block[:, :, 0] = block[:, :, 1]
-        block[:, :, 1] = tmp
-    else:
-        tmp = view[:, 0, :, 1].copy()
-        view[:, 0, :, 1] = view[:, 1, :, 1]
-        view[:, 1, :, 1] = tmp
+def _cnot_kernel(amps: np.ndarray, perm: np.ndarray, out: np.ndarray) -> None:
+    """out <- the (batch, dim) rows of ``amps`` gathered by a ``_cnot_chain`` permutation.
+
+    ``out`` is a (batch, dim) buffer that does not overlap ``amps``.
+    """
+    # "clip" lets take write straight into ``out``; a permutation never clips.
+    amps.take(perm, axis=1, out=out, mode="clip")
 
 
 @lru_cache(maxsize=None)
 def _cnot_chain(n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
     """(forward, inverse) basis permutations of one layer's CNOT chain.
 
-    ``amps[..., forward]`` applies the ascending chain (control q, target
-    q+1) to (batch, dim) rows, ``amps[..., inverse]`` undoes it. Both come
-    from running ``_cnot_kernel`` over a column of basis indices, the
-    inverse with the chain reversed (each CNOT is its own inverse).
+    The ascending chain (control q, target q+1) leaves qubit q holding the
+    XOR of qubits 0..q, so amplitude j after it is amplitude j ^ (j >> 1),
+    the Gray code of j, before it: ``amps[..., forward]`` applies the chain
+    and ``amps[..., inverse]`` undoes it.
     """
-    forward = np.arange(2 ** n_qubits)[:, None]
-    inverse = forward.copy()
-    for q in range(n_qubits - 1):
-        _cnot_kernel(forward, q, q + 1)
-        _cnot_kernel(inverse, n_qubits - 2 - q, n_qubits - 1 - q)
+    index = np.arange(2 ** n_qubits)
+    forward = index ^ (index >> 1)
+    inverse = np.empty_like(forward)
+    inverse[forward] = index
     forward.flags.writeable = inverse.flags.writeable = False   # shared by the cache
-    return forward[:, 0], inverse[:, 0]
+    return forward, inverse
 
 
-def _run_circuit(theta: np.ndarray, initial: np.ndarray, factors=None) -> np.ndarray:
-    """(D+1, batch, 2**n) states of every row after each layer of the ansatz.
+def _run_circuit(theta: np.ndarray, initial: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """((D+1, batch, 2**n) states of every row after each layer, the layers' factors).
 
     ``theta`` has shape (D+1, n, batch) and ``initial`` shape (batch, 2**n):
-    row b of ``[d]`` is the state after layer d of the circuit with angles
-    ``theta[..., b]`` run from start ``initial[b]``; ``[-1]`` is the output.
-    ``factors`` is ``_layer_factors(theta)`` where the caller has it already.
+    row b of ``states[d]`` is the state after layer d of the circuit with
+    angles ``theta[..., b]`` run from start ``initial[b]``; ``states[-1]`` is
+    the output. The factors are ``_layer_factors(theta)``, returned for the
+    adjoint walk.
     """
-    k1, k2 = _layer_factors(theta) if factors is None else factors
-    chain, _ = _cnot_chain(theta.shape[1])
+    factors = k1, k2 = _layer_factors(theta)
+    forward, _ = _cnot_chain(theta.shape[1])
     states = np.empty((len(k1),) + np.shape(initial))
     _ry_kernel(initial, k1[0], k2[0], states[0])
     chained = np.empty_like(states[0])
     for d in range(1, len(k1)):
-        # "clip" lets take write straight into ``out``; a permutation never clips.
-        states[d - 1].take(chain, axis=1, out=chained, mode="clip")
+        _cnot_kernel(states[d - 1], forward, chained)
         _ry_kernel(chained, k1[d], k2[d], states[d])
-    return states
+    return states, factors
 
 
 def prepare_state(params: AnsatzParams, initial: np.ndarray) -> np.ndarray:
@@ -186,7 +180,7 @@ def prepare_state(params: AnsatzParams, initial: np.ndarray) -> np.ndarray:
     initial = np.asarray(initial, dtype=float)
     if initial.shape != (2 ** params.n_qubits,):
         raise ValueError(f"initial state length {initial.shape} != 2^{params.n_qubits}")
-    return _run_circuit(params.theta[:, :, None], initial[None, :])[-1, 0]
+    return _run_circuit(params.theta[:, :, None], initial[None, :])[0][-1, 0]
 
 
 def _adjoint_pass(factors: tuple, layers: np.ndarray, adjoints: np.ndarray) -> np.ndarray:
@@ -223,5 +217,5 @@ def _adjoint_pass(factors: tuple, layers: np.ndarray, adjoints: np.ndarray) -> n
         if d == 0:
             break
         _ry_kernel(mu, k1[d].swapaxes(1, 2), k2[d].swapaxes(1, 2), undone)
-        undone.take(inverse, axis=1, out=mu, mode="clip")
+        _cnot_kernel(undone, inverse, mu)
     return grad

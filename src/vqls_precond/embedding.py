@@ -40,6 +40,8 @@ class QuantumSystem:
         dim = 2 ** self.n_qubits
         if self.op.shape != (dim, dim):
             raise ValueError(f"operator shape {self.op.shape} != 2^{self.n_qubits}")
+        if self.rhs_state.shape != (dim,):
+            raise ValueError(f"rhs_state shape {self.rhs_state.shape} != (2^{self.n_qubits},)")
         if abs(np.linalg.norm(self.rhs_state) - 1.0) > 1e-12:
             raise ValueError("rhs_state must have unit 2-norm")
 
@@ -91,12 +93,15 @@ def extract_solution(x_state, sys: QuantumSystem, original_n: int) -> np.ndarray
 
     Hermitized systems keep the solution in the bottom (ancilla-1) block;
     after selecting it, padding is truncated and the result renormalized.
+    ``original_n``, the unpadded length, must lie in 1..len(block).
     """
     x_state = np.asarray(x_state, dtype=float)
     dim = 2 ** sys.n_qubits
     if x_state.shape != (dim,):
         raise ValueError(f"state length {x_state.shape} != 2^{sys.n_qubits}")
     block = x_state[dim // 2:] if sys.hermitized else x_state
+    if not 1 <= original_n <= len(block):
+        raise ValueError(f"original_n = {original_n} is not in 1..{len(block)}")
     if np.linalg.norm(block) < 1e-10:
         raise DegenerateBlockError(
             "solution block norm below 1e-10; optimizer left the solution block empty")

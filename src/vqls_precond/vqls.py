@@ -41,7 +41,7 @@ from sys import float_info
 
 import numpy as np
 
-from .ansatz import AnsatzParams, _adjoint_pass, _layer_factors, _run_circuit
+from .ansatz import AnsatzParams, _adjoint_pass, _run_circuit
 from .embedding import QuantumSystem
 from .sparse import STREAM_THETA, _rng
 
@@ -166,13 +166,12 @@ def cost_and_grad(angles: AnsatzParams, systems: list[QuantumSystem]):
     """(costs (B,), gradients (D+1, n, B)) of B columns: angles[..., b] on systems[b].
 
     ``angles`` holds (D+1, n, B) angles, and the gradients come back in the
-    same layout. The layers' Kronecker factors are built once and serve both
-    passes. One forward pass runs every column from its own right-hand
-    side; the seed of the adjoint walk is mu = dC/dx = op^T (-(2g/h) rhs +
-    (2g^2/h^2) op x), formed column by column with that column's operator.
+    same layout. One forward pass runs every column from its own right-hand
+    side, and its layers' Kronecker factors serve the adjoint walk too; the
+    seed of the walk is mu = dC/dx = op^T (-(2g/h) rhs + (2g^2/h^2) op x),
+    formed column by column with that column's operator.
     """
-    factors = _layer_factors(angles.theta)
-    layers = _run_circuit(angles.theta, np.stack([sys.rhs_state for sys in systems]), factors)
+    layers, factors = _run_circuit(angles.theta, np.stack([sys.rhs_state for sys in systems]))
     costs = np.empty(len(systems))
     adjoints = np.empty_like(layers[-1])
     for b, (x, sys) in enumerate(zip(layers[-1], systems)):

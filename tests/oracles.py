@@ -16,18 +16,21 @@ locating each row's matching upper entries with ``searchsorted``, and
 scatters the eliminated values into dense factors once at the end; ``ilu0``
 must reproduce its factors bit for bit and its zero pivots row for row.
 
-Reshape-view RY. ``ry_reshape`` is the gate as the 2x2 matrix
+Reshape-view gates. ``ry_reshape`` is the gate as the 2x2 matrix
 [[cos(a/2), -sin(a/2)], [sin(a/2), cos(a/2)]] applied to the amplitude
 pairs of a strided (2**q, 2, 2**(n-q-1), batch) view, and ``j_reshape``
 applies its generator J = [[0, -1], [1, 0]] the same way. The Kronecker
 layer ``ansatz._ry_kernel`` rounds differently (each factor entry is a
 product of cosines and sines, each row of K1 X K2^T a sum over 2**h or
-2**(n-h) terms), so it must agree with them to 1e-13, not bit for bit; the
-serial oracles below run on them.
+2**(n-h) terms), so it must agree with them to 1e-13, not bit for bit.
+``cnot_reshape`` is one CNOT as an in-place swap of the target pairs where
+the control is 1, on a view of the same kind; the chain of them must give
+exactly the Gray-code permutation ``ansatz._cnot_chain``. The serial
+oracles below run on these three and share no gate code with production.
 
 Dense circuit. ``dense_circuit`` builds every gate as a full 2**n matrix
 from ``np.kron`` factors and applies the gates one by one, an oracle that
-shares no code with the Kronecker split or the cached CNOT permutation.
+shares no code with the Kronecker split or the Gray-code CNOT permutation.
 
 Serial training. ``train_serial`` is the one-system training loop that
 lockstep ``vqls.train`` replaced: one column per circuit pass, the CNOT
@@ -51,7 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from vqls_precond.ansatz import AnsatzParams, _cnot_kernel, _run_circuit, prepare_state
+from vqls_precond.ansatz import AnsatzParams, _run_circuit, prepare_state
 from vqls_precond.embedding import QuantumSystem
 from vqls_precond.ilu import PIVOT_FLOOR, IluFactors, ZeroPivotError
 from vqls_precond.sparse import STREAM_THETA, CsrMatrix
@@ -124,7 +127,7 @@ def shift_states(params: AnsatzParams, initial: np.ndarray) -> np.ndarray:
     cols[idx, 2 * idx + 1] += np.pi / 2
     cols[idx, 2 * idx + 2] -= np.pi / 2
     theta = cols.reshape(params.theta.shape + (2 * n_params + 1,))
-    return _run_circuit(theta, np.repeat(initial[None, :], 2 * n_params + 1, axis=0))[-1]
+    return _run_circuit(theta, np.repeat(initial[None, :], 2 * n_params + 1, axis=0))[0][-1]
 
 
 def shift_rule_cost_and_grad(params: AnsatzParams, sys: QuantumSystem):
@@ -164,6 +167,22 @@ def ry_reshape(amps: np.ndarray, qubit: int, angle) -> None:
     new0 = c * a0 - s * a1
     view[:, 1] = s * a0 + c * a1
     view[:, 0] = new0
+
+
+def cnot_reshape(amps: np.ndarray, control: int, target: int) -> None:
+    """In-place CNOT on a (dim, batch) buffer; swaps target pairs where control=1."""
+    lo, hi = sorted((control, target))
+    batch = amps.shape[1]
+    view = amps.reshape(2 ** lo, 2, 2 ** (hi - lo - 1), 2, -1, batch)
+    if control < target:
+        block = view[:, 1]
+        tmp = block[:, :, 0].copy()
+        block[:, :, 0] = block[:, :, 1]
+        block[:, :, 1] = tmp
+    else:
+        tmp = view[:, 0, :, 1].copy()
+        view[:, 0, :, 1] = view[:, 1, :, 1]
+        view[:, 1, :, 1] = tmp
 
 
 def j_reshape(amps: np.ndarray, qubit: int) -> np.ndarray:
@@ -213,7 +232,7 @@ def run_circuit_serial(theta: np.ndarray, initial: np.ndarray) -> np.ndarray:
     for d in range(n_layers):
         if d:
             for q in range(n_qubits - 1):
-                _cnot_kernel(amps, q, q + 1)
+                cnot_reshape(amps, q, q + 1)
         for q in range(n_qubits):
             ry_reshape(amps, q, theta[d, q])
         layers.append(amps.copy())
@@ -234,7 +253,7 @@ def _adjoint_pass_serial(theta: np.ndarray, layers: np.ndarray,
         for q in range(n_qubits):
             ry_reshape(mu, q, -theta[d, q])
         for q in range(n_qubits - 2, -1, -1):
-            _cnot_kernel(mu, q, q + 1)
+            cnot_reshape(mu, q, q + 1)
     return grad
 
 

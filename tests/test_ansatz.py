@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from oracles import (_adjoint_pass_serial, dense_circuit, random_params, ry_reshape,
-                     run_circuit_serial, shift_rule_tangent, shift_states, shifted_state)
+from oracles import (_adjoint_pass_serial, cnot_reshape, dense_circuit, random_params,
+                     ry_reshape, run_circuit_serial, shift_rule_tangent, shift_states,
+                     shifted_state)
 from vqls_precond.ansatz import (AnsatzParams, _adjoint_pass, _cnot_chain, _cnot_kernel,
                                  _layer_factors, _ry_kernel, _run_circuit, prepare_state)
 
@@ -56,9 +57,9 @@ def ry(amps, qubit, angle):
 
 
 def cnot(amps, control, target):
-    """CNOT through the kernel on a (dim, 1) copy of ``amps``."""
+    """CNOT through the reference swap kernel on a (dim, 1) copy of ``amps``."""
     buf = amps[:, None].copy()
-    _cnot_kernel(buf, control, target)
+    cnot_reshape(buf, control, target)
     return buf[:, 0]
 
 
@@ -102,15 +103,21 @@ def test_cnot_involution():
 
 
 def test_cnot_chain_permutations_match_the_kernels():
+    # the Gray-code permutations, gathered by the production kernel, against
+    # the chain of reference swaps: forward runs it, inverse undoes it
     rng = np.random.default_rng(20)
-    for n in range(1, 9):
+    for n in range(1, 13):
         amps = rng.normal(size=(2 ** n, 3))
         chained = amps.copy()
         for q in range(n - 1):
-            _cnot_kernel(chained, q, q + 1)
+            cnot_reshape(chained, q, q + 1)
         forward, inverse = _cnot_chain(n)
-        np.testing.assert_array_equal(amps[forward], chained)
-        np.testing.assert_array_equal(chained[inverse], amps)
+        assert not (forward.flags.writeable or inverse.flags.writeable)
+        out = np.empty((3, 2 ** n))
+        _cnot_kernel(amps.T.copy(), forward, out)
+        np.testing.assert_array_equal(out, chained.T)
+        _cnot_kernel(chained.T.copy(), inverse, out)
+        np.testing.assert_array_equal(out, amps.T)
 
 
 def test_run_circuit_columns_match_gate_by_gate_runs():
@@ -120,7 +127,7 @@ def test_run_circuit_columns_match_gate_by_gate_runs():
     for n, depth, batch in ((1, 2, 3), (3, 0, 2), (4, 3, 5), (8, 6, 4)):
         theta = rng.uniform(-np.pi, np.pi, (depth + 1, n, batch))
         starts = rng.normal(size=(2 ** n, batch))
-        out = _run_circuit(theta, starts.T.copy())
+        out, _ = _run_circuit(theta, starts.T.copy())
         assert out.shape == (depth + 1, batch, 2 ** n)
         for b in range(batch):
             one = run_circuit_serial(theta[:, :, b:b + 1], starts[:, b])[:, :, 0]
@@ -135,7 +142,7 @@ def test_run_circuit_matches_dense_kron_oracle():
         depth = 3 if n <= 8 else 1
         theta = rng.uniform(-np.pi, np.pi, (depth + 1, n, 2))
         starts = rng.normal(size=(2, 2 ** n))
-        layers = _run_circuit(theta, starts)
+        layers, _ = _run_circuit(theta, starts)
         for b in range(2):
             assert close(layers[:, b], dense_circuit(theta[:, :, b], starts[b]), 1e-13), (n, b)
 
@@ -147,20 +154,21 @@ def test_run_circuit_layers_are_the_shorter_circuits():
     for n in (1, 4, 8):
         theta = rng.uniform(-np.pi, np.pi, (15, n, 3))
         starts = rng.normal(size=(3, 2 ** n))
-        layers = _run_circuit(theta, starts)
+        layers, _ = _run_circuit(theta, starts)
         for d in range(15):
-            assert layers[d].tobytes() == _run_circuit(theta[:d + 1], starts)[-1].tobytes()
+            assert layers[d].tobytes() == _run_circuit(theta[:d + 1], starts)[0][-1].tobytes()
 
 
 def test_adjoint_pass_leaves_its_inputs_unchanged():
+    # the factors come from _run_circuit, which must hand back _layer_factors(theta)
     rng = np.random.default_rng(24)
     for n, depth in ((1, 3), (4, 14), (8, 2)):
         theta = rng.uniform(-np.pi, np.pi, (depth + 1, n, 3))
-        layers = _run_circuit(theta, rng.normal(size=(3, 2 ** n)))
+        layers, factors = _run_circuit(theta, rng.normal(size=(3, 2 ** n)))
         adjoints = rng.normal(size=(3, 2 ** n))
         layers_before, adjoints_before = layers.tobytes(), adjoints.tobytes()
-        factors = _layer_factors(theta)
         factors_before = [k.tobytes() for k in factors]
+        assert factors_before == [k.tobytes() for k in _layer_factors(theta)]
         _adjoint_pass(factors, layers, adjoints)
         assert layers.tobytes() == layers_before
         assert adjoints.tobytes() == adjoints_before
@@ -197,9 +205,9 @@ def test_ry_kernel_matches_reshape_oracle():
             theta = rng.uniform(-np.pi, np.pi, (depth + 1, n, 3))
             theta[0, 0] = EDGE_ANGLES[2:5]
             starts = rng.normal(size=(2 ** n, 3))
-            layers = _run_circuit(theta, starts.T.copy())
+            layers, factors = _run_circuit(theta, starts.T.copy())
             adjoints = rng.normal(size=(2 ** n, 3)).T.copy()
-            grads = _adjoint_pass(_layer_factors(theta), layers, adjoints)
+            grads = _adjoint_pass(factors, layers, adjoints)
             for b in range(3):
                 one = run_circuit_serial(theta[:, :, b:b + 1], starts[:, b])[:, :, 0]
                 assert close(layers[:, b], one, 1e-13), (n, depth, b)

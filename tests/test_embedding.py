@@ -11,7 +11,8 @@ import pytest
 
 from oracles import pauli_decompose, pauli_reconstruct, pauli_word_matrix
 from vqls_precond.dense import lu_solve
-from vqls_precond.embedding import DegenerateBlockError, build_system, extract_solution
+from vqls_precond.embedding import (DegenerateBlockError, QuantumSystem, build_system,
+                                    extract_solution)
 from vqls_precond.ilu import ilu0, preconditioned_system
 from vqls_precond.sparse import poisson_1d
 
@@ -178,6 +179,25 @@ def test_extract_degenerate_block():
     sys = build_system(np.eye(2), np.array([1.0, 1.0]), "hermitized")
     with pytest.raises(DegenerateBlockError):
         extract_solution(np.array([1.0, 0.0, 0.0, 0.0]), sys, original_n=2)
+
+
+def test_extract_rejects_original_n_outside_the_block():
+    # a 4-long solution block: 0 would read as a degenerate block, 50 would
+    # silently return all 4 entries
+    sys = build_system(np.eye(4), np.ones(4), "hermitized")
+    state = np.concatenate([np.zeros(4), [0.5, 0.5, 0.5, 0.5]])
+    for bad in (0, -1, 5, 50):
+        with pytest.raises(ValueError, match="original_n"):
+            extract_solution(state, sys, original_n=bad)
+    np.testing.assert_array_equal(extract_solution(state, sys, 4), [0.5] * 4)
+
+
+def test_quantum_system_rejects_a_wrong_shaped_rhs():
+    unit8 = np.full(8, 8 ** -0.5)
+    for rhs in (unit8, np.eye(2) / np.sqrt(2.0), unit8[:4].reshape(4, 1) * np.sqrt(2.0)):
+        with pytest.raises(ValueError, match="rhs_state shape"):
+            QuantumSystem(n_qubits=2, op=np.eye(4), rhs_state=rhs, hermitized=False)
+    QuantumSystem(n_qubits=2, op=np.eye(4), rhs_state=np.full(4, 0.5), hermitized=False)
 
 
 def test_build_system_modes():
