@@ -7,13 +7,15 @@ zero pivot skips and their replacement lineage) and the files it wrote;
 and the emitted files. This is the one module that writes files, every one
 through ``_write_atomic``. Outputs are deterministic per config.
 
-Every command compares the same named arms of each instance: ``plain``
-(A, b) and ``precond`` (M^-1 A, M^-1 b). ``_arms`` builds that list once
-per instance, and every command iterates it to train, to take spectra and
-to lay out its CSV columns; ``--no-precond`` drops the ``precond`` arm
-there. Training is lockstep (``vqls.train``): ``sweep-depth`` embeds every
-(seed, arm) system once and trains all of them together at each depth, in
-config order; ``solve`` and ``heat`` train their arms together.
+Every command draws its instances from ``generate_instance`` (the heat
+rod for ``heat``, random sparse systems otherwise) and compares the same
+named arms of each: ``plain`` (A, b) and ``precond`` (M^-1 A, M^-1 b).
+``_arms`` builds that list once per instance, and every command iterates
+it to train, to take spectra and to lay out its CSV columns;
+``--no-precond`` drops the ``precond`` arm there. ``_train_arms`` is the one
+lockstep trainer (``vqls.train``): ``solve`` and ``heat`` train the arms of
+the first seed's instance with it, and ``sweep-depth`` every (seed, arm)
+column together at each depth, in config order.
 
 ``load_config`` merges a run's config from dict layers: a ``PROFILES``
 entry, ``HEAT_LAYER`` for heat runs, then the caller's layers (the CLI's
@@ -165,14 +167,18 @@ class SeedStatus:
 def generate_instance(cfg: ExperimentConfig, seed: int):
     """Draw (A, b) and factor A, advancing the seed past zero-pivot draws.
 
-    Returns (A, b, factors, status); a skipped seed never enters any
-    averaged statistic, and the manifest keeps the replacement lineage.
+    A heat config draws the rod, which is the same for every seed and always
+    factors. Returns (A, b, factors, status); a skipped seed never enters
+    any averaged statistic, and the manifest keeps the replacement lineage.
     """
     skipped = []
     s = seed
     for _ in range(MAX_SKIP_ATTEMPTS):
-        A = random_sparse(cfg.n, cfg.density, s)
-        b = random_rhs(cfg.n, s)
+        if cfg.kind == "heat":
+            A, b = poisson_1d(cfg.n, cfg.heat_rate, cfg.rod_length)
+        else:
+            A = random_sparse(cfg.n, cfg.density, s)
+            b = random_rhs(cfg.n, s)
         try:
             factors = ilu0(A)
         except ZeroPivotError:
@@ -200,44 +206,30 @@ def _arms(A: CsrMatrix, b: np.ndarray, factors: IluFactors, cfg: ExperimentConfi
     return arms
 
 
-def _embedded_arms(A: CsrMatrix, b: np.ndarray, factors: IluFactors,
-                   cfg: ExperimentConfig) -> dict:
-    """{arm name: QuantumSystem}: ``_arms`` embedded per cfg.vqls.mode.
-
-    The dense arm copies are dropped once embedded. Callers pass the factors
-    without keeping them, so training never holds the two dense n x n arrays.
-    """
-    return {name: build_system(*system, cfg.vqls.mode)
-            for name, system in _arms(A, b, factors, cfg).items()}
-
-
 def _embedded_instance(cfg: ExperimentConfig, seed: int):
-    """(A, b, {arm name: QuantumSystem}, status): ``generate_instance`` embedded."""
+    """(A, b, {arm name: QuantumSystem}, status): ``generate_instance``'s arms embedded.
+
+    The factors and the dense arm copies are dropped before this returns, so
+    training never holds the dense n x n arrays.
+    """
     A, b, factors, status = generate_instance(cfg, seed)
-    return A, b, _embedded_arms(A, b, factors, cfg), status
+    systems = {name: build_system(*system, cfg.vqls.mode)
+               for name, system in _arms(A, b, factors, cfg).items()}
+    return A, b, systems, status
 
 
-@dataclass
-class ArmResult:
-    result: TrainResult
-    x_final: np.ndarray   # unit norm
-    x_best: np.ndarray    # unit norm, minimum-cost iterate
+def _train_arms(cfg: ExperimentConfig, depth: int, instances: list) -> list:
+    """[{arm name: TrainResult}] of [(status, {arm name: QuantumSystem})], trained in lockstep.
 
-
-def solve_instance(A: CsrMatrix, b: np.ndarray, systems: dict,
-                   cfg: ExperimentConfig, seed: int) -> tuple:
-    """Train the embedded arms ``systems`` of (A, b); returns (x_exact, {arm name: ArmResult})."""
-    x_exact = lu_solve(A.to_dense(), b)
-    trained = train(list(systems.values()), cfg.vqls, [seed] * len(systems),
-                    [f"seed {seed}, arm {name}" for name in systems])
-    return x_exact, {name: ArmResult(result=result,
-                                     x_final=_unit_solution(sys, result.params, A.n),
-                                     x_best=_unit_solution(sys, result.best_params, A.n))
-                     for (name, sys), result in zip(systems.items(), trained)}
-
-
-def _unit_solution(sys, params, original_n: int) -> np.ndarray:
-    return extract_solution(prepare_state(params, sys.rhs_state), sys, original_n)
+    The columns are seed-major. Each starts from its instance's used seed and
+    is named "seed S, arm NAME" in a numerical failure.
+    """
+    columns = [(status.used, name, system)
+               for status, systems in instances for name, system in systems.items()]
+    trained = iter(train([system for _, _, system in columns], replace(cfg.vqls, depth=depth),
+                         [seed for seed, _, _ in columns],
+                         [f"seed {seed}, arm {name}" for seed, name, _ in columns]))
+    return [{name: next(trained) for name in systems} for _, systems in instances]
 
 
 # ---------------------------------------------------------------------------
@@ -305,77 +297,63 @@ def _write_manifest(out: Path, cfg: ExperimentConfig, statuses: list,
 
 
 def cmd_solve(cfg: ExperimentConfig, out: Path) -> tuple:
-    """One instance, every arm: traces, solutions and residuals (Fig. 2 data)."""
+    """The first seed's instance, every arm: traces, solutions and residuals (Fig. 2 data)."""
     A, b, systems, status = _embedded_instance(cfg, cfg.seeds[0])
-    x_exact, arms = solve_instance(A, b, systems, cfg, status.used)
-    return [status], _emit_solve_outputs(out, cfg, A, x_exact, arms)
+    x_exact = lu_solve(A.to_dense(), b)
+    [results] = _train_arms(cfg, cfg.vqls.depth, [(status, systems)])
+    # Every solution is extracted before the first write: a failure leaves no CSV.
+    solutions = {}     # arm name -> [final, best] unit-norm solution
+    for name, result in results.items():
+        system = systems[name]
+        solutions[name] = [extract_solution(prepare_state(params, system.rhs_state), system, A.n)
+                           for params in (result.params, result.best_params)]
 
-
-def _emit_solve_outputs(out: Path, cfg: ExperimentConfig, A: CsrMatrix,
-                        x_exact: np.ndarray, arms: dict) -> list:
     artifacts = []
-    for name, arm in arms.items():
-        write_trace_csv(arm.result, out / f"trace_{name}.csv")
+    for name, result in results.items():
+        write_trace_csv(result, out / f"trace_{name}.csv")
         artifacts.append(f"trace_{name}.csv")
 
-    for fname, pick in (("solution.csv", lambda a: a.x_final),
-                        ("solution_best.csv", lambda a: a.x_best)):
-        header = ["index", "x_exact"] + [f"x_vqls_{name}" for name in arms]
-        cols = [aligned(pick(arm), x_exact) for arm in arms.values()]
-        rows = [[i, float(x_exact[i])] + [float(c[i]) for c in cols]
-                for i in range(A.n)]
+    header = ["index", "x_exact"] + [f"x_vqls_{name}" for name in solutions]
+    for fname, pick in (("solution.csv", 0), ("solution_best.csv", 1)):
+        cols = [aligned(x[pick], x_exact) for x in solutions.values()]
+        rows = [[i, float(x_exact[i])] + [float(c[i]) for c in cols] for i in range(A.n)]
         _write_csv(out / fname, header, rows)
         artifacts.append(fname)
 
-    header = ["index"] + [f"residual_{name}" for name in arms]
-    res = [residuals(arm.x_final, x_exact) for arm in arms.values()]
+    res = [residuals(x[0], x_exact) for x in solutions.values()]
     rows = [[i] + [float(r[i]) for r in res] for i in range(A.n)]
-    _write_csv(out / "residuals.csv", header, rows)
+    _write_csv(out / "residuals.csv", ["index"] + [f"residual_{name}" for name in solutions], rows)
     artifacts.append("residuals.csv")
 
     if cfg.dump_matrix:
         _write_atomic(out / "instance.mtx", format_matrix_market(A))
         artifacts.append("instance.mtx")
-    return artifacts
+    return [status], artifacts
 
 
 def cmd_sweep_depth(cfg: ExperimentConfig, out: Path) -> tuple:
     """Final cost vs depth, averaged over seeds (Fig. 3(a) data)."""
-    statuses, instances = [], []     # instances: {arm name: QuantumSystem} per seed
+    instances = []     # (status, {arm name: QuantumSystem}) per seed
     for seed in cfg.seeds:
-        _, _, arms, status = _embedded_instance(cfg, seed)
-        statuses.append(status)
-        instances.append(arms)
-    names = list(instances[0])
-    # One lockstep column per (seed, arm), seed-major.
-    systems = [sys for arms in instances for sys in arms.values()]
-    seeds = [status.used for status in statuses for _ in names]
-    labels = [f"seed {status.used}, arm {name}" for status in statuses for name in names]
+        _, _, systems, status = _embedded_instance(cfg, seed)
+        instances.append((status, systems))
+    names = list(instances[0][1])
 
-    # One row per (depth, seed) cell, depth-major: the rows of one depth are
-    # consecutive, which the aggregates below rely on.
-    raw_rows = []
+    raw_rows, rows = [], []
     for depth in cfg.depths:
-        trained = train(systems, replace(cfg.vqls, depth=depth), seeds, labels)
-        costs = [result.final_cost for result in trained]
-        k = len(names)
-        raw_rows += [[depth, status.requested] + costs[i * k:(i + 1) * k]
-                     for i, status in enumerate(statuses)]
+        trained = _train_arms(cfg, depth, instances)
+        raw_rows += [[depth, status.requested] + [results[name].final_cost for name in names]
+                     for (status, _), results in zip(instances, trained)]
+        costs = [[results[name].final_cost for results in trained] for name in names]
+        rows.append([depth] + [v for arm_costs in costs for v in mean_sem(arm_costs)]
+                    + [len(cfg.seeds)] + [statistics.median(arm_costs) for arm_costs in costs])
     _write_csv(out / "sweep_raw.csv",
                ["depth", "seed"] + [f"final_cost_{name}" for name in names], raw_rows)
-
-    n_seeds = len(cfg.seeds)
-    rows = []
-    for i, depth in enumerate(cfg.depths):
-        # costs[j]: arm j's final costs over the seeds at this depth
-        costs = list(zip(*(row[2:] for row in raw_rows[i * n_seeds:(i + 1) * n_seeds])))
-        rows.append([depth] + [v for arm_costs in costs for v in mean_sem(arm_costs)]
-                    + [n_seeds] + [statistics.median(arm_costs) for arm_costs in costs])
     header = (["depth"]
               + [col for name in names for col in (f"mean_cost_{name}", f"sem_{name}")]
               + ["n_seeds"] + [f"median_cost_{name}" for name in names])
     _write_csv(out / "sweep.csv", header, rows)
-    return statuses, ["sweep.csv", "sweep_raw.csv"]
+    return [status for status, _ in instances], ["sweep.csv", "sweep_raw.csv"]
 
 
 def cmd_spectrum(cfg: ExperimentConfig, out: Path) -> tuple:
@@ -410,17 +388,13 @@ def cmd_spectrum(cfg: ExperimentConfig, out: Path) -> tuple:
 
 
 def cmd_heat(cfg: ExperimentConfig, out: Path) -> tuple:
-    """Steady-state heat diffusion pipeline (Fig. 4 data).
+    """``cmd_solve`` on the heated rod, plus its analytic parabola (Fig. 4 data).
 
     The tridiagonal pattern admits no fill, so the incomplete factorization
     is the exact one and the preconditioned arm starts at (numerically) the
     solution state.
     """
-    A, b = poisson_1d(cfg.n, cfg.heat_rate, cfg.rod_length)
-    seed = cfg.seeds[0]
-    status = SeedStatus(requested=seed, used=seed, skipped_zero_pivot=[])
-    x_exact, arms = solve_instance(A, b, _embedded_arms(A, b, ilu0(A), cfg), cfg, seed)
-
+    statuses, artifacts = cmd_solve(cfg, out)
     dh = cfg.rod_length / (cfg.n + 1)
     rows = []
     for i in range(cfg.n):
@@ -428,8 +402,7 @@ def cmd_heat(cfg: ExperimentConfig, out: Path) -> tuple:
         u = cfg.heat_rate * x_pos * (cfg.rod_length - x_pos) / 2.0
         rows.append([i, float(x_pos), float(u)])
     _write_csv(out / "parabola.csv", ["index", "position", "u_exact"], rows)
-
-    return [status], ["parabola.csv"] + _emit_solve_outputs(out, cfg, A, x_exact, arms)
+    return statuses, ["parabola.csv"] + artifacts
 
 
 COMMANDS = {

@@ -1,7 +1,7 @@
 """Acceptance criteria, one test per criterion, at their stated tolerances.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see one pass line per
-criterion. Criterion 9 (the full paper-scale reproduction, ~3 minutes) is
+criterion. Criterion 9 (the full paper-scale reproduction, ~10 seconds) is
 skipped unless VQLS_RUN_PAPER_PROFILE=1 is set; everything else runs by
 default, with criterion 8 the long pole (about half a minute).
 """
@@ -179,7 +179,7 @@ def test_criterion_08_depth_reduction_ci_scale(tmp_path):
 
 
 @pytest.mark.skipif(os.environ.get("VQLS_RUN_PAPER_PROFILE") != "1",
-                    reason="paper-scale run (~3 min); set VQLS_RUN_PAPER_PROFILE=1")
+                    reason="paper-scale run (~10 s); set VQLS_RUN_PAPER_PROFILE=1")
 def test_criterion_09_paper_scale_reproduction(tmp_path):
     with Stopwatch() as watch:
         cfg = load_config("solve", "paper", {"output_dir": str(tmp_path)})

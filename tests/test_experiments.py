@@ -12,6 +12,7 @@ import vqls_precond.experiments as exp
 from oracles import csr_from_dense, make_system
 from vqls_precond.cli import main
 from vqls_precond.dense import lu_solve
+from vqls_precond.embedding import DegenerateBlockError
 from vqls_precond.experiments import (DEFAULT_SEEDS, MAX_N, ExperimentConfig,
                                       NoFactorableInstanceError, SeedStatus, generate_instance,
                                       load_config, mean_sem, run, write_trace_csv)
@@ -150,6 +151,18 @@ def test_zero_pivot_skip_lineage(tmp_path, monkeypatch):
                            vqls=VqlsConfig(depth=1, iterations=5))
     A, b, factors, status = generate_instance(cfg, 5)
     assert status == SeedStatus(requested=5, used=6, skipped_zero_pivot=[5])
+
+
+def test_heat_instance_is_the_rod_for_every_seed():
+    cfg = ExperimentConfig(kind="heat", n=16, heat_rate=2.5, rod_length=3.0,
+                           vqls=VqlsConfig(depth=0, mode="direct"))
+    rod, b_rod = poisson_1d(16, 2.5, 3.0)
+    for seed in (1, 7):
+        A, b, _, status = generate_instance(cfg, seed)
+        assert status == SeedStatus(requested=seed, used=seed, skipped_zero_pivot=[])
+        for mine, theirs in ((A.row_ptr, rod.row_ptr), (A.col_idx, rod.col_idx),
+                             (A.vals, rod.vals), (b, b_rod)):
+            assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes()
 
 
 def test_mean_sem_stub_and_brute_force():
@@ -548,7 +561,7 @@ def test_non_finite_operator_stops_training_and_exits_3(tmp_path, monkeypatch, c
     def nan_entry(op):
         op[0, 1] = np.nan
 
-    code, err = _sweep_with_seed5_precond(tmp_path, monkeypatch, capsys, nan_entry)
+    code, err = _run_with_seed5_precond(tmp_path, monkeypatch, capsys, nan_entry, "sweep-depth")
     assert code == 3 and "seed 5, arm precond" in err, err
 
 
@@ -557,16 +570,18 @@ def test_degenerate_operator_names_its_column_and_exits_3(tmp_path, monkeypatch,
     def zeroed(op):
         op[:] = 0.0
 
-    code, err = _sweep_with_seed5_precond(tmp_path, monkeypatch, capsys, zeroed)
-    assert code == 3
-    assert "underflowed at iteration 0 in seed 5, arm precond" in err, err
+    for command in ("solve", "sweep-depth"):
+        code, err = _run_with_seed5_precond(tmp_path, monkeypatch, capsys, zeroed, command)
+        assert code == 3
+        assert "underflowed at iteration 0 in seed 5, arm precond" in err, (command, err)
 
 
-def _sweep_with_seed5_precond(tmp_path, monkeypatch, capsys, poison):
-    """(exit code, stderr) of a two-seed identity sweep with seed 5's M^-1 A poisoned.
+def _run_with_seed5_precond(tmp_path, monkeypatch, capsys, poison, command):
+    """(exit code, stderr) of an identity ``command`` run with seed 5's M^-1 A poisoned.
 
-    The sweep trains its four (seed, arm) columns in one lockstep run, so the
-    failure must name the one column it came from.
+    ``solve`` runs seed 5 alone, ``sweep-depth`` seeds 3 and 5. Every (seed,
+    arm) column trains in one lockstep run, so the failure must name the one
+    column it came from; the run must leave no CSV behind.
     """
     real_precond = exp.preconditioned_system
 
@@ -577,14 +592,28 @@ def _sweep_with_seed5_precond(tmp_path, monkeypatch, capsys, poison):
         return A_tilde, b_tilde
 
     monkeypatch.setattr(exp, "preconditioned_system", poisoned_precond)
-    cfg_path = tmp_path / "sweep.json"
-    cfg_path.write_text(json.dumps({"n": 4, "density": 1.0, "seeds": [3, 5],
-                                    "depths": [1], "vqls": {"iterations": 5}}))
-    out = tmp_path / "sweep"
+    cfg_path = tmp_path / f"{command}.json"
+    cfg_path.write_text(json.dumps({"n": 4, "density": 1.0,
+                                    "seeds": [5] if command == "solve" else [3, 5],
+                                    "depths": [1], "vqls": {"depth": 1, "iterations": 5}}))
+    out = tmp_path / command
     capsys.readouterr()
-    code = main(["sweep-depth", "--config", str(cfg_path), "--out", str(out)])
-    assert not (out / "sweep_raw.csv").exists()
+    code = main([command, "--config", str(cfg_path), "--out", str(out)])
+    assert not list(out.glob("*.csv"))
     return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["heat", "solve"])
+def test_failed_extraction_leaves_no_csv(tmp_path, monkeypatch, command):
+    # Every solution is extracted before the first file is written.
+    def degenerate(*args):
+        raise DegenerateBlockError("solution block carries no weight")
+
+    monkeypatch.setattr(exp, "extract_solution", degenerate)
+    cfg_path = _write_tiny_config(tmp_path)
+    out = tmp_path / "r"
+    assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 3
+    assert not list(out.glob("*.csv"))
 
 
 def test_unrelated_runtime_error_propagates(tmp_path, monkeypatch):
