@@ -4,8 +4,8 @@
                  [--profile ci|paper] [--seed S] [--depth D] [--out DIR]
                  [--no-precond] [--dump-matrix]
 
-Exit codes: 0 success, 2 configuration error or an output directory that
-cannot be created, 3 numerical failure.
+Exit codes: 0 success, 2 a configuration error or an output that cannot be
+written (the directory or any file in it), 3 numerical failure.
 Precedence: profile < heat defaults < config file < flags, each a layer
 merged by ``experiments.load_config``. The config file holds a JSON object.
 Booleans, ``output_dir`` and every other field must have their declared
@@ -24,7 +24,7 @@ import numpy as np
 from .dense import SingularMatrixError
 from .embedding import DegenerateBlockError
 from .experiments import (COMMANDS, PROFILES, ExperimentConfig, NoFactorableInstanceError,
-                          OutputDirError, load_config, run)
+                          load_config, run)
 from .ilu import ZeroPivotError
 from .vqls import DegenerateOperatorError, DivergedError
 
@@ -82,7 +82,7 @@ def main(argv=None) -> int:
         return 2
     try:
         artifacts = run(cfg)
-    except OutputDirError as exc:
+    except OSError as exc:
         print(f"output error: {exc}", file=sys.stderr)
         return 2
     except _NUMERICAL_ERRORS as exc:

@@ -2,10 +2,12 @@
 
 Each command regenerates one result set as plot-ready CSV in the output
 directory that ``run`` makes, and returns its per-seed status (including
-zero pivot skips and their replacement lineage) and the files it wrote;
-``run`` then writes the JSON manifest of the config snapshot, the statuses
-and the emitted files. This is the one module that writes files, every one
-through ``_write_atomic``. Outputs are deterministic per config.
+zero pivot skips and their replacement lineage) and the names its writers
+returned; ``run`` then writes the JSON manifest of the config snapshot, the
+statuses and those names. This is the one module that writes files: each
+CSV is one ``{header: values}`` table (``_write_csv``), and every writer
+goes through ``_write_atomic`` and returns the name of the file it wrote.
+Outputs are deterministic per config.
 
 Every command draws its instances from ``generate_instance`` (the heat
 rod for ``heat``, random sparse systems otherwise) and compares the same
@@ -119,7 +121,7 @@ class ExperimentConfig:
         return cls(**({**data, "vqls": VqlsConfig(**vqls)} if isinstance(vqls, dict) else data))
 
 
-# Base layers: ``paper`` is the full protocol (the defaults), ``ci`` a minutes-scale run.
+# Base layers: ``paper`` is the full protocol (the defaults), ``ci`` a seconds-scale run.
 PROFILES = {"paper": {}, "ci": {"seeds": [1, 2, 3], "depths": [2, 6, 10],
                                 "vqls": {"depth": 6, "iterations": 2000}}}
 
@@ -151,10 +153,6 @@ def load_config(kind: str, profile: str = "paper", *layers) -> ExperimentConfig:
 
 class NoFactorableInstanceError(RuntimeError):
     """Every draw within MAX_SKIP_ATTEMPTS seeds hit a zero pivot."""
-
-
-class OutputDirError(OSError):
-    """The output directory could not be created; nothing was written."""
 
 
 @dataclass
@@ -236,8 +234,8 @@ def _train_arms(cfg: ExperimentConfig, depth: int, instances: list) -> list:
 # output helpers
 
 
-def _write_atomic(path: Path, text: str) -> None:
-    """Write ``text`` to a sibling temporary file, then move it over ``path``.
+def _write_atomic(path: Path, text: str) -> str:
+    """Write ``text`` to a sibling temporary file, move it over ``path``; returns its name.
 
     An existing file is never left half-written, and a failed write or
     replace removes the temporary file before the error propagates.
@@ -249,6 +247,7 @@ def _write_atomic(path: Path, text: str) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+    return path.name
 
 
 def _format_cell(v) -> str:
@@ -257,19 +256,23 @@ def _format_cell(v) -> str:
     return str(v)
 
 
-def _write_csv(path: Path, header: list, rows: list) -> None:
-    lines = [",".join(header)]
-    for row in rows:
+def _write_csv(path: Path, columns: dict) -> str:
+    """Write the table ``{header: values}``, one row per index; returns the file's name.
+
+    A column shorter than the others raises ``ValueError`` before anything is written.
+    """
+    lines = [",".join(columns)]
+    for row in zip(*columns.values(), strict=True):
         lines.append(",".join(_format_cell(v) for v in row))
-    _write_atomic(path, "\n".join(lines) + "\n")
+    return _write_atomic(path, "\n".join(lines) + "\n")
 
 
-def write_trace_csv(result: TrainResult, path: Path) -> None:
+def write_trace_csv(result: TrainResult, path: Path) -> str:
     """Trace export with the canonical header iteration,cost,grad_norm,elapsed_s."""
     lines = ["iteration,cost,grad_norm,elapsed_s"]
     rows = zip(result.costs.tolist(), result.grad_norms.tolist(), result.elapsed.tolist())
     lines += [f"{it},{cost!r},{norm!r},{t:.6f}" for it, (cost, norm, t) in enumerate(rows)]
-    _write_atomic(path, "\n".join(lines) + "\n")
+    return _write_atomic(path, "\n".join(lines) + "\n")
 
 
 def mean_sem(values) -> tuple:
@@ -281,15 +284,14 @@ def mean_sem(values) -> tuple:
     return mean, statistics.stdev(values) / len(values) ** 0.5
 
 
-def _write_manifest(out: Path, cfg: ExperimentConfig, statuses: list,
-                    artifacts: list) -> None:
+def _write_manifest(out: Path, cfg: ExperimentConfig, statuses: list, artifacts: list) -> str:
     manifest = {
         "tool_version": __version__,
         "config": dataclasses.asdict(cfg),
         "seeds": [dataclasses.asdict(s) for s in statuses],
         "artifacts": sorted(artifacts),
     }
-    _write_atomic(out / "manifest.json", json.dumps(manifest, indent=2) + "\n")
+    return _write_atomic(out / "manifest.json", json.dumps(manifest, indent=2) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -308,26 +310,19 @@ def cmd_solve(cfg: ExperimentConfig, out: Path) -> tuple:
         solutions[name] = [extract_solution(prepare_state(params, system.rhs_state), system, A.n)
                            for params in (result.params, result.best_params)]
 
-    artifacts = []
-    for name, result in results.items():
-        write_trace_csv(result, out / f"trace_{name}.csv")
-        artifacts.append(f"trace_{name}.csv")
-
-    header = ["index", "x_exact"] + [f"x_vqls_{name}" for name in solutions]
+    artifacts = [write_trace_csv(result, out / f"trace_{name}.csv")
+                 for name, result in results.items()]
     for fname, pick in (("solution.csv", 0), ("solution_best.csv", 1)):
-        cols = [aligned(x[pick], x_exact) for x in solutions.values()]
-        rows = [[i, float(x_exact[i])] + [float(c[i]) for c in cols] for i in range(A.n)]
-        _write_csv(out / fname, header, rows)
-        artifacts.append(fname)
-
-    res = [residuals(x[0], x_exact) for x in solutions.values()]
-    rows = [[i] + [float(r[i]) for r in res] for i in range(A.n)]
-    _write_csv(out / "residuals.csv", ["index"] + [f"residual_{name}" for name in solutions], rows)
-    artifacts.append("residuals.csv")
-
+        columns = {"index": range(A.n), "x_exact": x_exact}
+        for name, x in solutions.items():
+            columns[f"x_vqls_{name}"] = aligned(x[pick], x_exact)
+        artifacts.append(_write_csv(out / fname, columns))
+    columns = {"index": range(A.n)}
+    for name, x in solutions.items():
+        columns[f"residual_{name}"] = residuals(x[0], x_exact)
+    artifacts.append(_write_csv(out / "residuals.csv", columns))
     if cfg.dump_matrix:
-        _write_atomic(out / "instance.mtx", format_matrix_market(A))
-        artifacts.append("instance.mtx")
+        artifacts.append(_write_atomic(out / "instance.mtx", format_matrix_market(A)))
     return [status], artifacts
 
 
@@ -337,23 +332,23 @@ def cmd_sweep_depth(cfg: ExperimentConfig, out: Path) -> tuple:
     for seed in cfg.seeds:
         _, _, systems, status = _embedded_instance(cfg, seed)
         instances.append((status, systems))
-    names = list(instances[0][1])
-
-    raw_rows, rows = [], []
+    costs = {name: [] for name in instances[0][1]}    # arm name -> per depth, per seed
     for depth in cfg.depths:
         trained = _train_arms(cfg, depth, instances)
-        raw_rows += [[depth, status.requested] + [results[name].final_cost for name in names]
-                     for (status, _), results in zip(instances, trained)]
-        costs = [[results[name].final_cost for results in trained] for name in names]
-        rows.append([depth] + [v for arm_costs in costs for v in mean_sem(arm_costs)]
-                    + [len(cfg.seeds)] + [statistics.median(arm_costs) for arm_costs in costs])
-    _write_csv(out / "sweep_raw.csv",
-               ["depth", "seed"] + [f"final_cost_{name}" for name in names], raw_rows)
-    header = (["depth"]
-              + [col for name in names for col in (f"mean_cost_{name}", f"sem_{name}")]
-              + ["n_seeds"] + [f"median_cost_{name}" for name in names])
-    _write_csv(out / "sweep.csv", header, rows)
-    return [status for status, _ in instances], ["sweep.csv", "sweep_raw.csv"]
+        for name, arm_costs in costs.items():
+            arm_costs.append([results[name].final_cost for results in trained])
+
+    raw = {"depth": np.repeat(cfg.depths, len(cfg.seeds)),
+           "seed": np.tile(cfg.seeds, len(cfg.depths)),
+           **{f"final_cost_{name}": np.ravel(arm_costs) for name, arm_costs in costs.items()}}
+    table = {"depth": cfg.depths}
+    for name, arm_costs in costs.items():
+        table[f"mean_cost_{name}"], table[f"sem_{name}"] = zip(*map(mean_sem, arm_costs))
+    table["n_seeds"] = [len(cfg.seeds)] * len(cfg.depths)
+    table.update({f"median_cost_{name}": list(map(statistics.median, arm_costs))
+                  for name, arm_costs in costs.items()})
+    artifacts = [_write_csv(out / "sweep_raw.csv", raw), _write_csv(out / "sweep.csv", table)]
+    return [status for status, _ in instances], artifacts
 
 
 def cmd_spectrum(cfg: ExperimentConfig, out: Path) -> tuple:
@@ -368,23 +363,19 @@ def cmd_spectrum(cfg: ExperimentConfig, out: Path) -> tuple:
             cond.setdefault(name, []).append(float(condition_number(M)))
     seeds = [status.used for status in statuses]
 
-    raw_rows = [[seed, rank] + [float(sigma[name][i][rank]) for name in sigma]
-                for i, seed in enumerate(seeds) for rank in range(cfg.n)]
-    _write_csv(out / "spectrum_raw.csv",
-               ["seed", "rank"] + [f"sigma_{name}" for name in sigma], raw_rows)
-
+    raw = {"seed": np.repeat(seeds, cfg.n), "rank": np.tile(np.arange(cfg.n), len(seeds)),
+           **{f"sigma_{name}": np.ravel(spectra) for name, spectra in sigma.items()}}
     # Raw and sigma_i / sigma_max spectra, averaged rank-by-rank across seeds.
     groups = {f"sigma_{name}": s for name, s in sigma.items()}
     groups.update({f"sigma_norm_{name}": [v / v[0] for v in s] for name, s in sigma.items()})
-    rows = [[rank] + [v for group in groups.values()
-                      for v in mean_sem([float(s[rank]) for s in group])]
-            for rank in range(cfg.n)]
-    _write_csv(out / "spectrum.csv",
-               ["rank"] + [f"{stat}_{g}" for g in groups for stat in ("mean", "sem")], rows)
-
-    _write_csv(out / "condition.csv", ["seed"] + [f"cond_{name}" for name in cond],
-               [[seed] + [cond[name][i] for name in cond] for i, seed in enumerate(seeds)])
-    return statuses, ["spectrum.csv", "spectrum_raw.csv", "condition.csv"]
+    table = {"rank": range(cfg.n)}
+    for group, spectra in groups.items():
+        by_rank = np.transpose(spectra).tolist()
+        table[f"mean_{group}"], table[f"sem_{group}"] = zip(*map(mean_sem, by_rank))
+    condition = {"seed": seeds, **{f"cond_{name}": values for name, values in cond.items()}}
+    return statuses, [_write_csv(out / "spectrum_raw.csv", raw),
+                      _write_csv(out / "spectrum.csv", table),
+                      _write_csv(out / "condition.csv", condition)]
 
 
 def cmd_heat(cfg: ExperimentConfig, out: Path) -> tuple:
@@ -396,13 +387,10 @@ def cmd_heat(cfg: ExperimentConfig, out: Path) -> tuple:
     """
     statuses, artifacts = cmd_solve(cfg, out)
     dh = cfg.rod_length / (cfg.n + 1)
-    rows = []
-    for i in range(cfg.n):
-        x_pos = (i + 1) * dh
-        u = cfg.heat_rate * x_pos * (cfg.rod_length - x_pos) / 2.0
-        rows.append([i, float(x_pos), float(u)])
-    _write_csv(out / "parabola.csv", ["index", "position", "u_exact"], rows)
-    return statuses, ["parabola.csv"] + artifacts
+    position = [(i + 1) * dh for i in range(cfg.n)]
+    u_exact = [cfg.heat_rate * x * (cfg.rod_length - x) / 2.0 for x in position]
+    table = {"index": range(cfg.n), "position": position, "u_exact": u_exact}
+    return statuses, artifacts + [_write_csv(out / "parabola.csv", table)]
 
 
 COMMANDS = {
@@ -414,17 +402,13 @@ COMMANDS = {
 
 
 def run(cfg: ExperimentConfig) -> list:
-    """Run cfg's command into cfg.output_dir; returns the files written, manifest last.
+    """Run cfg's command into cfg.output_dir; returns the names written, manifest last.
 
-    The command writes its outputs into the directory and returns
-    (seed statuses, file names); the manifest then records both. Raises
-    OutputDirError if the directory cannot be created.
+    The command returns (seed statuses, the names its writers returned), and
+    the manifest records both. An ``OSError`` from the directory or any write
+    propagates; the files written before it stay, and no manifest is written.
     """
     out = Path(cfg.output_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise OutputDirError(f"cannot create output directory {out}: {exc.strerror}") from exc
+    out.mkdir(parents=True, exist_ok=True)
     statuses, artifacts = COMMANDS[cfg.kind](cfg, out)
-    _write_manifest(out, cfg, statuses, artifacts)
-    return artifacts + ["manifest.json"]
+    return artifacts + [_write_manifest(out, cfg, statuses, artifacts)]

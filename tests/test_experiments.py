@@ -16,7 +16,7 @@ from vqls_precond.embedding import DegenerateBlockError
 from vqls_precond.experiments import (DEFAULT_SEEDS, MAX_N, ExperimentConfig,
                                       NoFactorableInstanceError, SeedStatus, generate_instance,
                                       load_config, mean_sem, run, write_trace_csv)
-from vqls_precond.ilu import ZeroPivotError
+from vqls_precond.ilu import ZeroPivotError, ilu0
 from vqls_precond.sparse import poisson_1d, random_rhs
 from vqls_precond.vqls import DivergedError, VqlsConfig, train
 
@@ -27,12 +27,12 @@ def identity_instance(monkeypatch):
     monkeypatch.setattr(exp, "random_sparse", lambda n, *args: csr_from_dense(np.eye(n)))
 
 
-def tiny_solve_config(out, **overrides):
+def tiny_config(out, **overrides):
+    """A 4 x 4 ``solve`` config (seed 3, depth 1) with ``overrides`` replacing its fields."""
     vqls_kwargs = {"depth": 1, "iterations": 200, "mode": "direct"}
     vqls_kwargs.update(overrides.pop("vqls", {}))
-    return ExperimentConfig(kind="solve", n=4, density=1.0, seeds=[3],
-                            vqls=VqlsConfig(**vqls_kwargs), output_dir=str(out),
-                            **overrides)
+    fields = {"kind": "solve", "n": 4, "density": 1.0, "seeds": [3], "output_dir": str(out)}
+    return ExperimentConfig(vqls=VqlsConfig(**vqls_kwargs), **{**fields, **overrides})
 
 
 def read_csv(path):
@@ -43,7 +43,7 @@ def read_csv(path):
 
 
 def test_identity_smoke_solve(tmp_path, identity_instance):
-    cfg = tiny_solve_config(tmp_path, vqls={"iterations": 2000})
+    cfg = tiny_config(tmp_path, vqls={"iterations": 2000})
     run(cfg)
     for name in ("trace_plain.csv", "trace_precond.csv", "solution.csv",
                  "solution_best.csv", "residuals.csv", "manifest.json"):
@@ -59,7 +59,7 @@ def test_identity_smoke_solve(tmp_path, identity_instance):
 
 
 def test_solution_csv_schema(tmp_path, identity_instance):
-    cfg = tiny_solve_config(tmp_path)
+    cfg = tiny_config(tmp_path)
     run(cfg)
     header, rows = read_csv(tmp_path / "solution.csv")
     assert header == ["index", "x_exact", "x_vqls_plain", "x_vqls_precond"]
@@ -67,7 +67,7 @@ def test_solution_csv_schema(tmp_path, identity_instance):
 
 
 def test_solve_no_precond(tmp_path, identity_instance):
-    cfg = tiny_solve_config(tmp_path, no_precond=True)
+    cfg = tiny_config(tmp_path, no_precond=True)
     run(cfg)
     assert not (tmp_path / "trace_precond.csv").exists()
     header, _ = read_csv(tmp_path / "solution.csv")
@@ -108,16 +108,25 @@ def test_solve_pads_non_power_of_two(tmp_path):
     assert len(rows) == 6  # padded to 8 internally, truncated on extraction
 
 
-def test_manifest_contents(tmp_path, identity_instance):
-    cfg = tiny_solve_config(tmp_path, dump_matrix=True)
-    run(cfg)
+@pytest.mark.parametrize("overrides", [
+    {"dump_matrix": True},
+    {"kind": "heat"},
+    {"kind": "sweep_depth", "seeds": [3, 4], "depths": [1, 2]},
+    {"kind": "spectrum", "no_precond": True},
+], ids=["solve-dump-matrix", "heat", "sweep-depth", "spectrum-no-precond"])
+def test_manifest_contents(tmp_path, identity_instance, overrides):
+    # The manifest lists exactly the files the run wrote, and run returns the same names.
+    cfg = tiny_config(tmp_path, **overrides)
+    written = run(cfg)
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["tool_version"]
-    assert manifest["config"]["n"] == 4
-    assert manifest["seeds"] == [{"requested": 3, "used": 3, "skipped_zero_pivot": []}]
-    for name in manifest["artifacts"]:
-        assert (tmp_path / name).exists()
-    assert "instance.mtx" in manifest["artifacts"]
+    assert manifest["config"] == dataclasses.asdict(cfg)
+    assert manifest["seeds"] == [{"requested": seed, "used": seed, "skipped_zero_pivot": []}
+                                 for seed in cfg.seeds]
+    on_disk = {path.name for path in tmp_path.iterdir()}
+    assert set(manifest["artifacts"]) | {"manifest.json"} == on_disk
+    assert sorted(written) == sorted(on_disk) and written[-1] == "manifest.json"
+    assert ("instance.mtx" in on_disk) == cfg.dump_matrix
 
 
 def test_dumped_matrix_replaces_the_file_whole(tmp_path, monkeypatch, identity_instance):
@@ -131,22 +140,41 @@ def test_dumped_matrix_replaces_the_file_whole(tmp_path, monkeypatch, identity_i
 
     monkeypatch.setattr(os, "replace", refuse_matrix)
     with pytest.raises(OSError, match="replace refused"):
-        run(tiny_solve_config(tmp_path, dump_matrix=True))
+        run(tiny_config(tmp_path, dump_matrix=True))
     assert (tmp_path / "instance.mtx").read_text() == "old bytes\n"
     assert not list(tmp_path.glob("*.tmp"))
 
 
-def test_zero_pivot_skip_lineage(tmp_path, monkeypatch):
-    real_ilu0 = exp.ilu0
+def _skip_first_ilu0(monkeypatch):
+    """The first ``ilu0`` call after this hits a zero pivot; later calls factor."""
     calls = []
 
     def flaky_ilu0(A):
         calls.append(1)
         if len(calls) == 1:
             raise ZeroPivotError(0, 0.0)
-        return real_ilu0(A)
+        return ilu0(A)
 
     monkeypatch.setattr(exp, "ilu0", flaky_ilu0)
+
+
+def test_csv_seed_columns_after_a_zero_pivot_redraw(tmp_path, monkeypatch, identity_instance):
+    # Seed 5's first draw is skipped and redrawn as seed 6. sweep_raw.csv reports the
+    # requested seeds, spectrum_raw.csv and condition.csv the seeds actually drawn.
+    lineage = [{"requested": 5, "used": 6, "skipped_zero_pivot": [5]},
+               {"requested": 9, "used": 9, "skipped_zero_pivot": []}]
+    for kind in ("sweep_depth", "spectrum"):
+        _skip_first_ilu0(monkeypatch)
+        run(tiny_config(tmp_path / kind, kind=kind, seeds=[5, 9], depths=[1, 2]))
+        manifest = json.loads((tmp_path / kind / "manifest.json").read_text())
+        assert manifest["seeds"] == lineage
+    assert _columns(tmp_path / "sweep_depth" / "sweep_raw.csv")["seed"] == ["5", "9", "5", "9"]
+    assert _columns(tmp_path / "spectrum" / "condition.csv")["seed"] == ["6", "9"]
+    assert _columns(tmp_path / "spectrum" / "spectrum_raw.csv")["seed"] == ["6"] * 4 + ["9"] * 4
+
+
+def test_zero_pivot_skip_lineage(tmp_path, monkeypatch):
+    _skip_first_ilu0(monkeypatch)
     cfg = ExperimentConfig(kind="solve", n=8, seeds=[5], output_dir=str(tmp_path),
                            vqls=VqlsConfig(depth=1, iterations=5))
     A, b, factors, status = generate_instance(cfg, 5)
@@ -509,6 +537,31 @@ def test_out_under_a_file_exits_2(tmp_path, capsys):
     assert sorted(path.name for path in tmp_path.iterdir()) == ["cfg.json", "taken"]
 
 
+def test_failed_write_exits_2_without_a_manifest(tmp_path, capsys):
+    # A directory stands where sweep.csv goes: the run stops at that write, keeps the
+    # file written before it and writes no manifest.
+    out = tmp_path / "run"
+    (out / "sweep.csv").mkdir(parents=True)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_TOY_CONFIGS["sweep-depth"]))
+    assert main(["sweep-depth", "--config", str(cfg_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("output error: "), err
+    assert str(out / "sweep.csv") in err[0]
+    assert sorted(path.name for path in out.iterdir()) == ["sweep.csv", "sweep_raw.csv"]
+    assert (out / "sweep.csv").is_dir()
+
+
+def test_write_csv_writes_named_columns_and_refuses_a_short_one(tmp_path):
+    path = tmp_path / "table.csv"
+    assert exp._write_csv(path, {"index": range(2), "x": [0.1, np.float64(0.25)]}) == "table.csv"
+    assert path.read_text() == "index,x\n0,0.1\n1,0.25\n"
+    with pytest.raises(ValueError):
+        exp._write_csv(path, {"index": range(3), "x": [0.5, 0.25]})
+    assert path.read_text() == "index,x\n0,0.1\n1,0.25\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["table.csv"]
+
+
 def test_cli_numerical_failure_exit_code(tmp_path, monkeypatch):
     def always_fails(cfg, seed):
         raise ZeroPivotError(0, 0.0)
@@ -550,7 +603,7 @@ def test_non_finite_operator_stops_training_and_exits_3(tmp_path, monkeypatch, c
 
     monkeypatch.setattr(exp, "build_system", poisoned_build)
     with pytest.raises(DivergedError):
-        run(tiny_solve_config(tmp_path / "direct"))
+        run(tiny_config(tmp_path / "direct"))
     cfg_path = _write_tiny_config(tmp_path)
     out = tmp_path / "r"
     assert main(["solve", "--config", str(cfg_path), "--out", str(out)]) == 3
