@@ -21,8 +21,12 @@ Kronecker factors (Van Loan, "The ubiquitous Kronecker product", J. Comput.
 Appl. Math. 123, 2000): K1 over the top h = n // 2 qubits and K2 over the
 rest. With a row viewed as the (2**h, 2**(n-h)) matrix X (qubit 0 is the
 most significant bit), the layer is K1 X K2^T, two batched matrix products
-for all B rows. ``_run_circuit`` builds every layer's pair and hands them
-back with the states, so the adjoint walk reuses them.
+for all B rows. Entry (i, j) of a half's factor is sigma(i, j) c[i ^ j],
+where c[t] is the product over the half's qubits of cos or sin of its half
+angle, chosen by the qubit's bit of t, and sigma a fixed +-1 table; so
+``_layer_factors`` builds every layer's and column's pair with one gather
+(two cached tables, ``_factor_tables``). ``_run_circuit`` builds them once
+and hands them back with the states, so the adjoint walk reuses them.
 """
 
 from __future__ import annotations
@@ -56,21 +60,40 @@ class AnsatzParams:
         return self.theta.shape[1]
 
 
-def _kron_chain(blocks: np.ndarray) -> np.ndarray:
-    """(..., 2**k, 2**k) Kronecker product of the k (..., 2, 2) ``blocks``, in order.
+@lru_cache(maxsize=None)
+def _factor_tables(n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
+    """(picks, entries): the two gather tables of ``_layer_factors`` on n qubits.
 
-    ``blocks`` has the qubit axis first; with no qubits the product is [[1]].
-    The product grows from the last block, so each multiply's innermost run
-    is the whole row of the product so far.
+    A layer's values are v = [cos(a_q/2) per qubit q, sin(a_q/2) per q, 1].
+    Column t of ``picks`` lists the entries of v whose product is entry t of
+    c = [c1, c2]: for c1 (2**h entries, the top h = n // 2 qubits) and c2
+    (2**(n-h), the rest), qubit q of the half gives its cosine where bit q of t
+    is 0 and its sine where it is 1 (qubit 0 of the half is the most
+    significant bit). The qubits are listed last first, so a product from row
+    0 down is nested as the Kronecker chain multiplies; c1, one qubit shorter
+    at odd n, ends with the 1. Entry (i, j) of a half's factor is
+    sigma(i, j) c_half[i ^ j], with sigma the product of a -1 for every qubit
+    whose bit is 0 in i and 1 in j; ``entries`` reads both factors, flattened
+    one after the other, off [c, -c].
     """
-    if not len(blocks):
-        return np.ones(blocks.shape[1:-2] + (1, 1))
-    out = blocks[-1]
-    for block in blocks[-2::-1]:
-        size = 2 * out.shape[-1]
-        out = (block[..., :, None, :, None] * out[..., None, :, None, :]).reshape(
-            out.shape[:-2] + (size, size))
-    return out
+    top = n_qubits // 2
+    width = n_qubits - top
+    n_values = 2 ** top + 2 ** width
+    picks, entries, offset = [], [], 0
+    for first, k in ((0, top), (top, width)):
+        t = np.arange(2 ** k)
+        qubit = np.arange(k - 1, -1, -1)[:, None]
+        bits = (t >> (k - 1 - qubit)) & 1
+        picks.append(np.vstack([first + qubit + n_qubits * bits,
+                                np.full((width - k, 2 ** k), 2 * n_qubits)]))
+        sign = np.ones((1, 1))
+        for _ in range(k):
+            sign = np.kron([[1.0, -1.0], [1.0, 1.0]], sign)
+        entries.append((offset + (t[:, None] ^ t) + n_values * (sign < 0)).ravel())
+        offset += 2 ** k
+    picks, entries = np.hstack(picks), np.concatenate(entries)
+    picks.flags.writeable = entries.flags.writeable = False   # shared by the cache
+    return picks, entries
 
 
 def _layer_factors(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -79,11 +102,21 @@ def _layer_factors(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Layer d of column b is K1[d, b] (x) K2[d, b], the Kronecker product of
     its gates [[cos(a/2), -sin(a/2)], [sin(a/2), cos(a/2)]] in qubit order.
+    Both come from one gather through ``_factor_tables``: one ``take`` and one
+    product form each half's vector c, and one ``take`` from [c, -c] fills
+    both factors, two views of one buffer. Every entry is the product the
+    Kronecker chain forms, so the factors equal it bit for bit, up to the
+    sign of a zero.
     """
-    half = np.multiply(theta, 0.5).transpose(1, 0, 2)[..., None, None]  # (n, D+1, B, 1, 1)
-    blocks = np.cos(half) * np.eye(2) + np.sin(half) * _J
-    top = len(blocks) // 2
-    return _kron_chain(blocks[:top]), _kron_chain(blocks[top:])
+    n_layers, n_qubits, batch = theta.shape
+    picks, entries = _factor_tables(n_qubits)
+    half = np.multiply(theta, 0.5)
+    values = np.concatenate((np.cos(half), np.sin(half), np.ones((n_layers, 1, batch))), axis=1)
+    c = values.take(picks, axis=1).prod(axis=1).swapaxes(1, 2)     # (D+1, B, len(c))
+    flat = np.concatenate((c, -c), axis=-1).take(entries, axis=-1)
+    side = 2 ** (n_qubits // 2)
+    return (flat[..., :side * side].reshape(n_layers, batch, side, side),
+            flat[..., side * side:].reshape(n_layers, batch, 2 ** n_qubits // side, -1))
 
 
 @lru_cache(maxsize=None)

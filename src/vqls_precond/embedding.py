@@ -4,6 +4,12 @@ Qubit ordering convention, fixed package-wide: basis index i's binary
 expansion has qubit 0 as the most significant bit. The ancilla introduced by
 the hermitized embedding is qubit 0, so the top half of the amplitude vector
 is the ancilla-0 block and the bottom half the ancilla-1 block.
+
+A system stores only the padded m x m matrix A. Direct systems apply it as
+it is. The hermitized operator is the dilation [[0, A], [A^T, 0]] on 2m
+amplitudes; its m x m block carries all of it, so the dense (2m)^2 array is
+never formed (``vqls`` applies it block by block), and a hermitized system
+holds m^2 doubles, not 4 m^2.
 """
 
 from __future__ import annotations
@@ -25,21 +31,26 @@ class DegenerateBlockError(RuntimeError):
 
 @dataclass
 class QuantumSystem:
-    """Operator plus unit-norm right-hand-side state for the variational solver.
+    """Padded matrix plus unit-norm right-hand-side state for the variational solver.
 
-    ``hermitized`` records whether an ancilla block embedding was applied
-    (it changes how solutions are extracted).
+    ``hermitized`` records whether the ancilla block embedding was applied:
+    the operator is then [[0, block], [block^T, 0]] on 2^n_qubits amplitudes,
+    else ``block`` itself (it also changes how solutions are extracted).
+    ``block`` is m x m, m = 2^(n_qubits - 1) if hermitized, else 2^n_qubits.
     """
 
     n_qubits: int
-    op: np.ndarray
+    block: np.ndarray
     rhs_state: np.ndarray
     hermitized: bool
 
     def __post_init__(self):
         dim = 2 ** self.n_qubits
-        if self.op.shape != (dim, dim):
-            raise ValueError(f"operator shape {self.op.shape} != 2^{self.n_qubits}")
+        side = dim // 2 if self.hermitized else dim
+        if self.block.shape != (side, side) or side == 0:
+            raise ValueError(f"block shape {self.block.shape} does not fit "
+                             f"{'a hermitized' if self.hermitized else 'a direct'} system "
+                             f"on {self.n_qubits} qubits")
         if self.rhs_state.shape != (dim,):
             raise ValueError(f"rhs_state shape {self.rhs_state.shape} != (2^{self.n_qubits},)")
         if abs(np.linalg.norm(self.rhs_state) - 1.0) > 1e-12:
@@ -56,6 +67,7 @@ def build_system(A, b, mode: str) -> QuantumSystem:
     [[0, A], [A^T, 0]] with one ancilla qubit: the right-hand-side state is
     (b, 0) normalized, so the input lives in the ancilla-0 block and the
     solution of the embedded system in the ancilla-1 block (bottom half).
+    Either way the system keeps only the padded matrix.
     """
     if mode not in ("direct", "hermitized"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -79,13 +91,10 @@ def build_system(A, b, mode: str) -> QuantumSystem:
     norm_b = float(np.linalg.norm(b_pad))
     k = m.bit_length() - 1
     if mode == "direct":
-        return QuantumSystem(n_qubits=k, op=A_pad, rhs_state=b_pad / norm_b, hermitized=False)
-    op = np.zeros((2 * m, 2 * m))
-    op[:m, m:] = A_pad
-    op[m:, :m] = A_pad.T
+        return QuantumSystem(n_qubits=k, block=A_pad, rhs_state=b_pad / norm_b, hermitized=False)
     rhs = np.zeros(2 * m)
     rhs[:m] = b_pad / norm_b
-    return QuantumSystem(n_qubits=k + 1, op=op, rhs_state=rhs, hermitized=True)
+    return QuantumSystem(n_qubits=k + 1, block=A_pad, rhs_state=rhs, hermitized=True)
 
 
 def extract_solution(x_state, sys: QuantumSystem, original_n: int) -> np.ndarray:

@@ -50,10 +50,10 @@ DEFAULT_SEEDS = list(range(1, 11))   # the 10 committed paper-scale seeds
 MAX_SKIP_ATTEMPTS = 100
 
 # Largest system size a config may ask for. Every arm is held as dense n x n
-# arrays, factored, solved and SVD'd densely (O(n^3)), and embedded in a dense
-# operator of up to (4n)^2 entries: at 4096 one hermitized operator is already
-# 8192^2 doubles, 512 MB. The bound also keeps n * n and rod_length / (n + 1)
-# inside the floats.
+# arrays, factored, solved and SVD'd densely (O(n^3)), and embedded as its
+# padded m x m block, m < 2n, in either mode: at 4096 one arm's block is
+# already 4096^2 doubles, 128 MB. The bound also keeps n * n and
+# rod_length / (n + 1) inside the floats.
 MAX_N = 4096
 
 

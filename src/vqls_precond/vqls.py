@@ -4,7 +4,10 @@ The cost is computed exactly from statevectors:
 
     C(theta) = 1 - <rhs|op|x(theta)>^2 / <x(theta)|op^T op|x(theta)>
 
-with |x(theta)> = V(theta)|rhs> and all quantities real. Cauchy-Schwarz pins
+with |x(theta)> = V(theta)|rhs> and all quantities real. A direct system's
+op is its padded matrix A; a hermitized system's is the dilation
+[[0, A], [A^T, 0]], applied by its blocks: op x = (A x_bot, A^T x_top), and
+the same map gives op^T x, since the dilation is symmetric. Cauchy-Schwarz pins
 C into [0, 1]; rounding can take 1 - g^2/h a few ulps below 0 when the state
 solves the system, so the shared cost helper clamps it at 0.
 
@@ -22,9 +25,9 @@ Adam step on the (D+1, n, B) angle array per iteration; the gradients
 share that layout. A step costs about two circuit passes over its B
 columns, linear in depth, and stores (D+1) B dim amplitudes. Every RY layer
 of a pass is two batched matrix products with the layer's Kronecker
-factors (``ansatz``), built once per step for both passes, so the per-layer
-Python overhead is paid once for all columns. The products and each
-column's operator act row by row, so every column's numbers are bit for
+factors (``ansatz``), built by one gather once per step for both passes, so
+the per-layer Python overhead is paid once for all columns. The products and
+each column's operator act row by row, so every column's numbers are bit for
 bit those of training it alone; a single system is B = 1.
 
 The protocol is fixed apart from what ``VqlsConfig`` carries: angles start
@@ -149,9 +152,22 @@ class Adam:
         return theta - self.lr * m_hat / (np.sqrt(v_hat) + self.EPSILON)
 
 
+def _apply(sys: QuantumSystem, x: np.ndarray, transpose: bool = False) -> np.ndarray:
+    """op x, or x op (that is op^T x) with ``transpose``, for a (2**n,) vector x.
+
+    A direct system's op is its block A. The hermitized op [[0, A], [A^T, 0]]
+    is symmetric, so either way it maps (x_top, x_bot) to (A x_bot, A^T x_top).
+    """
+    a = sys.block
+    if not sys.hermitized:
+        return x @ a if transpose else a @ x
+    m = len(a)
+    return np.concatenate((a @ x[m:], x[:m] @ a))
+
+
 def _cost_from_state(x: np.ndarray, sys: QuantumSystem):
     """(cost, g, h, op x) at the state x; the cost is clamped at 0."""
-    y = sys.op @ x
+    y = _apply(sys, x)
     g = float(sys.rhs_state @ y)
     h = float(y @ y)
     if h < 1e-300:
@@ -180,7 +196,8 @@ def cost_and_grad(angles: AnsatzParams, systems: list[QuantumSystem]):
         except DegenerateOperatorError as exc:
             exc.column = b
             raise
-        adjoints[b] = (-2.0 * g / h * sys.rhs_state + 2.0 * g * g / (h * h) * y) @ sys.op
+        adjoints[b] = _apply(sys, -2.0 * g / h * sys.rhs_state + 2.0 * g * g / (h * h) * y,
+                             transpose=True)
     return costs, _adjoint_pass(factors, layers, adjoints)
 
 

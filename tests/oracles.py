@@ -28,6 +28,12 @@ the control is 1, on a view of the same kind; the chain of them must give
 exactly the Gray-code permutation ``ansatz._cnot_chain``. The serial
 oracles below run on these three and share no gate code with production.
 
+Kronecker chain. ``kron_factors`` builds every gate as the 2x2 block
+cos(a/2) I + sin(a/2) J and each half's factor as the Kronecker product of
+its blocks, grown from the last block, the build that the gather in
+``ansatz._layer_factors`` replaced. Its factors hold the same products in
+the same order, so the two must agree exactly.
+
 Dense circuit. ``dense_circuit`` builds every gate as a full 2**n matrix
 from ``np.kron`` factors and applies the gates one by one, an oracle that
 shares no code with the Kronecker split or the Gray-code CNOT permutation.
@@ -40,6 +46,11 @@ only the one-column adjoint back, and Adam on one circuit's (D+1, n) angles.
 Lockstep training must agree with it to the tolerances the tests state.
 ``cost_and_grad_one`` runs the production step on a single column, and
 ``cost`` gives the one-state cost at given angles.
+
+Dense operator. A ``QuantumSystem`` keeps only its padded m x m block;
+``dense_op`` writes out the operator it stands for, the (2m)^2 dilation
+[[0, A], [A^T, 0]] of a hermitized system, for the oracles above and below
+and for the tests of the production block apply.
 
 Pauli sums. ``pauli_decompose`` expands a real symmetric operator over
 Pauli words and ``cost_via_decomposition`` assembles the cost term by term,
@@ -72,10 +83,22 @@ _PAULI_1Q = {
 
 
 def make_system(op, rhs) -> QuantumSystem:
-    """A QuantumSystem on op as given (no padding or embedding)."""
+    """A direct QuantumSystem on op as given (no padding or embedding)."""
     rhs = np.asarray(rhs, dtype=float)
-    return QuantumSystem(n_qubits=int(np.log2(len(rhs))), op=np.asarray(op, dtype=float),
+    return QuantumSystem(n_qubits=int(np.log2(len(rhs))), block=np.asarray(op, dtype=float),
                          rhs_state=rhs / np.linalg.norm(rhs), hermitized=False)
+
+
+def dense_op(sys: QuantumSystem) -> np.ndarray:
+    """The 2**n x 2**n operator of ``sys``: its block if direct, else the dilation
+    [[0, A], [A^T, 0]] of its block A, built from zeros and two block writes."""
+    if not sys.hermitized:
+        return sys.block
+    m = len(sys.block)
+    op = np.zeros((2 * m, 2 * m))
+    op[:m, m:] = sys.block
+    op[m:, :m] = sys.block.T
+    return op
 
 
 def csr_from_dense(A, keep_zeros: bool = False) -> CsrMatrix:
@@ -138,7 +161,7 @@ def shift_rule_cost_and_grad(params: AnsatzParams, sys: QuantumSystem):
         dC_j = -(2 g h dg_j - g^2 dh_j) / h^2
     """
     states = shift_states(params, sys.rhs_state)
-    y = states @ sys.op.T
+    y = states @ dense_op(sys).T
     g_all = y @ sys.rhs_state
     h_all = np.einsum("bi,bi->b", y, y)
     g, h = float(g_all[0]), float(h_all[0])
@@ -203,6 +226,31 @@ def _kron_gate(n_qubits: int, ops: dict) -> np.ndarray:
     return out
 
 
+def _kron_chain(blocks: np.ndarray) -> np.ndarray:
+    """(..., 2**k, 2**k) Kronecker product of the k (..., 2, 2) ``blocks``, in order.
+
+    ``blocks`` has the qubit axis first; with no qubits the product is [[1]].
+    The product grows from the last block.
+    """
+    if not len(blocks):
+        return np.ones(blocks.shape[1:-2] + (1, 1))
+    out = blocks[-1]
+    for block in blocks[-2::-1]:
+        size = 2 * out.shape[-1]
+        out = (block[..., :, None, :, None] * out[..., None, :, None, :]).reshape(
+            out.shape[:-2] + (size, size))
+    return out
+
+
+def kron_factors(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(K1, K2) of every layer and column of the (D+1, n, B) angles, as
+    ``ansatz._layer_factors`` returns them, from the Kronecker chain of 2x2 gates."""
+    half = np.multiply(theta, 0.5).transpose(1, 0, 2)[..., None, None]  # (n, D+1, B, 1, 1)
+    blocks = np.cos(half) * np.eye(2) + np.sin(half) * np.array([[0.0, -1.0], [1.0, 0.0]])
+    top = len(blocks) // 2
+    return _kron_chain(blocks[:top]), _kron_chain(blocks[top:])
+
+
 def dense_circuit(theta: np.ndarray, initial: np.ndarray) -> np.ndarray:
     """(D+1, dim) states after each layer of one circuit with (D+1, n) angles,
     every gate a dense 2**n matrix applied to the state in turn."""
@@ -261,7 +309,7 @@ def cost_and_grad_serial(params: AnsatzParams, sys: QuantumSystem):
     """(cost, gradient) of one system from a one-column pass and a one-column walk."""
     layers = run_circuit_serial(params.theta[:, :, None], sys.rhs_state)[:, :, 0]
     c, g, h, y = _cost_from_state(layers[-1], sys)
-    mu = (-2.0 * g / h * sys.rhs_state + 2.0 * g * g / (h * h) * y) @ sys.op
+    mu = (-2.0 * g / h * sys.rhs_state + 2.0 * g * g / (h * h) * y) @ dense_op(sys)
     return c, _adjoint_pass_serial(params.theta, layers, mu)
 
 

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from oracles import (_adjoint_pass_serial, cnot_reshape, dense_circuit, random_params,
-                     ry_reshape, run_circuit_serial, shift_rule_tangent, shift_states,
-                     shifted_state)
+from oracles import (_adjoint_pass_serial, cnot_reshape, dense_circuit, kron_factors,
+                     random_params, ry_reshape, run_circuit_serial, shift_rule_tangent,
+                     shift_states, shifted_state)
 from vqls_precond.ansatz import (AnsatzParams, _adjoint_pass, _cnot_chain, _cnot_kernel,
                                  _layer_factors, _ry_kernel, _run_circuit, prepare_state)
 
@@ -173,6 +173,27 @@ def test_adjoint_pass_leaves_its_inputs_unchanged():
         assert layers.tobytes() == layers_before
         assert adjoints.tobytes() == adjoints_before
         assert [k.tobytes() for k in factors] == factors_before
+
+
+def test_layer_factors_equal_the_kronecker_chain():
+    # the gather forms each factor entry as the product the chain of 2x2 gates
+    # forms, in the same nesting, so the two agree exactly; only the sign of a
+    # zero may differ, where a sine is +-0
+    rng = np.random.default_rng(25)
+    shapes = ((21, 8, 20), (15, 8, 4), (7, 8, 4), (1, 7, 2), (11, 9, 3), (5, 10, 2),
+              (1, 13, 2), (3, 1, 2), (4, 2, 1), (1, 3, 1))
+    cases = [rng.uniform(-np.pi, np.pi, shape) * rng.choice([1e-3, 1.0, 10.0, 1e3], shape)
+             for shape in shapes]
+    edges = np.array(EDGE_ANGLES)
+    for n in (1, 2, 3, 5, 8):
+        theta = np.stack([np.roll(np.tile(edges, (n, 1)), shift, axis=1) for shift in range(3)])
+        theta[:, ::2] = theta[:, ::2, ::-1]
+        cases.append(theta)
+    for theta in cases:
+        got, want = _layer_factors(theta), kron_factors(theta)
+        for k_got, k_want in zip(got, want, strict=True):
+            assert k_got.shape == k_want.shape, theta.shape
+            assert np.array_equal(k_got, k_want), theta.shape
 
 
 def test_ry_kernel_matches_reshape_oracle():

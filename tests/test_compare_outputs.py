@@ -1,0 +1,55 @@
+"""tools/compare_outputs.py on three runs' worth of output directories."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from vqls_precond.experiments import ExperimentConfig, run
+from vqls_precond.vqls import VqlsConfig
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "compare_outputs.py"
+
+
+def compare(parent, change):
+    done = subprocess.run([sys.executable, str(TOOL), str(parent), str(change)],
+                          capture_output=True, text=True, check=False)
+    return done.returncode, done.stdout
+
+
+def test_compare_outputs_reports_each_file(tmp_path):
+    runs = []
+    for name in ("parent", "change"):
+        cfg = ExperimentConfig(kind="solve", n=4, density=1.0, seeds=[3],
+                               output_dir=str(tmp_path / name),
+                               vqls=VqlsConfig(depth=1, iterations=50, mode="direct"))
+        run(cfg)
+        runs.append(tmp_path / name)
+    parent, change = runs
+
+    # equal runs: only elapsed_s and output_dir differ, so every file is the same
+    code, out = compare(parent, change)
+    assert code == 0, out
+    assert out.count(": same\n") == len(list(parent.iterdir())), out
+
+    # a difference only in elapsed_s
+    trace = change / "trace_plain.csv"
+    lines = trace.read_text().splitlines()
+    lines[1] = ",".join(lines[1].split(",")[:-1] + ["123.5"])
+    trace.write_text("\n".join(lines) + "\n")
+    code, out = compare(parent, change)
+    assert code == 0 and "trace_plain.csv: same" in out, out
+
+    # one scaled cell: that file differs by that factor, and nothing else does
+    residuals = change / "residuals.csv"
+    lines = residuals.read_text().splitlines()
+    cells = lines[2].split(",")
+    cells[1] = repr(float(cells[1]) * (1 + 1e-9))
+    lines[2] = ",".join(cells)
+    residuals.write_text("\n".join(lines) + "\n")
+    code, out = compare(parent, change)
+    assert code == 1, out
+    [line] = [line for line in out.splitlines() if "differs" in line]
+    assert line.startswith("residuals.csv: differs: 1 cells, max relative difference ")
+    assert np.isclose(float(line.rsplit(" ", 1)[1]), 1e-9, rtol=1e-3), line

@@ -9,26 +9,27 @@ import itertools
 import numpy as np
 import pytest
 
-from oracles import pauli_decompose, pauli_reconstruct, pauli_word_matrix
+from oracles import dense_op, pauli_decompose, pauli_reconstruct, pauli_word_matrix
 from vqls_precond.dense import lu_solve
 from vqls_precond.embedding import (DegenerateBlockError, QuantumSystem, build_system,
                                     extract_solution)
 from vqls_precond.ilu import ilu0, preconditioned_system
 from vqls_precond.sparse import poisson_1d
+from vqls_precond.vqls import _apply
 
 
 def test_pad_noop_for_power_of_two():
     A = np.eye(128)
     b = np.ones(128)
     sys = build_system(A, b, "direct")
-    assert sys.op.shape == (128, 128) and sys.rhs_state.shape == (128,)
-    np.testing.assert_array_equal(sys.op, A)
-    assert sys.op is not A
+    assert sys.block.shape == (128, 128) and sys.rhs_state.shape == (128,)
+    np.testing.assert_array_equal(sys.block, A)
+    assert sys.block is not A
 
 
 def test_pad_small_identity():
     sys = build_system(np.eye(3), np.array([1.0, 2.0, 3.0]), "direct")
-    np.testing.assert_array_equal(sys.op, np.eye(4))
+    np.testing.assert_array_equal(sys.block, np.eye(4))
     np.testing.assert_allclose(sys.rhs_state, np.array([1.0, 2.0, 3.0, 0.0]) / np.sqrt(14.0),
                                rtol=0, atol=1e-15)
     assert sys.n_qubits == 2
@@ -41,15 +42,16 @@ def test_pad_preserves_solution():
         A = rng.uniform(-1, 1, (n, n)) + np.diag(rng.choice([-4.0, 4.0], n))
         b = rng.uniform(-1, 1, n)
         sys = build_system(A, b, "direct")
-        np.testing.assert_allclose(lu_solve(sys.op, np.linalg.norm(b) * sys.rhs_state)[:n],
+        np.testing.assert_allclose(lu_solve(sys.block, np.linalg.norm(b) * sys.rhs_state)[:n],
                                    lu_solve(A, b), rtol=1e-9, atol=1e-10)
 
 
 def test_hermitize_block_layout():
     A = np.array([[1.0, 2.0], [3.0, 4.0]])
     sys = build_system(A, np.array([1.0, 0.0]), "hermitized")
-    np.testing.assert_array_equal(sys.op, [[0, 0, 1, 2], [0, 0, 3, 4],
-                                           [1, 3, 0, 0], [2, 4, 0, 0]])
+    np.testing.assert_array_equal(sys.block, A)
+    np.testing.assert_array_equal(dense_op(sys), [[0, 0, 1, 2], [0, 0, 3, 4],
+                                                  [1, 3, 0, 0], [2, 4, 0, 0]])
     np.testing.assert_array_equal(sys.rhs_state, [1.0, 0.0, 0.0, 0.0])
     assert sys.n_qubits == 2 and sys.hermitized
 
@@ -58,7 +60,10 @@ def test_hermitize_symmetric_bitwise():
     rng = np.random.default_rng(2)
     A = rng.uniform(-1, 1, (8, 8))
     sys = build_system(A, rng.uniform(-1, 1, 8), "hermitized")
-    assert np.array_equal(sys.op, sys.op.T)
+    assert np.array_equal(dense_op(sys), dense_op(sys).T)
+    # the production apply of op and of op^T is one map, bit for bit
+    for x in rng.normal(size=(5, 16)):
+        assert np.array_equal(_apply(sys, x), _apply(sys, x, transpose=True))
 
 
 def test_hermitize_minimizer_structure():
@@ -66,7 +71,7 @@ def test_hermitize_minimizer_structure():
     A = np.array([[2.0, 1.0], [0.5, 3.0]])
     b = np.array([1.0, -2.0])
     sys = build_system(A, b, "hermitized")
-    x_embedded = lu_solve(sys.op, np.concatenate([b, [0, 0]]))
+    x_embedded = lu_solve(dense_op(sys), np.concatenate([b, [0, 0]]))
     np.testing.assert_allclose(x_embedded[:2], 0.0, atol=1e-12)
     np.testing.assert_allclose(x_embedded[2:], lu_solve(A, b), rtol=1e-12)
 
@@ -196,8 +201,34 @@ def test_quantum_system_rejects_a_wrong_shaped_rhs():
     unit8 = np.full(8, 8 ** -0.5)
     for rhs in (unit8, np.eye(2) / np.sqrt(2.0), unit8[:4].reshape(4, 1) * np.sqrt(2.0)):
         with pytest.raises(ValueError, match="rhs_state shape"):
-            QuantumSystem(n_qubits=2, op=np.eye(4), rhs_state=rhs, hermitized=False)
-    QuantumSystem(n_qubits=2, op=np.eye(4), rhs_state=np.full(4, 0.5), hermitized=False)
+            QuantumSystem(n_qubits=2, block=np.eye(4), rhs_state=rhs, hermitized=False)
+    QuantumSystem(n_qubits=2, block=np.eye(4), rhs_state=np.full(4, 0.5), hermitized=False)
+
+
+def test_quantum_system_rejects_a_block_that_does_not_fit():
+    # m = 2^n for a direct system, 2^(n-1) for a hermitized one
+    unit4 = np.full(4, 0.5)
+    for block, hermitized in ((np.eye(2), False), (np.eye(8), False), (np.ones((4, 2)), False),
+                              (np.eye(4), True), (np.eye(1), True), (np.ones((2, 4)), True),
+                              (np.ones(4), False)):
+        with pytest.raises(ValueError, match="block shape"):
+            QuantumSystem(n_qubits=2, block=block, rhs_state=unit4, hermitized=hermitized)
+    with pytest.raises(ValueError, match="block shape"):
+        QuantumSystem(n_qubits=0, block=np.zeros((0, 0)), rhs_state=np.ones(1), hermitized=True)
+    QuantumSystem(n_qubits=2, block=np.eye(4), rhs_state=unit4, hermitized=False)
+    QuantumSystem(n_qubits=2, block=np.eye(2), rhs_state=unit4, hermitized=True)
+
+
+def test_hermitized_system_holds_only_its_block():
+    # m^2 doubles, not the (2m)^2 of the dilation; the block owns its memory
+    rng = np.random.default_rng(3)
+    for n in (1, 2, 3, 5, 100, 128):
+        m = 1 << (n - 1).bit_length()
+        sys = build_system(rng.uniform(-1, 1, (n, n)) + 4 * np.eye(n), rng.normal(size=n),
+                           "hermitized")
+        assert sys.block.shape == (m, m) and sys.block.dtype == np.float64
+        assert sys.block.nbytes == 8 * m * m and sys.block.base is None
+        assert sys.rhs_state.nbytes == 8 * 2 * m
 
 
 def test_build_system_modes():

@@ -598,7 +598,7 @@ def test_non_finite_operator_stops_training_and_exits_3(tmp_path, monkeypatch, c
 
     def poisoned_build(A, b, mode):
         sys = real_build(A, b, mode)
-        sys.op[0, 1] = np.nan
+        sys.block[0, 1] = np.nan
         return sys
 
     monkeypatch.setattr(exp, "build_system", poisoned_build)

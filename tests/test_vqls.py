@@ -5,14 +5,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import (cost, cost_and_grad_one, cost_via_decomposition, make_system,
+from oracles import (cost, cost_and_grad_one, cost_via_decomposition, dense_op, make_system,
                      pauli_decompose, random_params, shift_rule_cost_and_grad, train_serial)
 from vqls_precond.ansatz import AnsatzParams, prepare_state
 from vqls_precond.embedding import build_system
 from vqls_precond.ilu import ilu0, preconditioned_system
 from vqls_precond.sparse import poisson_1d
 from vqls_precond.vqls import (Adam, DegenerateOperatorError, DivergedError, VqlsConfig,
-                               residuals, train)
+                               _apply, residuals, train)
 
 
 def zero_params(n, depth=0):
@@ -333,11 +333,28 @@ def test_decomposition_path_matches_direct_cost():
     for _ in range(5):
         A = rng.uniform(-1, 1, (4, 4))
         sys = build_system(A, rng.normal(size=4), "hermitized")  # 3 qubits, symmetric
-        terms = pauli_decompose(sys.op, tol=0.0)
+        terms = pauli_decompose(dense_op(sys), tol=0.0)
         params = random_params(3, 2, 0.8, rng)
         direct = cost(params, sys)
         summed = cost_via_decomposition(params, sys, terms)
         assert abs(direct - summed) < 1e-10
+
+
+def test_block_apply_matches_the_dense_operator():
+    # op x and x op from the stored block, against the dense 2^n operator
+    rng = np.random.default_rng(15)
+    for n_qubits in range(1, 10):
+        for mode in ("direct", "hermitized"):
+            m = 2 ** (n_qubits - (mode == "hermitized"))
+            A = rng.uniform(-1, 1, (m, m)) * rng.choice([1e-3, 1.0, 1e3], (m, m))
+            sys = build_system(A, rng.normal(size=m), mode)
+            assert sys.n_qubits == n_qubits
+            op = dense_op(sys)
+            for x in rng.normal(size=(3, 2 ** n_qubits)):
+                for got, want in ((_apply(sys, x), op @ x),
+                                  (_apply(sys, x, transpose=True), x @ op)):
+                    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), \
+                        (n_qubits, mode)
 
 
 def test_cost_zero_implies_proportionality():
@@ -346,7 +363,7 @@ def test_cost_zero_implies_proportionality():
     params = AnsatzParams([[theta_star]])
     assert cost(params, sys) < 1e-12
     x = prepare_state(params, sys.rhs_state)
-    y = sys.op @ x
+    y = dense_op(sys) @ x
     y_hat = y / np.linalg.norm(y)
     assert min(np.abs(y_hat - sys.rhs_state).max(),
                np.abs(y_hat + sys.rhs_state).max()) < 1e-5
