@@ -4,10 +4,14 @@ Each command regenerates one result set as plot-ready CSV in the output
 directory that ``run`` makes, and returns its per-seed status (including
 zero pivot skips and their replacement lineage) and the names its writers
 returned; ``run`` then writes the JSON manifest of the config snapshot, the
-statuses and those names. This is the one module that writes files: each
-CSV is one ``{header: values}`` table (``_write_csv``), and every writer
-goes through ``_write_atomic`` and returns the name of the file it wrote.
-Outputs are deterministic per config.
+statuses and those names. This is the one module that writes files, all
+through one atomic writer (``_write_chunks``: a temporary file moved over
+the target), and every writer returns the name of the file it wrote. Each
+CSV is one ``{header: values}`` table of sized columns (``_write_csv``);
+tables and traces stream to disk ``_CHUNK_ROWS`` rows at a time, so writing
+holds one chunk of text, never a whole file. The manifest and
+``instance.mtx`` are written whole (``_write_atomic``). Outputs are
+deterministic per config.
 
 Every command draws its instances from ``generate_instance`` (the heat
 rod for ``heat``, random sparse systems otherwise) and compares the same
@@ -28,9 +32,11 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import itertools
 import json
 import os
 import statistics
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -234,20 +240,48 @@ def _train_arms(cfg: ExperimentConfig, depth: int, instances: list) -> list:
 # output helpers
 
 
-def _write_atomic(path: Path, text: str) -> str:
-    """Write ``text`` to a sibling temporary file, move it over ``path``; returns its name.
+# Rows a table or trace formats and writes at a time: writing holds one chunk
+# of text, not the whole file.
+_CHUNK_ROWS = 2048
 
-    An existing file is never left half-written, and a failed write or
+
+def _write_chunks(path: Path, chunks) -> str:
+    """Write the texts of ``chunks`` in order to a sibling temporary file, then move it
+    over ``path``; returns the file's name.
+
+    This is the one atomic writer. An existing file is never left half-written, and a failed write or
     replace removes the temporary file before the error propagates.
     """
     tmp = path.with_name(path.name + ".tmp")
     try:
-        tmp.write_text(text)
+        with open(tmp, "w") as f:
+            for chunk in chunks:
+                f.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
     return path.name
+
+
+def _write_atomic(path: Path, text: str) -> str:
+    """Write one whole ``text`` through ``_write_chunks``; returns the file's name.
+
+    The manifest and ``instance.mtx`` take this path; tables and traces
+    stream their rows through ``_write_rows`` instead.
+    """
+    return _write_chunks(path, [text])
+
+
+def _write_rows(path: Path, header: str, n_rows: int, format_rows) -> str:
+    """Write ``header``, then ``format_rows(start, stop)`` for each chunk of rows.
+
+    ``format_rows`` returns the text of rows start..stop-1, each ending in a
+    newline; one chunk of it is held at a time.
+    """
+    chunks = (format_rows(start, min(start + _CHUNK_ROWS, n_rows))
+              for start in range(0, n_rows, _CHUNK_ROWS))
+    return _write_chunks(path, itertools.chain([header + "\n"], chunks))
 
 
 def _format_cell(v) -> str:
@@ -256,23 +290,46 @@ def _format_cell(v) -> str:
     return str(v)
 
 
+def _format_column(values) -> Iterator[str]:
+    """The cells of a slice of one column, as ``_format_cell`` writes them."""
+    if isinstance(values, np.ndarray):
+        # Python scalars: the str of a float is the repr ``_format_cell`` gives it.
+        return map(str, values.tolist())
+    return map(_format_cell, values)
+
+
 def _write_csv(path: Path, columns: dict) -> str:
     """Write the table ``{header: values}``, one row per index; returns the file's name.
 
-    A column shorter than the others raises ``ValueError`` before anything is written.
+    Every column is a sized, sliceable sequence (list, tuple, range or
+    array). A column whose length differs from the others raises
+    ``ValueError`` before anything is written. The rows are formatted and
+    written ``_CHUNK_ROWS`` at a time, column slice by column slice, so
+    memory is bounded by one chunk, not by the table.
     """
-    lines = [",".join(columns)]
-    for row in zip(*columns.values(), strict=True):
-        lines.append(",".join(_format_cell(v) for v in row))
-    return _write_atomic(path, "\n".join(lines) + "\n")
+    lengths = {header: len(values) for header, values in columns.items()}
+    if len(set(lengths.values())) > 1:
+        raise ValueError(f"columns differ in length: {lengths}")
+
+    def format_rows(start, stop):
+        cells = [_format_column(values[start:stop]) for values in columns.values()]
+        return "\n".join(map(",".join, zip(*cells))) + "\n"
+
+    return _write_rows(path, ",".join(columns), max(lengths.values(), default=0), format_rows)
 
 
 def write_trace_csv(result: TrainResult, path: Path) -> str:
-    """Trace export with the canonical header iteration,cost,grad_norm,elapsed_s."""
-    lines = ["iteration,cost,grad_norm,elapsed_s"]
-    rows = zip(result.costs.tolist(), result.grad_norms.tolist(), result.elapsed.tolist())
-    lines += [f"{it},{cost!r},{norm!r},{t:.6f}" for it, (cost, norm, t) in enumerate(rows)]
-    return _write_atomic(path, "\n".join(lines) + "\n")
+    """Trace export with the canonical header iteration,cost,grad_norm,elapsed_s.
+
+    Like ``_write_csv``, it writes ``_CHUNK_ROWS`` steps at a time.
+    """
+    def format_rows(start, stop):
+        rows = zip(range(start, stop), result.costs[start:stop].tolist(),
+                   result.grad_norms[start:stop].tolist(), result.elapsed[start:stop].tolist())
+        return "".join(f"{it},{cost!r},{norm!r},{t:.6f}\n" for it, cost, norm, t in rows)
+
+    return _write_rows(path, "iteration,cost,grad_norm,elapsed_s", len(result.costs),
+                       format_rows)
 
 
 def mean_sem(values) -> tuple:
@@ -363,14 +420,17 @@ def cmd_spectrum(cfg: ExperimentConfig, out: Path) -> tuple:
             cond.setdefault(name, []).append(float(condition_number(M)))
     seeds = [status.used for status in statuses]
 
+    sigma = {name: np.array(spectra) for name, spectra in sigma.items()}    # (seeds, n) each
     raw = {"seed": np.repeat(seeds, cfg.n), "rank": np.tile(np.arange(cfg.n), len(seeds)),
-           **{f"sigma_{name}": np.ravel(spectra) for name, spectra in sigma.items()}}
-    # Raw and sigma_i / sigma_max spectra, averaged rank-by-rank across seeds.
-    groups = {f"sigma_{name}": s for name, s in sigma.items()}
-    groups.update({f"sigma_norm_{name}": [v / v[0] for v in s] for name, s in sigma.items()})
+           **{f"sigma_{name}": spectra.ravel() for name, spectra in sigma.items()}}
+    # Raw and sigma_i / sigma_max spectra, averaged rank-by-rank across seeds from the
+    # column slices of each (seeds, n) array.
+    groups = {f"sigma_{name}": spectra for name, spectra in sigma.items()}
+    groups.update({f"sigma_norm_{name}": spectra / spectra[:, :1]
+                   for name, spectra in sigma.items()})
     table = {"rank": range(cfg.n)}
     for group, spectra in groups.items():
-        by_rank = np.transpose(spectra).tolist()
+        by_rank = (spectra[:, rank].tolist() for rank in range(cfg.n))
         table[f"mean_{group}"], table[f"sem_{group}"] = zip(*map(mean_sem, by_rank))
     condition = {"seed": seeds, **{f"cond_{name}": values for name, values in cond.items()}}
     return statuses, [_write_csv(out / "spectrum_raw.csv", raw),

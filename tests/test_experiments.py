@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -18,7 +19,7 @@ from vqls_precond.experiments import (DEFAULT_SEEDS, MAX_N, ExperimentConfig,
                                       load_config, mean_sem, run, write_trace_csv)
 from vqls_precond.ilu import ZeroPivotError, ilu0
 from vqls_precond.sparse import poisson_1d, random_rhs
-from vqls_precond.vqls import DivergedError, VqlsConfig, train
+from vqls_precond.vqls import DivergedError, TrainResult, VqlsConfig, train
 
 
 @pytest.fixture
@@ -251,6 +252,21 @@ def test_spectrum_full_density_preconditioned_flat(tmp_path):
     _, rows = read_csv(tmp_path / "spectrum.csv")
     for row in rows:
         assert abs(float(row[3]) - 1.0) < 1e-6
+
+
+def test_spectrum_table_averages_the_raw_spectra_rank_by_rank(tmp_path):
+    cfg = ExperimentConfig(kind="spectrum", n=8, density=1.0, seeds=[1, 2, 3],
+                           output_dir=str(tmp_path))
+    run(cfg)
+    raw = _columns(tmp_path / "spectrum_raw.csv")
+    table = _columns(tmp_path / "spectrum.csv")
+    for name in ("plain", "precond"):
+        spectra = np.array(raw[f"sigma_{name}"], dtype=float).reshape(3, 8).tolist()
+        for group, values in ((f"sigma_{name}", spectra),
+                              (f"sigma_norm_{name}", [[v / s[0] for v in s] for s in spectra])):
+            expected = [mean_sem(by_rank) for by_rank in zip(*values)]
+            assert table[f"mean_{group}"] == [repr(mean) for mean, _ in expected]
+            assert table[f"sem_{group}"] == [repr(sem) for _, sem in expected]
 
 
 def test_heat_pipeline(tmp_path):
@@ -715,5 +731,154 @@ def test_write_trace_csv_replaces_the_file_whole(tmp_path, monkeypatch):
     monkeypatch.setattr(os, "replace", refuse)
     with pytest.raises(OSError, match="replace refused"):
         write_trace_csv(result, path)
+    assert path.read_text() == "old bytes\n"
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+# ---------------------------------------------------------------------------
+# streamed tables and traces
+
+CHUNK = exp._CHUNK_ROWS
+MiB = 1 << 20
+
+
+def _whole_table_text(columns):
+    """Oracle: the table as one string, built row by row with a per-cell format."""
+    def cell(v):
+        return repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
+
+    lines = [",".join(columns)]
+    lines += [",".join(map(cell, row)) for row in zip(*columns.values(), strict=True)]
+    return "\n".join(lines) + "\n"
+
+
+def _whole_trace_text(result):
+    """Oracle: the trace as one string, built row by row."""
+    rows = zip(result.costs.tolist(), result.grad_norms.tolist(), result.elapsed.tolist())
+    lines = ["iteration,cost,grad_norm,elapsed_s"]
+    lines += [f"{it},{cost!r},{norm!r},{t:.6f}" for it, (cost, norm, t) in enumerate(rows)]
+    return "\n".join(lines) + "\n"
+
+
+def _trace(steps):
+    """A TrainResult of ``steps`` rows with awkward floats; the writer reads no params."""
+    rng = np.random.default_rng(steps)
+    costs = rng.uniform(0, 1, steps) ** 7
+    costs[::97] = np.inf
+    return TrainResult(params=None, best_params=None, costs=costs,
+                       grad_norms=rng.standard_normal(steps) * 1e-9,
+                       elapsed=np.cumsum(rng.uniform(0, 1e-3, steps)))
+
+
+@pytest.mark.parametrize("rows", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3])
+def test_write_csv_streams_the_bytes_of_the_whole_table(tmp_path, rows):
+    rng = np.random.default_rng(rows)
+    floats = rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows)
+    floats[::13] = np.inf
+    floats[5::17] = -np.inf
+    singles = (rng.standard_normal(rows) * 10.0 ** rng.integers(-30, 30, rows)).astype(np.float32)
+    singles[::11] = -np.inf
+    samples = rng.uniform(0, 1, (rows, 3)).tolist()
+    mean, sem = zip(*map(mean_sem, samples)) if rows else ((), ())
+    columns = {
+        "range": range(rows),
+        "list": (floats / 7).tolist(),
+        "numpy_scalars": list(floats[::-1]),
+        "ints": [rows] * rows,
+        "mean": mean,
+        "sem": sem,
+        "float64": floats,
+        "float32": singles,
+        "int64": rng.integers(-2**62, 2**62, rows),
+        "bool": floats > 0,
+        "strided": np.repeat(floats, 2)[::2],
+    }
+    path = tmp_path / "table.csv"
+    assert exp._write_csv(path, columns) == "table.csv"
+    assert path.read_text() == _whole_table_text(columns)
+
+
+@pytest.mark.parametrize("steps", [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3])
+def test_write_trace_csv_streams_the_bytes_of_the_whole_trace(tmp_path, steps):
+    result = _trace(steps)
+    path = tmp_path / "trace.csv"
+    assert write_trace_csv(result, path) == "trace.csv"
+    assert path.read_text() == _whole_trace_text(result)
+
+
+def _traced_peak(write):
+    tracemalloc.start()
+    try:
+        write()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_write_csv_holds_one_chunk_not_the_table(tmp_path):
+    rows = 200_000
+    columns = {"index": range(rows), "x": np.linspace(0, np.pi, rows) ** 0.5,
+               "y": (np.arange(rows) / 7).tolist()}
+    path = tmp_path / "table.csv"
+    peak = _traced_peak(lambda: exp._write_csv(path, columns))
+    assert path.stat().st_size > 8 * MiB
+    assert peak < 1 * MiB, peak
+
+
+def test_write_trace_csv_holds_one_chunk_not_the_trace(tmp_path):
+    result = _trace(100_001)
+    path = tmp_path / "trace.csv"
+    peak = _traced_peak(lambda: write_trace_csv(result, path))
+    assert path.stat().st_size > 5 * MiB
+    assert peak < 1 * MiB, peak
+
+
+class _FailsOnThirdWrite:
+    """A text file whose third ``write`` raises; the first two are flushed to disk.
+
+    ``seen`` gets the text of each write that went through, then the file's
+    content on disk when the third one raised.
+    """
+
+    def __init__(self, f, seen):
+        self.f, self.seen = f, seen
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return self.f.__exit__(*exc)
+
+    def write(self, text):
+        if len(self.seen) == 2:
+            with open(self.f.name) as on_disk:
+                self.seen.append(on_disk.read())
+            raise OSError("disk full")
+        self.seen.append(text)
+        self.f.write(text)
+        self.f.flush()
+
+
+@pytest.mark.parametrize("write", [
+    lambda path: exp._write_csv(path, {"index": range(2 * CHUNK), "x": np.ones(2 * CHUNK)}),
+    lambda path: write_trace_csv(_trace(2 * CHUNK), path),
+], ids=["table", "trace"])
+def test_a_write_failing_after_the_first_chunk_keeps_the_old_file(tmp_path, monkeypatch,
+                                                                   write):
+    path = tmp_path / "out.csv"
+    path.write_text("old bytes\n")
+    seen, opened = [], []
+    real_open = open
+
+    def open_failing(file, *args, **kwargs):
+        opened.append(file)
+        return _FailsOnThirdWrite(real_open(file, *args, **kwargs), seen)
+
+    monkeypatch.setattr(exp, "open", open_failing, raising=False)
+    with pytest.raises(OSError, match="disk full"):
+        write(path)
+    header, first_chunk, on_disk = seen
+    assert first_chunk.count("\n") == CHUNK and on_disk == header + first_chunk
+    assert [p.name for p in opened] == ["out.csv.tmp"]
     assert path.read_text() == "old bytes\n"
     assert not list(tmp_path.glob("*.tmp"))
