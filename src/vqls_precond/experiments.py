@@ -23,6 +23,11 @@ lockstep trainer (``vqls.train``): ``solve`` and ``heat`` train the arms of
 the first seed's instance with it, and ``sweep-depth`` every (seed, arm)
 column together at each depth, in config order.
 
+Seed summaries reduce axis 0 of each ``(seeds, ...)`` array: ``mean_sem``
+(within 1e-14 of exact arithmetic) and the sweep's median, the mean of the
+middle pair of sorted costs as ``statistics.median`` takes it. Seeds stop at
+2**63 - MAX_SKIP_ATTEMPTS, so every seed drawn, redraws included, fits int64.
+
 ``load_config`` merges a run's config from dict layers: a ``PROFILES``
 entry, ``HEAT_LAYER`` for heat runs, then the caller's layers (the CLI's
 config file, then its flags).
@@ -35,8 +40,6 @@ import dataclasses
 import itertools
 import json
 import os
-import statistics
-from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -93,6 +96,8 @@ class ExperimentConfig:
         if min(self.seeds, default=-1) < 0 or min(self.depths, default=-1) < 0:
             raise ValueError(f"need non-empty seeds and depths >= 0, got seeds {self.seeds}, "
                              f"depths {self.depths}")
+        if max(self.seeds) > 2**63 - MAX_SKIP_ATTEMPTS:     # every redraw fits int64
+            raise ValueError(f"need seeds <= 2**63 - {MAX_SKIP_ATTEMPTS}, got {max(self.seeds)}")
         for name, values in (("seeds", self.seeds), ("depths", self.depths)):
             if len(set(values)) != len(values):
                 raise ValueError(f"{name} must be distinct, got {values}")
@@ -284,35 +289,24 @@ def _write_rows(path: Path, header: str, n_rows: int, format_rows) -> str:
     return _write_chunks(path, itertools.chain([header + "\n"], chunks))
 
 
-def _format_cell(v) -> str:
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    return str(v)
-
-
-def _format_column(values) -> Iterator[str]:
-    """The cells of a slice of one column, as ``_format_cell`` writes them."""
-    if isinstance(values, np.ndarray):
-        # Python scalars: the str of a float is the repr ``_format_cell`` gives it.
-        return map(str, values.tolist())
-    return map(_format_cell, values)
-
-
 def _write_csv(path: Path, columns: dict) -> str:
     """Write the table ``{header: values}``, one row per index; returns the file's name.
 
     Every column is a sized, sliceable sequence (list, tuple, range or
-    array). A column whose length differs from the others raises
-    ``ValueError`` before anything is written. The rows are formatted and
-    written ``_CHUNK_ROWS`` at a time, column slice by column slice, so
-    memory is bounded by one chunk, not by the table.
+    array) of one kind of number: each slice goes through ``np.asarray``,
+    so a list mixing ints and floats is written as floats. A column whose
+    length differs from the others raises ``ValueError`` before anything is
+    written. The rows are formatted and written ``_CHUNK_ROWS`` at a time,
+    column slice by column slice, so memory is bounded by one chunk, not by
+    the table.
     """
     lengths = {header: len(values) for header, values in columns.items()}
     if len(set(lengths.values())) > 1:
         raise ValueError(f"columns differ in length: {lengths}")
 
     def format_rows(start, stop):
-        cells = [_format_column(values[start:stop]) for values in columns.values()]
+        # Python scalars of each column slice: the str of a float is its shortest repr.
+        cells = [map(str, np.asarray(values[start:stop]).tolist()) for values in columns.values()]
         return "\n".join(map(",".join, zip(*cells))) + "\n"
 
     return _write_rows(path, ",".join(columns), max(lengths.values(), default=0), format_rows)
@@ -332,13 +326,18 @@ def write_trace_csv(result: TrainResult, path: Path) -> str:
                        format_rows)
 
 
-def mean_sem(values) -> tuple:
-    """(mean, standard error of the mean); SEM is 0 for a single value."""
-    values = list(values)
-    mean = statistics.fmean(values)
-    if len(values) < 2:
-        return mean, 0.0
-    return mean, statistics.stdev(values) / len(values) ** 0.5
+def mean_sem(samples) -> tuple:
+    """(mean, standard error of the mean) arrays over axis 0 of a ``(samples, ...)`` array.
+
+    Both reduce the deviations from the first sample, so identical samples
+    give that value and an SEM of exactly 0; the SEM is 0 for one sample.
+    """
+    samples = np.asarray(samples, dtype=float)
+    k = len(samples)
+    deviations = samples - samples[0]
+    shift = deviations.mean(axis=0)
+    squares = np.square(deviations - shift).sum(axis=0)
+    return samples[0] + shift, np.sqrt(squares / max(k - 1, 1)) / k ** 0.5
 
 
 def _write_manifest(out: Path, cfg: ExperimentConfig, statuses: list, artifacts: list) -> str:
@@ -389,20 +388,22 @@ def cmd_sweep_depth(cfg: ExperimentConfig, out: Path) -> tuple:
     for seed in cfg.seeds:
         _, _, systems, status = _embedded_instance(cfg, seed)
         instances.append((status, systems))
-    costs = {name: [] for name in instances[0][1]}    # arm name -> per depth, per seed
-    for depth in cfg.depths:
+    # arm name -> (seeds, depths) final costs
+    costs = {name: np.empty((len(cfg.seeds), len(cfg.depths))) for name in instances[0][1]}
+    for d, depth in enumerate(cfg.depths):
         trained = _train_arms(cfg, depth, instances)
         for name, arm_costs in costs.items():
-            arm_costs.append([results[name].final_cost for results in trained])
+            arm_costs[:, d] = [results[name].final_cost for results in trained]
 
     raw = {"depth": np.repeat(cfg.depths, len(cfg.seeds)),
            "seed": np.tile(cfg.seeds, len(cfg.depths)),
-           **{f"final_cost_{name}": np.ravel(arm_costs) for name, arm_costs in costs.items()}}
+           **{f"final_cost_{name}": arm_costs.T.ravel() for name, arm_costs in costs.items()}}
     table = {"depth": cfg.depths}
     for name, arm_costs in costs.items():
-        table[f"mean_cost_{name}"], table[f"sem_{name}"] = zip(*map(mean_sem, arm_costs))
+        table[f"mean_cost_{name}"], table[f"sem_{name}"] = mean_sem(arm_costs)
     table["n_seeds"] = [len(cfg.seeds)] * len(cfg.depths)
-    table.update({f"median_cost_{name}": list(map(statistics.median, arm_costs))
+    middle = [(len(cfg.seeds) - 1) // 2, len(cfg.seeds) // 2]   # np.median imports numpy.ma
+    table.update({f"median_cost_{name}": np.sort(arm_costs, axis=0)[middle].mean(axis=0)
                   for name, arm_costs in costs.items()})
     artifacts = [_write_csv(out / "sweep_raw.csv", raw), _write_csv(out / "sweep.csv", table)]
     return [status for status, _ in instances], artifacts
@@ -423,15 +424,13 @@ def cmd_spectrum(cfg: ExperimentConfig, out: Path) -> tuple:
     sigma = {name: np.array(spectra) for name, spectra in sigma.items()}    # (seeds, n) each
     raw = {"seed": np.repeat(seeds, cfg.n), "rank": np.tile(np.arange(cfg.n), len(seeds)),
            **{f"sigma_{name}": spectra.ravel() for name, spectra in sigma.items()}}
-    # Raw and sigma_i / sigma_max spectra, averaged rank-by-rank across seeds from the
-    # column slices of each (seeds, n) array.
+    # Raw and sigma_i / sigma_max spectra, averaged rank-by-rank across seeds.
     groups = {f"sigma_{name}": spectra for name, spectra in sigma.items()}
     groups.update({f"sigma_norm_{name}": spectra / spectra[:, :1]
                    for name, spectra in sigma.items()})
     table = {"rank": range(cfg.n)}
     for group, spectra in groups.items():
-        by_rank = (spectra[:, rank].tolist() for rank in range(cfg.n))
-        table[f"mean_{group}"], table[f"sem_{group}"] = zip(*map(mean_sem, by_rank))
+        table[f"mean_{group}"], table[f"sem_{group}"] = mean_sem(spectra)
     condition = {"seed": seeds, **{f"cond_{name}": values for name, values in cond.items()}}
     return statuses, [_write_csv(out / "spectrum_raw.csv", raw),
                       _write_csv(out / "spectrum.csv", table),

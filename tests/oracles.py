@@ -57,9 +57,16 @@ Pauli words and ``cost_via_decomposition`` assembles the cost term by term,
 the quantities Hadamard-test estimators would measure on a device (the cost
 of Bravo-Prieto et al., arXiv:1909.05820). Exponential in the qubit count;
 the statevector cost must match it.
+
+Exact seed summaries. ``exact_mean_sem`` is the per-column mean and
+standard error that ``experiments.mean_sem`` replaced: ``statistics.fmean``
+and ``statistics.stdev``, which sum exactly through ``Fraction``s, one
+column of a ``(seeds, ...)`` sample array at a time. The array reduction
+must agree with it to the tolerances the tests state.
 """
 
 import itertools
+import statistics
 import time
 from dataclasses import dataclass
 
@@ -453,3 +460,17 @@ def cost_via_decomposition(params: AnsatzParams, sys: QuantumSystem,
     if h < 1e-300:
         raise DegenerateOperatorError("operator norm of the prepared state underflowed")
     return 1.0 - g * g / h
+
+
+def exact_mean_sem(samples) -> tuple[np.ndarray, np.ndarray]:
+    """(mean, SEM) arrays of each column over axis 0, in exact arithmetic.
+
+    The sums are exact; only the final divisions and square root round. The
+    SEM is 0 for one sample.
+    """
+    samples = np.asarray(samples, dtype=float)
+    columns = samples.reshape(len(samples), -1).T.tolist()
+    k = len(samples)
+    mean = [statistics.fmean(c) for c in columns]
+    sem = [statistics.stdev(c) / k ** 0.5 if k > 1 else 0.0 for c in columns]
+    return (np.reshape(mean, samples.shape[1:]), np.reshape(sem, samples.shape[1:]))

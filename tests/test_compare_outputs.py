@@ -51,5 +51,28 @@ def test_compare_outputs_reports_each_file(tmp_path):
     code, out = compare(parent, change)
     assert code == 1, out
     [line] = [line for line in out.splitlines() if "differs" in line]
-    assert line.startswith("residuals.csv: differs: 1 cells, max relative difference ")
-    assert np.isclose(float(line.rsplit(" ", 1)[1]), 1e-9, rtol=1e-3), line
+    head, columns = line.split(", columns: ")
+    assert head.startswith("residuals.csv: differs: 1 cells, max relative difference ")
+    assert np.isclose(float(head.rsplit(" ", 1)[1]), 1e-9, rtol=1e-3), line
+    assert columns == "residual_plain", line
+
+    # cells of two columns, and a renamed header: each name once, in column order
+    solution = change / "solution.csv"
+    lines = solution.read_text().splitlines()
+    lines[0] = lines[0].replace("x_vqls_plain", "x_renamed")
+    for r in (1, 3):
+        cells = lines[r].split(",")
+        cells[1] = cells[3] = "0.5"
+        lines[r] = ",".join(cells)
+    solution.write_text("\n".join(lines) + "\n")
+    manifest = change / "manifest.json"
+    manifest.write_text(manifest.read_text().replace('"tool_version": "', '"tool_version": "x'))
+    code, out = compare(parent, change)
+    assert code == 1, out
+    verdicts = dict(line.split(": ", 1) for line in out.splitlines())
+    assert verdicts["solution.csv"].startswith("differs: 5 cells, ")
+    assert verdicts["solution.csv"].endswith(
+        ", columns: x_exact x_vqls_plain x_renamed x_vqls_precond")
+    assert verdicts["residuals.csv"].endswith(", columns: residual_plain")
+    assert verdicts["manifest.json"].startswith("differs: 1 cells, ")
+    assert "columns" not in verdicts["manifest.json"]

@@ -3,23 +3,29 @@
 import dataclasses
 import json
 import os
+import statistics
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
 import pytest
 
 import vqls_precond.experiments as exp
-from oracles import csr_from_dense, make_system
+from oracles import csr_from_dense, exact_mean_sem, make_system
 from vqls_precond.cli import main
 from vqls_precond.dense import lu_solve
 from vqls_precond.embedding import DegenerateBlockError
-from vqls_precond.experiments import (DEFAULT_SEEDS, MAX_N, ExperimentConfig,
-                                      NoFactorableInstanceError, SeedStatus, generate_instance,
-                                      load_config, mean_sem, run, write_trace_csv)
+from vqls_precond.experiments import (DEFAULT_SEEDS, MAX_N, MAX_SKIP_ATTEMPTS,
+                                      ExperimentConfig, NoFactorableInstanceError, SeedStatus,
+                                      generate_instance, load_config, mean_sem, run,
+                                      write_trace_csv)
 from vqls_precond.ilu import ZeroPivotError, ilu0
 from vqls_precond.sparse import poisson_1d, random_rhs
 from vqls_precond.vqls import DivergedError, TrainResult, VqlsConfig, train
+
+
+MAX_SEED = 2 ** 63 - MAX_SKIP_ATTEMPTS   # the largest seed a config accepts
 
 
 @pytest.fixture
@@ -174,6 +180,27 @@ def test_csv_seed_columns_after_a_zero_pivot_redraw(tmp_path, monkeypatch, ident
     assert _columns(tmp_path / "spectrum" / "spectrum_raw.csv")["seed"] == ["6"] * 4 + ["9"] * 4
 
 
+def test_seed_columns_stay_integers_up_to_the_largest_seed(tmp_path, monkeypatch,
+                                                           identity_instance):
+    # The largest seed a config accepts, with every draw but the last skipped: the
+    # seed drawn is 2**63 - 1, the largest int64.
+    calls = []
+
+    def ilu0_after_skips(A):
+        calls.append(1)
+        if len(calls) < MAX_SKIP_ATTEMPTS:
+            raise ZeroPivotError(0, 0.0)
+        return ilu0(A)
+
+    monkeypatch.setattr(exp, "ilu0", ilu0_after_skips)
+    run(tiny_config(tmp_path / "spectrum", kind="spectrum", seeds=[MAX_SEED]))
+    for name in ("condition.csv", "spectrum_raw.csv"):
+        assert set(_columns(tmp_path / "spectrum" / name)["seed"]) == {str(2 ** 63 - 1)}
+    monkeypatch.setattr(exp, "ilu0", ilu0)
+    run(tiny_config(tmp_path / "sweep", kind="sweep_depth", seeds=[MAX_SEED, 1], depths=[1]))
+    assert _columns(tmp_path / "sweep" / "sweep_raw.csv")["seed"] == [str(MAX_SEED), "1"]
+
+
 def test_zero_pivot_skip_lineage(tmp_path, monkeypatch):
     _skip_first_ilu0(monkeypatch)
     cfg = ExperimentConfig(kind="solve", n=8, seeds=[5], output_dir=str(tmp_path),
@@ -195,33 +222,62 @@ def test_heat_instance_is_the_rod_for_every_seed():
 
 
 def test_mean_sem_stub_and_brute_force():
-    mean, sem = mean_sem([0.25, 0.25, 0.25])
-    assert mean == 0.25 and sem == 0.0
-    values = [0.1, 0.4, 0.3, 0.2]
+    mean, sem = mean_sem(np.full((3, 2), 0.25))
+    assert mean.tolist() == [0.25, 0.25] and sem.tolist() == [0.0, 0.0]
+    values = np.array([[0.1, 4.0], [0.4, 1.0], [0.3, 2.0], [0.2, 3.0]])
     mean, sem = mean_sem(values)
-    assert mean == pytest.approx(np.mean(values))
-    assert sem == pytest.approx(np.std(values, ddof=1) / 2.0)
+    np.testing.assert_allclose(mean, np.mean(values, axis=0), rtol=1e-15)
+    np.testing.assert_allclose(sem, np.std(values, axis=0, ddof=1) / 2.0, rtol=1e-15)
+
+
+@pytest.mark.parametrize("shape", [(150, 128), (10, 20), (2, 20)])
+def test_mean_sem_agrees_with_the_exact_summary(shape):
+    samples = np.random.default_rng(shape[0]).uniform(0, 1, shape)
+    mean, sem = mean_sem(samples)
+    exact_mean, exact_sem = exact_mean_sem(samples)
+    assert mean.shape == sem.shape == shape[1:]
+    np.testing.assert_allclose(mean, exact_mean, rtol=1e-14, atol=0)
+    assert np.all(np.abs(sem - exact_sem) <= 1e-14 * np.abs(exact_mean))
+
+
+@pytest.mark.parametrize("samples", [[0.1] * 3, [1 / 3] * 10, [0.1], [-2.5e-300],
+                                     [[0.1, 0.7, 1e300]]])
+def test_mean_sem_of_identical_samples_is_the_sample_and_zero(samples):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mean, sem = mean_sem(samples)
+    assert mean.tolist() == samples[0] and not np.any(sem)
+
+
+def _summary_reprs(samples):
+    """The mean and SEM columns of ``samples``, as the tables write them."""
+    return [list(map(repr, column.tolist())) for column in mean_sem(samples)]
 
 
 def test_sweep_depth_outputs_and_aggregates(tmp_path):
-    cfg = ExperimentConfig(kind="sweep_depth", n=8, seeds=[1, 2], depths=[1, 2],
-                           output_dir=str(tmp_path),
-                           vqls=VqlsConfig(depth=1, iterations=25))
-    run(cfg)
-    header, rows = read_csv(tmp_path / "sweep.csv")
-    assert header == ["depth", "mean_cost_plain", "sem_plain", "mean_cost_precond",
-                      "sem_precond", "n_seeds", "median_cost_plain",
-                      "median_cost_precond"]
-    raw_header, raw_rows = read_csv(tmp_path / "sweep_raw.csv")
-    assert raw_header == ["depth", "seed", "final_cost_plain", "final_cost_precond"]
-    # aggregates must match a brute-force recomputation from the raw file
-    for row in rows:
-        depth = int(row[0])
-        plain = [float(r[2]) for r in raw_rows if int(r[0]) == depth]
-        mean, sem = mean_sem(plain)
-        assert float(row[1]) == pytest.approx(mean, abs=1e-15)
-        assert float(row[2]) == pytest.approx(sem, abs=1e-15)
-        assert int(row[5]) == 2
+    for seeds in ([1, 2], [1, 2, 3]):       # an even and an odd median
+        out = tmp_path / str(len(seeds))
+        cfg = ExperimentConfig(kind="sweep_depth", n=8, seeds=seeds, depths=[1, 2],
+                               output_dir=str(out), vqls=VqlsConfig(depth=1, iterations=25))
+        run(cfg)
+        table = _columns(out / "sweep.csv")
+        assert list(table) == ["depth", "mean_cost_plain", "sem_plain", "mean_cost_precond",
+                               "sem_precond", "n_seeds", "median_cost_plain",
+                               "median_cost_precond"]
+        raw = _columns(out / "sweep_raw.csv")
+        assert list(raw) == ["depth", "seed", "final_cost_plain", "final_cost_precond"]
+        k = len(seeds)
+        assert raw["depth"] == ["1"] * k + ["2"] * k
+        assert raw["seed"] == [str(seed) for seed in seeds] * 2
+        assert table["n_seeds"] == [str(k)] * 2
+        # every summary, recomputed from the raw file, is the table's cell bit for bit
+        for name in ("plain", "precond"):
+            costs = np.array(raw[f"final_cost_{name}"], dtype=float).reshape(2, k).T
+            mean, sem = _summary_reprs(costs)     # costs: (seeds, depths)
+            assert table[f"mean_cost_{name}"] == mean
+            assert table[f"sem_{name}"] == sem
+            assert table[f"median_cost_{name}"] == [repr(statistics.median(column))
+                                                    for column in costs.T.tolist()]
 
 
 def test_sweep_needs_two_seeds(tmp_path):
@@ -261,12 +317,12 @@ def test_spectrum_table_averages_the_raw_spectra_rank_by_rank(tmp_path):
     raw = _columns(tmp_path / "spectrum_raw.csv")
     table = _columns(tmp_path / "spectrum.csv")
     for name in ("plain", "precond"):
-        spectra = np.array(raw[f"sigma_{name}"], dtype=float).reshape(3, 8).tolist()
-        for group, values in ((f"sigma_{name}", spectra),
-                              (f"sigma_norm_{name}", [[v / s[0] for v in s] for s in spectra])):
-            expected = [mean_sem(by_rank) for by_rank in zip(*values)]
-            assert table[f"mean_{group}"] == [repr(mean) for mean, _ in expected]
-            assert table[f"sem_{group}"] == [repr(sem) for _, sem in expected]
+        spectra = np.array(raw[f"sigma_{name}"], dtype=float).reshape(3, 8)
+        normalized = np.array([[v / s[0] for v in s] for s in spectra.tolist()])
+        for group, values in ((f"sigma_{name}", spectra), (f"sigma_norm_{name}", normalized)):
+            mean, sem = _summary_reprs(values)
+            assert table[f"mean_{group}"] == mean
+            assert table[f"sem_{group}"] == sem
 
 
 def test_heat_pipeline(tmp_path):
@@ -438,6 +494,9 @@ def test_cli_config_error_exit_code(tmp_path):
     ("heat", {"n": 1}, ["--profile", "ci"]),                           # rod without qubits
     ("spectrum", None, ["--profile", "ci", "--dump-matrix"]),         # nothing to dump
     ("sweep-depth", {"dump_matrix": True}, ["--profile", "ci"]),
+    ("sweep-depth", {"n": 8, "seeds": [2 ** 63, 1], "depths": [1]}, []),  # beyond int64
+    ("spectrum", {"n": 8, "seeds": [2 ** 63, 1]}, []),
+    ("solve", None, ["--profile", "ci", "--seed", str(MAX_SEED + 1)]),  # redraws pass int64
 ], ids=["density-too-low", "sweep-one-seed", "negative-depth", "n-not-int",
         "repeated-seed", "heat-no-nodes", "heat-rod-length-zero", "trace-every",
         "adam-beta1", "instance", "diag-offset", "seed-flag-negative", "seed-negative",
@@ -451,7 +510,8 @@ def test_cli_config_error_exit_code(tmp_path):
         "heat-rate-huge", "heat-rod-length-huge", "heat-rate-precond-overflow",
         "solve-n-unbounded", "sweep-n-unbounded", "spectrum-n-unbounded",
         "heat-n-unbounded", "heat-n-above-max", "depths-duplicate", "heat-one-node",
-        "spectrum-dump-matrix", "sweep-dump-matrix"])
+        "spectrum-dump-matrix", "sweep-dump-matrix", "sweep-seed-2-63", "spectrum-seed-2-63",
+        "seed-flag-above-max"])
 def test_bad_config_exits_2_before_any_work(tmp_path, monkeypatch, capsys, command, config,
                                             flags):
     monkeypatch.chdir(tmp_path)     # a config that slipped through would write here
@@ -778,8 +838,7 @@ def test_write_csv_streams_the_bytes_of_the_whole_table(tmp_path, rows):
     floats[5::17] = -np.inf
     singles = (rng.standard_normal(rows) * 10.0 ** rng.integers(-30, 30, rows)).astype(np.float32)
     singles[::11] = -np.inf
-    samples = rng.uniform(0, 1, (rows, 3)).tolist()
-    mean, sem = zip(*map(mean_sem, samples)) if rows else ((), ())
+    mean, sem = mean_sem(rng.uniform(0, 1, (rows, 3)).T)
     columns = {
         "range": range(rows),
         "list": (floats / 7).tolist(),

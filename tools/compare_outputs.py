@@ -6,7 +6,9 @@ Every file under either directory, at any depth, gets one line: ``same``,
 ``only in DIR``, or ``differs: N cells, max relative difference R``. A CSV
 compares cell by cell, a JSON file leaf by leaf and any other file
 whitespace-separated token by token; R is |a - b| / max(|a|, |b|) over the
-differing cells, and inf where a cell is missing or not a number. Two
+differing cells, and inf where a cell is missing or not a number. A CSV's
+``differs`` line ends with ``, columns: NAME ...``: the header names of
+its differing cells in column order, both where the two headers differ. Two
 wall-clock fields are left out: the ``elapsed_s`` column of ``trace_*.csv``
 and every ``output_dir`` entry of ``manifest.json``. Exit status: 0 when
 every file is the same, 1 when any file differs or is missing on one side,
@@ -69,7 +71,12 @@ def compare(a: Path, b: Path) -> str:
     if not differing:
         return "same"
     worst = max(_relative(cells_a.get(k), cells_b.get(k)) for k in differing)
-    return f"differs: {len(differing)} cells, max relative difference {worst:.3g}"
+    verdict = f"differs: {len(differing)} cells, max relative difference {worst:.3g}"
+    if a.suffix != ".csv":
+        return verdict
+    names = (cells.get((0, i)) for i in sorted({i for _, i in differing})
+             for cells in (cells_a, cells_b))
+    return f"{verdict}, columns: {' '.join(dict.fromkeys(n for n in names if n is not None))}"
 
 
 def main(argv: list[str]) -> int:
