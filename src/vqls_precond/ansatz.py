@@ -110,8 +110,12 @@ def _layer_factors(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     n_layers, n_qubits, batch = theta.shape
     picks, entries = _factor_tables(n_qubits)
-    half = np.multiply(theta, 0.5)
-    values = np.concatenate((np.cos(half), np.sin(half), np.ones((n_layers, 1, batch))), axis=1)
+    values = np.empty((n_layers, 2 * n_qubits + 1, batch))
+    half = values[:, n_qubits:-1]        # the sines' rows hold the half angles first
+    np.multiply(theta, 0.5, out=half)
+    np.cos(half, out=values[:, :n_qubits])
+    np.sin(half, out=half)
+    values[:, -1] = 1.0
     c = values.take(picks, axis=1).prod(axis=1).swapaxes(1, 2)     # (D+1, B, len(c))
     flat = np.concatenate((c, -c), axis=-1).take(entries, axis=-1)
     side = 2 ** (n_qubits // 2)
@@ -238,15 +242,18 @@ def _adjoint_pass(factors: tuple, layers: np.ndarray, adjoints: np.ndarray) -> n
     table = _generator_table(n_qubits)
     _, inverse = _cnot_chain(n_qubits)
     mu, undone = adjoints.copy(), np.empty_like(adjoints)
+    m = mu.reshape(shape)
+    states = layers.reshape((n_layers,) + shape)
     products = np.empty((batch, 1, len(table)))
+    sm = products[:, 0, :split].reshape(batch, shape[1], shape[1])     # views of products
+    ms = products[:, 0, split:].reshape(batch, shape[2], shape[2])
     grad = np.empty((n_layers, n_qubits, batch))
     for d in range(n_layers - 1, -1, -1):
-        s, m = layers[d].reshape(shape), mu.reshape(shape)
-        products[:, 0, :split] = np.matmul(s, m.swapaxes(1, 2)).reshape(batch, -1)
-        products[:, 0, split:] = np.matmul(m.swapaxes(1, 2), s).reshape(batch, -1)
+        np.matmul(states[d], m.swapaxes(1, 2), out=sm)
+        np.matmul(m.swapaxes(1, 2), states[d], out=ms)
         # A (B, 1, K) @ (K, n) stack: each row takes the product it would take
         # alone, where a (B, K) @ (K, n) product may round B-dependently.
-        grad[d] = 0.5 * np.matmul(products, table)[:, 0].T
+        np.multiply(np.matmul(products, table)[:, 0].T, 0.5, out=grad[d])
         if d == 0:
             break
         _ry_kernel(mu, k1[d].swapaxes(1, 2), k2[d].swapaxes(1, 2), undone)

@@ -9,7 +9,7 @@ op is its padded matrix A; a hermitized system's is the dilation
 [[0, A], [A^T, 0]], applied by its blocks: op x = (A x_bot, A^T x_top), and
 the same map gives op^T x, since the dilation is symmetric. Cauchy-Schwarz pins
 C into [0, 1]; rounding can take 1 - g^2/h a few ulps below 0 when the state
-solves the system, so the shared cost helper clamps it at 0.
+solves the system, so ``cost_and_grad`` clamps it at 0.
 
 Gradients use the adjoint (reverse-mode) method of Jones & Gacon
 (arXiv:2009.02823): one forward pass gives x and stores every layer's
@@ -29,6 +29,13 @@ factors (``ansatz``), built by one gather once per step for both passes, so
 the per-layer Python overhead is paid once for all columns. The products and
 each column's operator act row by row, so every column's numbers are bit for
 bit those of training it alone; a single system is B = 1.
+
+What is fixed for a run, ``train`` builds once: the (B, dim) stack of the
+start states, the start angles, the cost, gradient-norm and time histories,
+and Adam's two moment arrays, which every step updates in place. Each step
+builds the new angles, the layers' factors and (D+1, B, dim) states, the B
+cost adjoints and the gradients, and takes every column's gradient norm
+from one stacked product.
 
 The protocol is fixed apart from what ``VqlsConfig`` carries: angles start
 uniform on [-INIT_SCALE, INIT_SCALE], Adam keeps the standard moments of
@@ -145,8 +152,12 @@ class Adam:
             self.m = np.zeros_like(theta)
             self.v = np.zeros_like(theta)
         self.t += 1
-        self.m = self.BETA1 * self.m + (1 - self.BETA1) * grad
-        self.v = self.BETA2 * self.v + (1 - self.BETA2) * grad * grad
+        # In place, in the textbook's operation order, so the moments round as
+        # BETA1 * m + (1 - BETA1) * grad and BETA2 * v + (1 - BETA2) * grad * grad.
+        self.m *= self.BETA1
+        self.m += (1 - self.BETA1) * grad
+        self.v *= self.BETA2
+        self.v += (1 - self.BETA2) * grad * grad
         m_hat = self.m / (1 - self.BETA1 ** self.t)
         v_hat = self.v / (1 - self.BETA2 ** self.t)
         return theta - self.lr * m_hat / (np.sqrt(v_hat) + self.EPSILON)
@@ -160,50 +171,44 @@ def _apply(sys: QuantumSystem, x: np.ndarray, transpose: bool = False) -> np.nda
     """
     a = sys.block
     if not sys.hermitized:
-        return x @ a if transpose else a @ x
+        return x.dot(a) if transpose else a.dot(x)
     m = len(a)
-    return np.concatenate((a @ x[m:], x[:m] @ a))
+    return np.concatenate((a.dot(x[m:]), x[:m].dot(a)))
 
 
-def _cost_from_state(x: np.ndarray, sys: QuantumSystem):
-    """(cost, g, h, op x) at the state x; the cost is clamped at 0."""
-    y = _apply(sys, x)
-    g = float(sys.rhs_state @ y)
-    h = float(y @ y)
-    if h < 1e-300:
-        raise DegenerateOperatorError("operator norm of the prepared state underflowed")
-    c = 1.0 - g * g / h
-    if c < 0.0:
-        c = 0.0
-    return c, g, h, y
-
-
-def cost_and_grad(angles: AnsatzParams, systems: list[QuantumSystem]):
+def cost_and_grad(angles: AnsatzParams, systems: list[QuantumSystem], initial: np.ndarray):
     """(costs (B,), gradients (D+1, n, B)) of B columns: angles[..., b] on systems[b].
 
     ``angles`` holds (D+1, n, B) angles, and the gradients come back in the
-    same layout. One forward pass runs every column from its own right-hand
-    side, and its layers' Kronecker factors serve the adjoint walk too; the
-    seed of the walk is mu = dC/dx = op^T (-(2g/h) rhs + (2g^2/h^2) op x),
-    formed column by column with that column's operator.
+    same layout; ``initial`` is the (B, 2**n) stack of the systems'
+    right-hand-side states. One forward pass runs every column from its row
+    of ``initial``, and its layers' Kronecker factors serve the adjoint walk
+    too. Column by column, with that column's operator, y = op x gives
+    g = <rhs, y>, h = <y, y> and the cost 1 - g^2/h, clamped at 0; the seed
+    of the walk is mu = dC/dx = op^T (-(2g/h) rhs + (2g^2/h^2) y).
     """
-    layers, factors = _run_circuit(angles.theta, np.stack([sys.rhs_state for sys in systems]))
+    layers, factors = _run_circuit(angles.theta, initial)
     costs = np.empty(len(systems))
-    adjoints = np.empty_like(layers[-1])
-    for b, (x, sys) in enumerate(zip(layers[-1], systems)):
-        try:
-            costs[b], g, h, y = _cost_from_state(x, sys)
-        except DegenerateOperatorError as exc:
+    adjoints = np.empty_like(initial)
+    for b, (x, rhs, sys) in enumerate(zip(layers[-1], initial, systems)):
+        y = _apply(sys, x)
+        g = float(rhs.dot(y))
+        h = float(y.dot(y))
+        if h < 1e-300:
+            exc = DegenerateOperatorError("operator norm of the prepared state underflowed")
             exc.column = b
-            raise
-        adjoints[b] = _apply(sys, -2.0 * g / h * sys.rhs_state + 2.0 * g * g / (h * h) * y,
+            raise exc
+        c = 1.0 - g * g / h
+        costs[b] = 0.0 if c < 0.0 else c
+        adjoints[b] = _apply(sys, -2.0 * g / h * rhs + 2.0 * g * g / (h * h) * y,
                              transpose=True)
     return costs, _adjoint_pass(factors, layers, adjoints)
 
 
-def _checked_step(angles: AnsatzParams, systems: list, iteration: int, labels: list):
+def _checked_step(angles: AnsatzParams, systems: list, initial: np.ndarray, iteration: int,
+                  labels: list):
     try:
-        costs, grads = cost_and_grad(angles, systems)
+        costs, grads = cost_and_grad(angles, systems, initial)
     except DegenerateOperatorError as exc:
         raise DegenerateOperatorError(
             f"{exc} at iteration {iteration} in {labels[exc.column]}") from exc
@@ -227,24 +232,31 @@ def train(systems, cfg: VqlsConfig, seeds=None, labels=None):
     do not depend on the other columns. Raises DivergedError at the first
     non-finite cost or gradient in any column, and DegenerateOperatorError
     where a column's operator annihilates its state, naming that column by
-    its entry of ``labels`` (default: its index and seed).
+    its entry of ``labels`` (default: its index and seed). Raises ValueError
+    before any step for an empty ``systems``, ``seeds`` or ``labels`` of
+    another length, or columns of different qubit counts.
     """
     if isinstance(systems, QuantumSystem):
         return train([systems], cfg, seeds, labels)[0]
     n_cols = len(systems)
+    if not n_cols:
+        raise ValueError("train needs at least one system")
     if seeds is None:
         seeds = [cfg.seed] * n_cols
     if len(seeds) != n_cols:
         raise ValueError("train needs one seed per system")
+    if labels is None:
+        labels = [f"column {b} (seed {seed})" for b, seed in enumerate(seeds)]
+    if len(labels) != n_cols:
+        raise ValueError("train needs one label per system")
     n_qubits = systems[0].n_qubits
     if any(sys.n_qubits != n_qubits for sys in systems):
         raise ValueError("lockstep columns must share the qubit count")
-    if labels is None:
-        labels = [f"column {b} (seed {seed})" for b, seed in enumerate(seeds)]
 
     shape = (cfg.depth + 1, n_qubits)
     theta = np.stack([_rng(seed, STREAM_THETA).uniform(-INIT_SCALE, INIT_SCALE, shape)
                       for seed in seeds], axis=-1)
+    initial = np.stack([sys.rhs_state for sys in systems])
     adam = Adam(cfg.learning_rate)
     costs = np.empty((cfg.iterations + 1, n_cols))
     grad_norms = np.empty((cfg.iterations + 1, n_cols))
@@ -255,11 +267,13 @@ def train(systems, cfg: VqlsConfig, seeds=None, labels=None):
     for it in range(cfg.iterations + 1):
         if it:
             theta = adam.step(theta, grads)
-        costs[it], grads = _checked_step(AnsatzParams(theta), systems, it, labels)
-        for b in range(n_cols):
-            grad_norms[it, b] = np.linalg.norm(grads[:, :, b])
+        costs[it], grads = _checked_step(AnsatzParams(theta), systems, initial, it, labels)
+        # Each column's norm as one dot product of its contiguous copy, the
+        # reduction np.linalg.norm makes, for all columns in one stacked call.
+        rows = grads.reshape(-1, n_cols).T.copy()
+        np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None]), out=grad_norms[it, :, None, None])
         better = costs[it] < best_costs
-        if better.any():
+        if np.count_nonzero(better):
             best_costs = np.where(better, costs[it], best_costs)
             best_theta = np.where(better, theta, best_theta)
         elapsed[it] = time.perf_counter() - t0

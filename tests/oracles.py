@@ -44,8 +44,14 @@ chain and the RY gates one by one through the reshape-view kernels, each
 layer's state kept, an adjoint walk that reads those states and carries
 only the one-column adjoint back, and Adam on one circuit's (D+1, n) angles.
 Lockstep training must agree with it to the tolerances the tests state.
+``adam_textbook`` is the out-of-place Adam update that ``vqls.Adam``'s
+in-place step must equal bit for bit.
 ``cost_and_grad_one`` runs the production step on a single column, and
-``cost`` gives the one-state cost at given angles.
+``cost`` gives the one-state cost at given angles through
+``_cost_from_state``, the per-column cost that the production step forms
+inline. It writes the products with ``@`` where the step calls
+``ndarray.dot``; both reach the same BLAS products, so the two costs must
+agree bit for bit.
 
 Dense operator. A ``QuantumSystem`` keeps only its padded m x m block;
 ``dense_op`` writes out the operator it stands for, the (2m)^2 dilation
@@ -77,7 +83,7 @@ from vqls_precond.embedding import QuantumSystem
 from vqls_precond.ilu import PIVOT_FLOOR, IluFactors, ZeroPivotError
 from vqls_precond.sparse import STREAM_THETA, CsrMatrix
 from vqls_precond.vqls import (INIT_SCALE, Adam, DegenerateOperatorError, DivergedError,
-                               TrainResult, _cost_from_state, cost_and_grad)
+                               TrainResult, _apply, cost_and_grad)
 
 SQRT2 = float(np.sqrt(2.0))
 
@@ -119,6 +125,19 @@ def random_params(n_qubits: int, depth: int, scale: float,
                   rng: np.random.Generator) -> AnsatzParams:
     """Angles drawn uniform on [-scale, scale], row-major over the (depth + 1, n) table."""
     return AnsatzParams(rng.uniform(-scale, scale, size=(depth + 1, n_qubits)))
+
+
+def _cost_from_state(x: np.ndarray, sys: QuantumSystem):
+    """(cost, g, h, op x) at the state x; the cost is clamped at 0."""
+    y = _apply(sys, x)
+    g = float(sys.rhs_state @ y)
+    h = float(y @ y)
+    if h < 1e-300:
+        raise DegenerateOperatorError("operator norm of the prepared state underflowed")
+    c = 1.0 - g * g / h
+    if c < 0.0:
+        c = 0.0
+    return c, g, h, y
 
 
 def cost(params: AnsatzParams, sys: QuantumSystem) -> float:
@@ -180,7 +199,8 @@ def shift_rule_cost_and_grad(params: AnsatzParams, sys: QuantumSystem):
 
 def cost_and_grad_one(params: AnsatzParams, sys: QuantumSystem):
     """(cost, (D+1, n) gradient) of one column through the production lockstep step."""
-    costs, grads = cost_and_grad(AnsatzParams(params.theta[:, :, None]), [sys])
+    costs, grads = cost_and_grad(AnsatzParams(params.theta[:, :, None]), [sys],
+                                 sys.rhs_state[None, :])
     return float(costs[0]), grads[:, :, 0]
 
 
@@ -318,6 +338,24 @@ def cost_and_grad_serial(params: AnsatzParams, sys: QuantumSystem):
     c, g, h, y = _cost_from_state(layers[-1], sys)
     mu = (-2.0 * g / h * sys.rhs_state + 2.0 * g * g / (h * h) * y) @ dense_op(sys)
     return c, _adjoint_pass_serial(params.theta, layers, mu)
+
+
+def adam_textbook(theta: np.ndarray, grads, lr: float) -> list[np.ndarray]:
+    """The angles after each step of Adam driven by the gradients ``grads`` in turn.
+
+    The textbook update (Kingma & Ba, arXiv:1412.6980, Algorithm 1) with
+    ``vqls.Adam``'s constants, every moment and iterate a new array.
+    """
+    m = v = np.zeros_like(theta)
+    iterates = []
+    for t, grad in enumerate(grads, start=1):
+        m = Adam.BETA1 * m + (1 - Adam.BETA1) * grad
+        v = Adam.BETA2 * v + (1 - Adam.BETA2) * grad * grad
+        m_hat = m / (1 - Adam.BETA1 ** t)
+        v_hat = v / (1 - Adam.BETA2 ** t)
+        theta = theta - lr * m_hat / (np.sqrt(v_hat) + Adam.EPSILON)
+        iterates.append(theta)
+    return iterates
 
 
 def _checked_step_serial(params: AnsatzParams, sys: QuantumSystem, iteration: int):

@@ -5,14 +5,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import (cost, cost_and_grad_one, cost_via_decomposition, dense_op, make_system,
-                     pauli_decompose, random_params, shift_rule_cost_and_grad, train_serial)
+from oracles import (adam_textbook, cost, cost_and_grad_one, cost_via_decomposition, dense_op,
+                     make_system, pauli_decompose, random_params, shift_rule_cost_and_grad,
+                     train_serial)
 from vqls_precond.ansatz import AnsatzParams, prepare_state
 from vqls_precond.embedding import build_system
 from vqls_precond.ilu import ilu0, preconditioned_system
-from vqls_precond.sparse import poisson_1d
-from vqls_precond.vqls import (Adam, DegenerateOperatorError, DivergedError, VqlsConfig,
-                               _apply, residuals, train)
+from vqls_precond.sparse import STREAM_THETA, _rng, poisson_1d
+from vqls_precond.vqls import (INIT_SCALE, Adam, DegenerateOperatorError, DivergedError,
+                               VqlsConfig, _apply, residuals, train)
 
 
 def zero_params(n, depth=0):
@@ -182,6 +183,53 @@ def test_train_rejects_columns_that_cannot_run_in_lockstep():
         train([sys3, sys2], cfg)
     with pytest.raises(ValueError, match="one seed per system"):
         train([sys3, sys3], cfg, [1])
+
+
+def test_train_refuses_an_empty_batch():
+    with pytest.raises(ValueError, match="at least one system"):
+        train([], VqlsConfig(depth=1, iterations=2, mode="direct"))
+
+
+def test_train_refuses_a_label_list_of_another_length():
+    ok = make_system(np.eye(4), [1.0, 2.0, 3.0, 4.0])
+    op = np.eye(4)
+    op[1, 2] = np.inf
+    bad = make_system(op, [1.0, 2.0, 3.0, 4.0])
+    cfg = VqlsConfig(depth=1, iterations=5, mode="direct")
+    for labels in (["left"], ["left", "right", "extra"]):
+        with pytest.raises(ValueError, match="one label per system"):
+            train([ok, bad], cfg, [7, 8], labels)
+
+
+@pytest.mark.parametrize("n_qubits", [5, 7, 8, 9])
+@pytest.mark.parametrize("batch", [1, 2, 4, 20])
+def test_grad_norms_equal_linalg_norm_bit_for_bit(batch, n_qubits):
+    # The stacked reduction in train against np.linalg.norm of each column's
+    # gradient at its start angles, from the production step run alone.
+    rng = np.random.default_rng(17 + 10 * batch + n_qubits)
+    m = 2 ** (n_qubits - 1)
+    cfg = VqlsConfig(depth=3, iterations=1)
+    systems = [build_system(rng.uniform(-1, 1, (m, m)) + 3 * np.eye(m), rng.normal(size=m),
+                            "hermitized") for _ in range(batch)]
+    seeds = [int(s) for s in rng.integers(100, size=batch)]
+    results = train(systems, cfg, seeds)
+    for sys, seed, result in zip(systems, seeds, results):
+        start = _rng(seed, STREAM_THETA).uniform(-INIT_SCALE, INIT_SCALE, (cfg.depth + 1, n_qubits))
+        _, grad = cost_and_grad_one(AnsatzParams(start), sys)
+        assert result.grad_norms[0].tobytes() == np.linalg.norm(grad).tobytes()
+
+
+def test_adam_in_place_step_equals_the_textbook_update_bit_for_bit():
+    rng = np.random.default_rng(18)
+    theta = rng.uniform(-np.pi, np.pi, (21, 8, 20))
+    # gradients over ten decades, with exact zeros, as training meets them
+    grads = [rng.normal(size=theta.shape) * 10.0 ** rng.integers(-8, 3, theta.shape)
+             * (rng.random(theta.shape) > 0.05) for _ in range(300)]
+    adam = Adam(lr=0.01)
+    current = theta
+    for step, expected in enumerate(adam_textbook(theta, grads, 0.01)):
+        current = adam.step(current, grads[step])
+        assert current.tobytes() == expected.tobytes(), step
 
 
 def _training_bytes(result):
