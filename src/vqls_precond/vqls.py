@@ -212,11 +212,11 @@ def _checked_step(angles: AnsatzParams, systems: list, initial: np.ndarray, iter
     except DegenerateOperatorError as exc:
         raise DegenerateOperatorError(
             f"{exc} at iteration {iteration} in {labels[exc.column]}") from exc
+    if np.isfinite(costs).all() and np.isfinite(grads).all():
+        return costs, grads
     finite = np.isfinite(costs) & np.isfinite(grads).all(axis=(0, 1))
-    if not finite.all():
-        raise DivergedError(f"non-finite cost or gradient at iteration {iteration} "
-                            f"in {labels[int(np.argmin(finite))]}")
-    return costs, grads
+    raise DivergedError(f"non-finite cost or gradient at iteration {iteration} "
+                        f"in {labels[int(np.argmin(finite))]}")
 
 
 def train(systems, cfg: VqlsConfig, seeds=None, labels=None):

@@ -1,6 +1,7 @@
 """tools/ab_bench.py's summary of interleaved runs, on synthetic run.json records."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -47,3 +48,18 @@ def test_one_pair_is_its_own_quartiles():
 def test_a_run_that_is_not_correct_or_failed_operations_is_flagged(bad, problem):
     assert ab_bench.run_problems(record(1.0, 1.0)) == []
     assert problem in ab_bench.run_problems(bad)
+
+
+def test_json_records_hold_the_summary_rows(tmp_path):
+    pairs = [(record(p, 2.0), record(c, 1.0)) for p, c in [(1.0, 0.5), (2.0, 2.5), (3.0, 2.0)]]
+    path = tmp_path / "bench.json"
+    for seed in (3, 17):
+        ab_bench.append_record(path, ab_bench.summary_record("spectrum", seed, ("abc", None),
+                                                             pairs, END_TO_END))
+    first, second = json.loads(path.read_text())
+    rows = json.loads(json.dumps(ab_bench.summarize(pairs, END_TO_END)))
+    assert first == {"workload": "spectrum", "seed": 3, "pairs": 3,
+                     "heads": {"parent": "abc", "change": None}, "rows": rows}
+    assert second["seed"] == 17 and second["rows"] == rows
+    assert rows[0]["parent"] == [1.5, 2.0, 2.5] and rows[0]["wins"] == 2
+    assert ab_bench.tree_head(tmp_path / "no such tree") is None

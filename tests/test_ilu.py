@@ -2,6 +2,8 @@
 oracle, preconditioned-system assembly against a LAPACK solve, and the
 dense-LU oracle on no-fill patterns."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -137,12 +139,29 @@ def _integer_instances():
         yield CsrMatrix.from_mask(mask, rng.integers(-2, 3, size=int(mask.sum())))
 
 
+def _schedule_edge_cases():
+    """Patterns at the edges of the elimination schedule: steps with no rows
+    below the pivot, steps with rows but no block, and empty blocks throughout."""
+    rng = np.random.default_rng(26)
+    full = rng.uniform(-1, 1, (8, 8)) + np.diag(np.full(8, 4.0))
+    yield csr_from_dense(np.tril(full))         # lower only: every block is empty
+    yield csr_from_dense(np.triu(full))         # upper only: every step skips
+    arrow = np.diag(np.diag(full))
+    arrow[1:, 0] = full[1:, 0]                  # column 0 stores every row, row 0 nothing
+    arrow[5, 3], arrow[3, 6], arrow[6, 3] = full[5, 3], full[3, 6], full[6, 3]
+    yield csr_from_dense(arrow)                 # step 0: rows, empty block; step 3: 2 x 1
+    yield CsrMatrix(2, np.array([0, 2, 4]), np.array([0, 1, 0, 1]),
+                    np.array([3.0, 0.0, 1.5, 2.0]))    # n = 2, stored off-diagonal zero
+
+
 def _oracle_corpus():
-    for n, density in [(16, 0.2), (16, 1.0), (32, 0.5), (64, 0.2), (128, 0.2), (128, 0.6)]:
+    for n, density in [(16, 0.2), (16, 1.0), (32, 0.5), (64, 0.2), (128, 0.05), (128, 0.2),
+                       (128, 0.6)]:
         for diag_offset in (0.0, 1.0, 3.0):
             for seed in (1, 2, 3):
                 yield random_sparse(n, density, seed, diag_offset)
     yield from _integer_instances()
+    yield from _schedule_edge_cases()
     yield CsrMatrix(3, np.array([0, 2, 4, 6]), np.array([0, 2, 0, 1, 1, 2]),
                     np.array([2.0, 0.0, 0.0, 3.0, 0.0, 4.0]))      # stored zeros
     yield csr_from_dense(np.eye(1))
@@ -162,6 +181,22 @@ def test_ilu0_matches_ikj_oracle_bit_for_bit():
     # zero pivots must turn up at several rows, not only at the first pivot
     assert {0, 1, 2, 3} <= zero_pivot_rows
 
+
+
+def test_ilu0_memory_stays_quadratic():
+    # The schedule holds O(nnz) positions and each step builds only its own
+    # block, so the peak stays a few n x n workspaces. A schedule holding every
+    # step's block up front would need one position per multiply-add, about
+    # density^2 n^3 / 3: some 34 workspaces at n = 256 and density 0.5.
+    n = 256
+    A = random_sparse(n, 0.5, 1)
+    tracemalloc.start()
+    try:
+        ilu0(A)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * n * n * 8
 
 def minv_b(A, v):
     """M^-1 v: the b output of preconditioned_system."""

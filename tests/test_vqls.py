@@ -8,6 +8,7 @@ import pytest
 from oracles import (adam_textbook, cost, cost_and_grad_one, cost_via_decomposition, dense_op,
                      make_system, pauli_decompose, random_params, shift_rule_cost_and_grad,
                      train_serial)
+from vqls_precond import vqls
 from vqls_precond.ansatz import AnsatzParams, prepare_state
 from vqls_precond.embedding import build_system
 from vqls_precond.ilu import ilu0, preconditioned_system
@@ -173,6 +174,29 @@ def test_train_names_the_diverged_column():
         train([ok, ok, bad], cfg, [7, 8, 9], ["left", "middle", "right"])
     with pytest.raises(DivergedError, match=r"iteration 0 in column 1 \(seed 8\)"):
         train([ok, bad, ok], cfg, [7, 8, 9])
+
+
+@pytest.mark.parametrize("bad_cost, bad_grad, named", [
+    (None, 1, "middle"),          # a gradient entry only, under a finite cost
+    (2, None, "right"),           # a cost only, under a finite gradient
+    (2, 1, "middle"),             # both: the first non-finite column
+])
+def test_train_names_the_column_of_a_non_finite_gradient_or_cost(monkeypatch, bad_cost,
+                                                                  bad_grad, named):
+    def fake_cost_and_grad(angles, systems, initial):
+        costs = np.full(len(systems), 0.5)
+        grads = np.zeros_like(angles.theta)
+        if bad_cost is not None:
+            costs[bad_cost] = np.inf
+        if bad_grad is not None:
+            grads[1, 0, bad_grad] = np.nan
+        return costs, grads
+
+    monkeypatch.setattr(vqls, "cost_and_grad", fake_cost_and_grad)
+    ok = make_system(np.eye(4), [1.0, 2.0, 3.0, 4.0])
+    cfg = VqlsConfig(depth=1, iterations=5, mode="direct")
+    with pytest.raises(DivergedError, match=f"iteration 0 in {named}$"):
+        train([ok, ok, ok], cfg, [7, 8, 9], ["left", "middle", "right"])
 
 
 def test_train_rejects_columns_that_cannot_run_in_lockstep():

@@ -1,6 +1,6 @@
 """Interleaved A/B runs of the benchmark on two checkouts of the workbench.
 
-    python tools/ab_bench.py PARENT CHANGE --workload W --seed N --pairs K
+    python tools/ab_bench.py PARENT CHANGE --workload W --seed N --pairs K [--json PATH]
 
 PARENT and CHANGE are the roots of two checkouts. Each pair runs
 the benchmark's command, ``python3 perfbench/run.py``, with ``--workload W
@@ -12,8 +12,13 @@ After each run the tool reads that tree's
 end-to-end metric that BENCHMARK.json declares, each side's median with its
 Q1-Q3 range, the ratio of the medians (change / parent), and the pairs the
 change won: where it read better than the parent in the same pair, ties
-counting for neither side. Exit status: 0, or 1 when any run failed, was not
-``correct`` or reported ``failed`` operations, 2 on a usage error.
+counting for neither side. With ``--json PATH`` it also appends the same
+summary to the JSON list in PATH, creating it when missing: one record with
+the workload, the seed, the number of clean pairs, each tree's ``git
+rev-parse HEAD`` (null where that fails, as in an export without git
+history) and the rows of ``summarize``. Exit status: 0, or 1 when any run
+failed, was not ``correct`` or reported ``failed`` operations, 2 on a usage
+error.
 """
 
 from __future__ import annotations
@@ -68,6 +73,29 @@ def format_rows(rows: list[dict], n_pairs: int) -> str:
     return "\n".join(lines)
 
 
+def tree_head(tree: Path) -> str | None:
+    """``git rev-parse HEAD`` of a checkout, or None where git cannot tell."""
+    try:
+        done = subprocess.run(["git", "-C", str(tree), "rev-parse", "HEAD"],
+                              capture_output=True, text=True, check=False)
+    except OSError:
+        return None
+    return done.stdout.strip() if done.returncode == 0 else None
+
+
+def summary_record(workload: str, seed: int, heads: tuple,
+                   pairs: list[tuple[dict, dict]], end_to_end: list[dict]) -> dict:
+    """What the tool reports: workload, seed, clean pairs, tree heads and summary rows."""
+    return {"workload": workload, "seed": seed, "pairs": len(pairs),
+            "heads": dict(zip(SIDES, heads)), "rows": summarize(pairs, end_to_end)}
+
+
+def append_record(path: Path, record: dict) -> None:
+    """Append ``record`` to the JSON list in ``path``, creating the file when missing."""
+    records = json.loads(path.read_text()) if path.exists() else []
+    path.write_text(json.dumps(records + [record], indent=1) + "\n")
+
+
 def run_problems(record: dict) -> list[str]:
     """Why a run.json record does not count as a clean run; empty when it does."""
     problems = list(record.get("errors", []))
@@ -100,6 +128,7 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--json", type=Path, help="append the summary to this JSON list")
     args = parser.parse_args(argv)
     trees = (args.parent.resolve(), args.change.resolve())
     if args.seed < 0 or args.pairs < 1:
@@ -129,8 +158,12 @@ def main(argv=None) -> int:
         print(f"pair {k + 1}, {SIDES[order[0]]} first: wall_s parent {wall[0]:.4g}, "
               f"change {wall[1]:.4g}", file=sys.stderr)
     if pairs:
+        summary = summary_record(args.workload, args.seed, tuple(map(tree_head, trees)),
+                                 pairs, spec["end_to_end"])
         print(f"{args.workload}, seed {args.seed}, {len(pairs)} pairs")
-        print(format_rows(summarize(pairs, spec["end_to_end"]), len(pairs)))
+        print(format_rows(summary["rows"], len(pairs)))
+        if args.json:
+            append_record(args.json, summary)
     return 0 if clean and pairs else 1
 
 
