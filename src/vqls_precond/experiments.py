@@ -52,7 +52,7 @@ from .embedding import build_system, extract_solution, is_normal_float
 from .ilu import IluFactors, ZeroPivotError, ilu0, preconditioned_system
 from .sparse import (CsrMatrix, check_random_sparse, format_matrix_market, poisson_1d,
                      random_rhs, random_sparse)
-from .vqls import TrainResult, VqlsConfig, aligned, check_field_types, residuals, train
+from .vqls import MAX_DEPTH, TrainResult, VqlsConfig, aligned, check_field_types, residuals, train
 
 DEFAULT_SEEDS = list(range(1, 11))   # the 10 committed paper-scale seeds
 
@@ -96,6 +96,8 @@ class ExperimentConfig:
         if min(self.seeds, default=-1) < 0 or min(self.depths, default=-1) < 0:
             raise ValueError(f"need non-empty seeds and depths >= 0, got seeds {self.seeds}, "
                              f"depths {self.depths}")
+        if max(self.depths) > MAX_DEPTH:
+            raise ValueError(f"need depths <= {MAX_DEPTH}, got {max(self.depths)}")
         if max(self.seeds) > 2**63 - MAX_SKIP_ATTEMPTS:     # every redraw fits int64
             raise ValueError(f"need seeds <= 2**63 - {MAX_SKIP_ATTEMPTS}, got {max(self.seeds)}")
         for name, values in (("seeds", self.seeds), ("depths", self.depths)):

@@ -25,11 +25,11 @@ block lives for one step only, so the factorization stays in O(n^2) memory;
 holding every block up front would take one position per multiply-add,
 about density^2 n^3 / 3 of them.
 
-The preconditioner M = L @ U is applied once per instance, to A and b
-together: one forward and one backward substitution over the dense rows of
-[A | b] give (M^-1 A, M^-1 b). Dense factors cost O(n^2) memory, which is
-small at workbench sizes (n <= 256), where M^-1 A is a dense n x n matrix
-anyway.
+The preconditioner is applied once per instance, to A and b together: M =
+L @ U is formed once as a dense matrix, and one LAPACK solve of M X =
+[A | b] gives (M^-1 A, M^-1 b). Dense factors and M cost O(n^2) memory,
+which is small at workbench sizes (n <= 256), where M^-1 A is a dense n x n
+matrix anyway.
 """
 
 from __future__ import annotations
@@ -136,22 +136,16 @@ def ilu0(A: CsrMatrix) -> IluFactors:
 
 
 def preconditioned_system(A: CsrMatrix, b, factors: IluFactors):
-    """(M^-1 A, M^-1 b) with M = L U, from one substitution on X = [A | b].
+    """(M^-1 A, M^-1 b) with M = L U, from one LAPACK solve on X = [A | b].
 
-    The forward pass runs X[i] -= L[i, :i] @ X[:i] down the rows, the
-    backward pass X[i] = (X[i] - U[i, i+1:] @ X[i+1:]) / U[i, i] up them.
-    M^-1 A is generally dense; the downstream cost function and spectrum
-    reports want dense access anyway.
+    M is formed once per instance and factored by ``np.linalg.solve`` (LU
+    with partial pivoting), which solves for every column of [A | b] at
+    once. M^-1 A is generally dense; the downstream cost function and
+    spectrum reports want dense access anyway.
     """
-    L, U = factors.L, factors.U
-    n = len(U)
+    n = len(factors.U)
     b = np.asarray(b, dtype=float)
     if b.shape != (n,):
         raise ValueError(f"right-hand side shape {b.shape} does not match n={n}")
-    X = np.column_stack((A.to_dense(), b))
-    for i in range(1, n):
-        X[i] -= L[i, :i] @ X[:i]
-    for i in range(n - 1, -1, -1):
-        X[i] -= U[i, i + 1:] @ X[i + 1:]
-        X[i] /= U[i, i]
+    X = np.linalg.solve(factors.L @ factors.U, np.column_stack((A.to_dense(), b)))
     return X[:, :-1], X[:, -1]

@@ -58,6 +58,12 @@ from .sparse import STREAM_THETA, _rng
 # Half-width of the uniform angle initialization.
 INIT_SCALE = 0.1
 
+# Largest run a config may ask for: 50x the paper's depth 20 and 100x its 10,000
+# iterations. The angles hold (depth + 1) n doubles per column and every history
+# iterations + 1, so past these a run would fail to allocate after work had started.
+MAX_DEPTH = 1000
+MAX_ITERATIONS = 10**6
+
 
 class DegenerateOperatorError(RuntimeError):
     """op annihilates the prepared state; the cost is undefined.
@@ -107,6 +113,9 @@ class VqlsConfig:
         if self.seed < 0 or self.depth < 0 or self.iterations < 1 or self.learning_rate <= 0:
             raise ValueError(f"need seed >= 0, depth >= 0, iterations >= 1 and "
                              f"learning_rate > 0, got {self}")
+        if self.depth > MAX_DEPTH or self.iterations > MAX_ITERATIONS:
+            raise ValueError(f"need depth <= {MAX_DEPTH} and iterations <= {MAX_ITERATIONS}, "
+                             f"got depth {self.depth}, iterations {self.iterations}")
         if self.mode not in ("direct", "hermitized"):
             raise ValueError(f"mode must be 'direct' or 'hermitized', got {self.mode!r}")
 

@@ -15,6 +15,10 @@ dense right-looking ``ilu.ilu0`` replaced. It touches only stored positions,
 locating each row's matching upper entries with ``searchsorted``, and
 scatters the eliminated values into dense factors once at the end; ``ilu0``
 must reproduce its factors bit for bit and its zero pivots row for row.
+``substitute`` is the forward and backward substitution, row by row, that
+the one LAPACK solve of ``ilu.preconditioned_system`` replaced. It sums in a
+different order from LAPACK's pivoted LU of M = L U, so the two must agree
+to the tolerances the tests state, not bit for bit.
 
 Reshape-view gates. ``ry_reshape`` is the gate as the 2x2 matrix
 [[cos(a/2), -sin(a/2)], [sin(a/2), cos(a/2)]] applied to the amplitude
@@ -431,6 +435,18 @@ def ilu0_ikj(A: CsrMatrix) -> IluFactors:
     L = np.tril(W, -1)
     L[np.diag_indices(n)] = 1.0
     return IluFactors(L=L, U=np.triu(W))
+
+
+def substitute(L: np.ndarray, U: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """(L U)^-1 X by forward then backward substitution, one row at a time."""
+    n = len(U)
+    X = np.array(X, dtype=float)
+    for i in range(1, n):
+        X[i] -= L[i, :i] @ X[:i]
+    for i in range(n - 1, -1, -1):
+        X[i] -= U[i, i + 1:] @ X[i + 1:]
+        X[i] /= U[i, i]
+    return X
 
 
 @dataclass

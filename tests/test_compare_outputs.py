@@ -45,7 +45,8 @@ def test_compare_outputs_reports_each_file(tmp_path):
     residuals = change / "residuals.csv"
     lines = residuals.read_text().splitlines()
     cells = lines[2].split(",")
-    cells[1] = repr(float(cells[1]) * (1 + 1e-9))
+    scaled = float(cells[1])
+    cells[1] = repr(scaled * (1 + 1e-9))
     lines[2] = ",".join(cells)
     residuals.write_text("\n".join(lines) + "\n")
     code, out = compare(parent, change)
@@ -53,7 +54,9 @@ def test_compare_outputs_reports_each_file(tmp_path):
     [line] = [line for line in out.splitlines() if "differs" in line]
     head, columns = line.split(", columns: ")
     assert head.startswith("residuals.csv: differs: 1 cells, max relative difference ")
-    assert np.isclose(float(head.rsplit(" ", 1)[1]), 1e-9, rtol=1e-3), line
+    relative, absolute = head.split(", max absolute difference ")
+    assert np.isclose(float(relative.rsplit(" ", 1)[1]), 1e-9, rtol=1e-3), line
+    assert np.isclose(float(absolute), abs(scaled) * 1e-9, rtol=1e-3), line
     assert columns == "residual_plain", line
 
     # cells of two columns, and a renamed header: each name once, in column order
@@ -76,3 +79,20 @@ def test_compare_outputs_reports_each_file(tmp_path):
     assert verdicts["residuals.csv"].endswith(", columns: residual_plain")
     assert verdicts["manifest.json"].startswith("differs: 1 cells, ")
     assert "columns" not in verdicts["manifest.json"]
+
+
+def test_compare_outputs_reports_the_absolute_difference_of_cells_near_zero(tmp_path):
+    # A sign flip at rounding level reads as relative difference 2; D shows it is 2e-16.
+    for name, cost, label in (("parent", "1e-16", "0.5"), ("change", "-1e-16", "0.5"),
+                              ("text", "1e-16", "half")):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "costs.csv").write_text(f"cost,label\n{cost},{label}\n")
+    code, out = compare(tmp_path / "parent", tmp_path / "change")
+    assert code == 1
+    assert out == ("costs.csv: differs: 1 cells, max relative difference 2, "
+                   "max absolute difference 2e-16, columns: cost\n"), out
+    # a cell that is not a number differs by inf both ways
+    code, out = compare(tmp_path / "parent", tmp_path / "text")
+    assert code == 1
+    assert out == ("costs.csv: differs: 1 cells, max relative difference inf, "
+                   "max absolute difference inf, columns: label\n"), out

@@ -497,6 +497,10 @@ def test_cli_config_error_exit_code(tmp_path):
     ("sweep-depth", {"n": 8, "seeds": [2 ** 63, 1], "depths": [1]}, []),  # beyond int64
     ("spectrum", {"n": 8, "seeds": [2 ** 63, 1]}, []),
     ("solve", None, ["--profile", "ci", "--seed", str(MAX_SEED + 1)]),  # redraws pass int64
+    ("solve", {"n": 4, "density": 1.0, "vqls": {"iterations": 10 ** 18}},  # no array holds it
+     ["--profile", "ci"]),
+    ("solve", {"n": 4, "density": 1.0, "vqls": {"depth": 10 ** 18}}, ["--profile", "ci"]),
+    ("sweep-depth", {"n": 4, "density": 1.0, "depths": [1, 10 ** 18]}, ["--profile", "ci"]),
 ], ids=["density-too-low", "sweep-one-seed", "negative-depth", "n-not-int",
         "repeated-seed", "heat-no-nodes", "heat-rod-length-zero", "trace-every",
         "adam-beta1", "instance", "diag-offset", "seed-flag-negative", "seed-negative",
@@ -511,7 +515,7 @@ def test_cli_config_error_exit_code(tmp_path):
         "solve-n-unbounded", "sweep-n-unbounded", "spectrum-n-unbounded",
         "heat-n-unbounded", "heat-n-above-max", "depths-duplicate", "heat-one-node",
         "spectrum-dump-matrix", "sweep-dump-matrix", "sweep-seed-2-63", "spectrum-seed-2-63",
-        "seed-flag-above-max"])
+        "seed-flag-above-max", "iterations-unbounded", "depth-unbounded", "depths-unbounded"])
 def test_bad_config_exits_2_before_any_work(tmp_path, monkeypatch, capsys, command, config,
                                             flags):
     monkeypatch.chdir(tmp_path)     # a config that slipped through would write here

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import csr_from_dense, ilu0_ikj
+from oracles import csr_from_dense, ilu0_ikj, substitute
 from vqls_precond.dense import condition_number, lu_solve
 from vqls_precond.ilu import ZeroPivotError, ilu0, preconditioned_system
 from vqls_precond.sparse import CsrMatrix, poisson_1d, random_rhs, random_sparse
@@ -237,6 +237,28 @@ def test_preconditioned_system_matches_lapack_oracle():
         A_tilde, b_tilde = preconditioned_system(A, b, F)
         for got, ref in ((A_tilde, X_ref[:, :-1]), (b_tilde, X_ref[:, -1])):
             assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_preconditioned_system_matches_substitution_oracle():
+    for A, b in _lapack_corpus():
+        F = ilu0(A)
+        X_ref = substitute(F.L, F.U, np.column_stack((A.to_dense(), b)))
+        A_tilde, b_tilde = preconditioned_system(A, b, F)
+        for got, ref in ((A_tilde, X_ref[:, :-1]), (b_tilde, X_ref[:, -1])):
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("n", [16, 128, 1024])
+def test_preconditioned_rod_is_identity_and_parabola(n):
+    # The rod's pattern takes no fill, so M = A and M^-1 A = I exactly; M^-1 b is the
+    # discrete solution, which matches the parabola u_i = h^2 i (n + 1 - i) / 2 at the nodes.
+    A, b = poisson_1d(n)
+    A_tilde, b_tilde = preconditioned_system(A, b, ilu0(A))
+    h = 1.0 / (n + 1)
+    i = np.arange(1, n + 1)
+    u = h * h * i * (n + 1 - i) / 2
+    assert np.abs(A_tilde - np.eye(n)).max() <= 1e-12
+    assert np.abs(b_tilde - u).max() <= 1e-11 * np.abs(u).max()
 
 
 def test_preconditioned_system_identity():

@@ -13,8 +13,9 @@ from vqls_precond.ansatz import AnsatzParams, prepare_state
 from vqls_precond.embedding import build_system
 from vqls_precond.ilu import ilu0, preconditioned_system
 from vqls_precond.sparse import STREAM_THETA, _rng, poisson_1d
-from vqls_precond.vqls import (INIT_SCALE, Adam, DegenerateOperatorError, DivergedError,
-                               VqlsConfig, _apply, residuals, train)
+from vqls_precond.vqls import (INIT_SCALE, MAX_DEPTH, MAX_ITERATIONS, Adam,
+                               DegenerateOperatorError, DivergedError, VqlsConfig, _apply,
+                               residuals, train)
 
 
 def zero_params(n, depth=0):
@@ -448,3 +449,7 @@ def test_config_validation():
         VqlsConfig(learning_rate=-1.0)
     with pytest.raises(ValueError):
         VqlsConfig(mode="other")
+    VqlsConfig(depth=MAX_DEPTH, iterations=MAX_ITERATIONS)
+    for too_large in ({"depth": MAX_DEPTH + 1}, {"iterations": MAX_ITERATIONS + 1}):
+        with pytest.raises(ValueError, match="need depth <="):
+            VqlsConfig(**too_large)

@@ -3,10 +3,12 @@
     python tools/compare_outputs.py PARENT CHANGE
 
 Every file under either directory, at any depth, gets one line: ``same``,
-``only in DIR``, or ``differs: N cells, max relative difference R``. A CSV
-compares cell by cell, a JSON file leaf by leaf and any other file
-whitespace-separated token by token; R is |a - b| / max(|a|, |b|) over the
-differing cells, and inf where a cell is missing or not a number. A CSV's
+``only in DIR``, or ``differs: N cells, max relative difference R, max
+absolute difference D``. A CSV compares cell by cell, a JSON file leaf by
+leaf and any other file whitespace-separated token by token; R is
+|a - b| / max(|a|, |b|) and D is |a - b| over the differing cells, each inf
+where a cell is missing or not a number. D judges cells near zero, where a
+change in the last bit reads as R near 1. A CSV's
 ``differs`` line ends with ``, columns: NAME ...``: the header names of
 its differing cells in column order, both where the two headers differ. Two
 wall-clock fields are left out: the ``elapsed_s`` column of ``trace_*.csv``
@@ -51,15 +53,17 @@ def _cells(path: Path) -> dict:
     return dict(enumerate(text.split()))
 
 
-def _relative(a: str | None, b: str | None) -> float:
+def _difference(a: str | None, b: str | None) -> tuple[float, float]:
+    """(relative, absolute) difference of two cells; inf for either when one is not a number."""
     try:
         x, y = float(a), float(b)
     except (TypeError, ValueError):
-        return math.inf
+        return math.inf, math.inf
     if x == y:
-        return 0.0
-    diff = abs(x - y) / max(abs(x), abs(y))
-    return diff if math.isfinite(diff) else math.inf
+        return 0.0, 0.0
+    diff = abs(x - y)
+    relative = diff / max(abs(x), abs(y))
+    return (relative, diff) if math.isfinite(relative) else (math.inf, math.inf)
 
 
 def compare(a: Path, b: Path) -> str:
@@ -70,8 +74,10 @@ def compare(a: Path, b: Path) -> str:
     differing = [k for k in cells_a.keys() | cells_b.keys() if cells_a.get(k) != cells_b.get(k)]
     if not differing:
         return "same"
-    worst = max(_relative(cells_a.get(k), cells_b.get(k)) for k in differing)
-    verdict = f"differs: {len(differing)} cells, max relative difference {worst:.3g}"
+    relative, absolute = map(max, zip(*(_difference(cells_a.get(k), cells_b.get(k))
+                                        for k in differing)))
+    verdict = (f"differs: {len(differing)} cells, max relative difference {relative:.3g}, "
+               f"max absolute difference {absolute:.3g}")
     if a.suffix != ".csv":
         return verdict
     names = (cells.get((0, i)) for i in sorted({i for _, i in differing})
