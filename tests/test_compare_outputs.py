@@ -45,8 +45,8 @@ def test_compare_outputs_reports_each_file(tmp_path):
     residuals = change / "residuals.csv"
     lines = residuals.read_text().splitlines()
     cells = lines[2].split(",")
-    scaled = float(cells[1])
-    cells[1] = repr(scaled * (1 + 1e-9))
+    value = float(cells[1])
+    cells[1] = repr(value * (1 + 1e-9))
     lines[2] = ",".join(cells)
     residuals.write_text("\n".join(lines) + "\n")
     code, out = compare(parent, change)
@@ -56,7 +56,7 @@ def test_compare_outputs_reports_each_file(tmp_path):
     assert head.startswith("residuals.csv: differs: 1 cells, max relative difference ")
     relative, absolute = head.split(", max absolute difference ")
     assert np.isclose(float(relative.rsplit(" ", 1)[1]), 1e-9, rtol=1e-3), line
-    assert np.isclose(float(absolute), abs(scaled) * 1e-9, rtol=1e-3), line
+    assert np.isclose(float(absolute), abs(value) * 1e-9, rtol=1e-3), line
     assert columns == "residual_plain", line
 
     # cells of two columns, and a renamed header: each name once, in column order
