@@ -35,7 +35,9 @@ start states, the start angles, the cost, gradient-norm and time histories,
 and Adam's two moment arrays, which every step updates in place. Each step
 builds the new angles, the layers' factors and (D+1, B, dim) states, the B
 cost adjoints and the gradients, and takes every column's gradient norm
-from one stacked product.
+from one stacked product. ``train`` checks each step itself: it reads
+divergence off the costs and those norms, with no second pass over the
+gradients, and names the column of a ``DegenerateOperatorError``.
 
 The protocol is fixed apart from what ``VqlsConfig`` carries: angles start
 uniform on [-INIT_SCALE, INIT_SCALE], Adam keeps the standard moments of
@@ -214,20 +216,6 @@ def cost_and_grad(angles: AnsatzParams, systems: list[QuantumSystem], initial: n
     return costs, _adjoint_pass(factors, layers, adjoints)
 
 
-def _checked_step(angles: AnsatzParams, systems: list, initial: np.ndarray, iteration: int,
-                  labels: list):
-    try:
-        costs, grads = cost_and_grad(angles, systems, initial)
-    except DegenerateOperatorError as exc:
-        raise DegenerateOperatorError(
-            f"{exc} at iteration {iteration} in {labels[exc.column]}") from exc
-    if np.isfinite(costs).all() and np.isfinite(grads).all():
-        return costs, grads
-    finite = np.isfinite(costs) & np.isfinite(grads).all(axis=(0, 1))
-    raise DivergedError(f"non-finite cost or gradient at iteration {iteration} "
-                        f"in {labels[int(np.argmin(finite))]}")
-
-
 def train(systems, cfg: VqlsConfig, seeds=None, labels=None):
     """Run cfg's Adam loop on every column from a uniform [-INIT_SCALE, INIT_SCALE] start.
 
@@ -238,10 +226,12 @@ def train(systems, cfg: VqlsConfig, seeds=None, labels=None):
 
     Deterministic given (system, seed) per column: each column's angle
     initialization draws from the theta stream of its seed, and its numbers
-    do not depend on the other columns. Raises DivergedError at the first
-    non-finite cost or gradient in any column, and DegenerateOperatorError
-    where a column's operator annihilates its state, naming that column by
-    its entry of ``labels`` (default: its index and seed). Raises ValueError
+    do not depend on the other columns. Raises DivergedError where a step's
+    cost or gradient norm is not finite (a non-finite gradient entry, or one
+    whose square overflows, about 1e154), and DegenerateOperatorError where
+    a column's operator annihilates its state, naming the iteration and the
+    first such column by its entry of ``labels`` (default: its index and
+    seed). Raises ValueError
     before any step for an empty ``systems``, ``seeds`` or ``labels`` of
     another length, or columns of different qubit counts.
     """
@@ -276,11 +266,20 @@ def train(systems, cfg: VqlsConfig, seeds=None, labels=None):
     for it in range(cfg.iterations + 1):
         if it:
             theta = adam.step(theta, grads)
-        costs[it], grads = _checked_step(AnsatzParams(theta), systems, initial, it, labels)
+        try:
+            costs[it], grads = cost_and_grad(AnsatzParams(theta), systems, initial)
+        except DegenerateOperatorError as exc:
+            raise DegenerateOperatorError(
+                f"{exc} at iteration {it} in {labels[exc.column]}") from exc
         # Each column's norm as one dot product of its contiguous copy, the
         # reduction np.linalg.norm makes, for all columns in one stacked call.
+        # A non-finite entry, or one whose square overflows, makes its norm non-finite.
         rows = grads.reshape(-1, n_cols).T.copy()
         np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None]), out=grad_norms[it, :, None, None])
+        finite = np.isfinite(costs[it]) & np.isfinite(grad_norms[it])
+        if not finite.all():
+            raise DivergedError(f"non-finite cost or gradient at iteration {it} "
+                                f"in {labels[int(np.argmin(finite))]}")
         better = costs[it] < best_costs
         if np.count_nonzero(better):
             best_costs = np.where(better, costs[it], best_costs)

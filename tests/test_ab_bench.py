@@ -41,6 +41,38 @@ def test_one_pair_is_its_own_quartiles():
     assert wall["wins"] == 1
 
 
+STEADY = [1.00, 1.01, 1.02, 1.03, 1.04, 1.05, 1.06, 1.07, 1.08, 1.09]   # Q3 - Q1 = 0.045
+
+
+@pytest.mark.parametrize("change, verdict", [
+    ([p - 0.1 for p in STEADY], "gain"),                    # 10/10 wins, gap 0.1 > 0.045
+    ([p - 0.1 for p in STEADY[:9]] + [1.2], "gain"),        # 9/10 is enough
+    ([p - 0.1 for p in STEADY[:8]] + [1.2, 1.2], "neutral"),  # 8/10 is not
+    ([p - 0.03 for p in STEADY], "neutral"),                # 10/10 wins, gap 0.03 < 0.045
+    ([p + 0.2 for p in STEADY], "neutral"),                 # 19 % slower: inside the 24 % bound
+    ([p + 0.3 for p in STEADY], "worse"),                   # 29 % slower
+])
+def test_verdict_of_a_lower_is_better_metric_on_a_steady_parent(change, verdict):
+    pairs = [(record(p, 1.0), record(c, 1.0)) for p, c in zip(STEADY, change)]
+    wall, rate = ab_bench.summarize(pairs, END_TO_END)
+    assert wall["verdict"] == verdict
+    assert rate["verdict"] == "neutral"                    # every pair ties
+    assert wall["verdict"] in ab_bench.format_rows([wall, rate], len(pairs))
+
+
+def test_verdict_follows_a_higher_is_better_metric_and_a_wide_parent_is_unresolved():
+    wide = [1.0, 2.0, 3.0, 4.0, 5.0]       # Q3 - Q1 = 2 of median 3, past both bounds
+    pairs = [(record(p, p), record(p - 0.5, p + 0.5)) for p in STEADY]
+    _, rate = ab_bench.summarize(pairs, END_TO_END)
+    assert rate["verdict"] == "gain"       # higher rate in every pair, by 0.5 > 0.045
+    pairs = [(record(p, p), record(p + 0.5, p - 0.2)) for p in wide]
+    wall, rate = ab_bench.summarize(pairs, END_TO_END)
+    assert wall["verdict"] == rate["verdict"] == "unresolved"   # 17 % and 7 %: inside
+    pairs = [(record(p, p), record(p + 1.0, p - 0.5)) for p in wide]
+    wall, rate = ab_bench.summarize(pairs, END_TO_END)
+    assert wall["verdict"] == rate["verdict"] == "worse"        # 33 % and 17 %: worse first
+
+
 @pytest.mark.parametrize("bad, problem", [
     (record(1.0, 1.0, correct=False), "correct is false"),
     (record(1.0, 1.0, failed=2), "2 operations failed"),

@@ -177,27 +177,50 @@ def test_train_names_the_diverged_column():
         train([ok, bad, ok], cfg, [7, 8, 9])
 
 
+def _fake_cost_and_grad(bad_cost, bad_grad):
+    """A cost_and_grad with cost 0.5 and zero gradients on every column but the bad ones.
+
+    ``bad_cost`` and ``bad_grad`` are None, a column (whose cost becomes inf,
+    or one of whose gradient entries NaN) or a (column, value) pair.
+    """
+    def fake(angles, systems, initial):
+        costs = np.full(len(systems), 0.5)
+        grads = np.zeros_like(angles.theta)
+        for bad, default, entries in ((bad_cost, np.inf, costs), (bad_grad, np.nan, grads[1, 0])):
+            if bad is not None:
+                b, value = bad if isinstance(bad, tuple) else (bad, default)
+                entries[b] = value
+        return costs, grads
+    return fake
+
+
 @pytest.mark.parametrize("bad_cost, bad_grad, named", [
     (None, 1, "middle"),          # a gradient entry only, under a finite cost
     (2, None, "right"),           # a cost only, under a finite gradient
     (2, 1, "middle"),             # both: the first non-finite column
+    pytest.param(None, (1, np.inf), "middle", id="inf-gradient"),
+    pytest.param(None, (1, -np.inf), "middle", id="minus-inf-gradient"),
+    pytest.param((0, np.nan), None, "left", id="nan-cost"),
 ])
 def test_train_names_the_column_of_a_non_finite_gradient_or_cost(monkeypatch, bad_cost,
                                                                   bad_grad, named):
-    def fake_cost_and_grad(angles, systems, initial):
-        costs = np.full(len(systems), 0.5)
-        grads = np.zeros_like(angles.theta)
-        if bad_cost is not None:
-            costs[bad_cost] = np.inf
-        if bad_grad is not None:
-            grads[1, 0, bad_grad] = np.nan
-        return costs, grads
-
-    monkeypatch.setattr(vqls, "cost_and_grad", fake_cost_and_grad)
+    monkeypatch.setattr(vqls, "cost_and_grad", _fake_cost_and_grad(bad_cost, bad_grad))
     ok = make_system(np.eye(4), [1.0, 2.0, 3.0, 4.0])
     cfg = VqlsConfig(depth=1, iterations=5, mode="direct")
     with pytest.raises(DivergedError, match=f"iteration 0 in {named}$"):
         train([ok, ok, ok], cfg, [7, 8, 9], ["left", "middle", "right"])
+
+
+def test_train_stops_where_a_finite_gradient_entry_squares_to_inf(monkeypatch):
+    # 1e200 is finite, but its square overflows, so its column's gradient norm
+    # is inf: training stops there, after numpy's overflow warning, rather
+    # than hand Adam an infinite second moment.
+    monkeypatch.setattr(vqls, "cost_and_grad", _fake_cost_and_grad(None, (1, 1e200)))
+    ok = make_system(np.eye(4), [1.0, 2.0, 3.0, 4.0])
+    cfg = VqlsConfig(depth=1, iterations=5, mode="direct")
+    with pytest.raises(DivergedError, match="iteration 0 in middle$"):
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            train([ok, ok, ok], cfg, [7, 8, 9], ["left", "middle", "right"])
 
 
 def test_train_rejects_columns_that_cannot_run_in_lockstep():

@@ -10,9 +10,18 @@ tree that runs first alternates from pair to pair, PARENT first in pair 1.
 After each run the tool reads that tree's
 ``perfbench_out/W-seedN-trace0/run.json``. At the end it prints, for every
 end-to-end metric that BENCHMARK.json declares, each side's median with its
-Q1-Q3 range, the ratio of the medians (change / parent), and the pairs the
-change won: where it read better than the parent in the same pair, ties
-counting for neither side. With ``--json PATH`` it also appends the same
+Q1-Q3 range, the ratio of the medians (change / parent), the pairs the
+change won (where it read better than the parent in the same pair, ties
+counting for neither side) and a verdict, the first of these that holds:
+
+- ``worse``: the change's median is worse than the parent's by more than
+  the metric's relative ``bound`` in BENCHMARK.json;
+- ``unresolved``: the parent's Q3 - Q1 exceeds that bound of its median;
+- ``gain``: the change won at least 9 pairs in 10, and its median is better
+  than the parent's by more than the parent's Q3 - Q1;
+- ``neutral``: none of these.
+
+With ``--json PATH`` it also appends the same
 summary to the JSON list in PATH, creating it when missing: one record with
 the workload, the seed, the number of clean pairs, each tree's ``git
 rev-parse HEAD`` (null where that fails, as in an export without git
@@ -41,35 +50,53 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
+def verdict(row: dict, metric: dict, n_pairs: int) -> str:
+    """'worse', 'unresolved', 'gain' or 'neutral' (see the module docstring) for a summary row."""
+    sign = 1 if metric["better"] == "lower" else -1
+    (q1, median, q3), change = row["parent"], row["change"][1]
+    limit = metric["bound"] * abs(median)
+    if sign * (change - median) > limit:
+        return "worse"
+    if q3 - q1 > limit:
+        return "unresolved"
+    if 10 * row["wins"] >= 9 * n_pairs and sign * (median - change) > q3 - q1:
+        return "gain"
+    return "neutral"
+
+
 def summarize(pairs: list[tuple[dict, dict]], end_to_end: list[dict]) -> list[dict]:
     """One row per end-to-end metric over (parent run.json, change run.json) pairs.
 
     Each row holds the metric's ``name`` and ``unit``, each side's
-    (Q1, median, Q3) as ``parent`` and ``change``, and ``wins``, the pairs in
-    which the change read better in the metric's declared direction.
+    (Q1, median, Q3) as ``parent`` and ``change``, ``wins``, the pairs in
+    which the change read better in the metric's declared direction, and
+    its ``verdict``.
     """
     rows = []
     for metric in end_to_end:
         name, sign = metric["name"], 1 if metric["better"] == "lower" else -1
         parent = [p["metrics"][name]["value"] for p, _ in pairs]
         change = [c["metrics"][name]["value"] for _, c in pairs]
-        rows.append({"name": name, "unit": metric["unit"],
-                     "parent": quartiles(parent), "change": quartiles(change),
-                     "wins": sum(sign * (c - p) < 0 for p, c in zip(parent, change))})
+        row = {"name": name, "unit": metric["unit"],
+               "parent": quartiles(parent), "change": quartiles(change),
+               "wins": sum(sign * (c - p) < 0 for p, c in zip(parent, change))}
+        row["verdict"] = verdict(row, metric, len(pairs))
+        rows.append(row)
     return rows
 
 
 def format_rows(rows: list[dict], n_pairs: int) -> str:
-    """The summary table: medians with [Q1, Q3], the ratio of medians and the wins."""
+    """The summary table: medians with [Q1, Q3], the ratio of medians, the wins, the verdict."""
     lines = [f"{'metric':12s} {'parent median [Q1, Q3]':>32s} {'change median [Q1, Q3]':>32s}"
-             f" {'ratio':>7s}  wins"]
+             f" {'ratio':>7s}  wins  verdict"]
     for row in rows:
         cells = [f"{med:.4g} [{q1:.4g}, {q3:.4g}] {row['unit']}"
                  for q1, med, q3 in (row["parent"], row["change"])]
         base = row["parent"][1]
         ratio = f"{row['change'][1] / base:.3f}" if base else "n/a"
+        wins = f"{row['wins']}/{n_pairs}"
         lines.append(f"{row['name']:12s} {cells[0]:>32s} {cells[1]:>32s} {ratio:>7s}"
-                     f"  {row['wins']}/{n_pairs}")
+                     f"  {wins:5s} {row['verdict']}")
     return "\n".join(lines)
 
 
