@@ -50,11 +50,14 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
-def verdict(row: dict, metric: dict, n_pairs: int) -> str:
-    """'worse', 'unresolved', 'gain' or 'neutral' (see the module docstring) for a summary row."""
-    sign = 1 if metric["better"] == "lower" else -1
+def verdict(row: dict, sign: int, bound: float, n_pairs: int) -> str:
+    """'worse', 'unresolved', 'gain' or 'neutral' (see the module docstring) for a summary row.
+
+    ``sign`` is 1 where lower is better and -1 where higher is; ``bound`` is
+    relative to the parent's median.
+    """
     (q1, median, q3), change = row["parent"], row["change"][1]
-    limit = metric["bound"] * abs(median)
+    limit = bound * abs(median)
     if sign * (change - median) > limit:
         return "worse"
     if q3 - q1 > limit:
@@ -80,7 +83,7 @@ def summarize(pairs: list[tuple[dict, dict]], end_to_end: list[dict]) -> list[di
         row = {"name": name, "unit": metric["unit"],
                "parent": quartiles(parent), "change": quartiles(change),
                "wins": sum(sign * (c - p) < 0 for p, c in zip(parent, change))}
-        row["verdict"] = verdict(row, metric, len(pairs))
+        row["verdict"] = verdict(row, sign, metric["bound"], len(pairs))
         rows.append(row)
     return rows
 
