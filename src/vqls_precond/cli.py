@@ -5,7 +5,10 @@
                  [--no-precond] [--dump-matrix]
 
 Exit codes: 0 success, 2 a configuration error or an output that cannot be
-written (the directory or any file in it), 3 numerical failure.
+written (the directory or any file in it), 3 numerical failure: a zero ILU(0)
+pivot, a singular matrix in a LAPACK solve (``numpy.linalg.LinAlgError``), a
+degenerate block or operator, a diverged training run, or no factorable
+instance.
 Precedence: profile < heat defaults < config file < flags, each a layer
 merged by ``experiments.load_config``. The config file holds a JSON object.
 Booleans, ``output_dir`` and every other field must have their declared
@@ -21,16 +24,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .dense import SingularMatrixError
 from .embedding import DegenerateBlockError
 from .experiments import (COMMANDS, PROFILES, ExperimentConfig, NoFactorableInstanceError,
                           load_config, run)
 from .ilu import ZeroPivotError
 from .vqls import DegenerateOperatorError, DivergedError
 
-_NUMERICAL_ERRORS = (ZeroPivotError, SingularMatrixError, DegenerateBlockError,
-                     DegenerateOperatorError, DivergedError, NoFactorableInstanceError,
-                     np.linalg.LinAlgError)
+_NUMERICAL_ERRORS = (ZeroPivotError, DegenerateBlockError, DegenerateOperatorError,
+                     DivergedError, NoFactorableInstanceError, np.linalg.LinAlgError)
 
 
 def _build_parser() -> argparse.ArgumentParser:

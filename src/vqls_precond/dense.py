@@ -1,10 +1,12 @@
 """Dense real-matrix kernels: exact solve, singular values, condition number.
 
 These are the classical reference kernels every experiment compares against.
-``lu_solve`` is a hand-rolled Gaussian elimination with partial pivoting so
-the zero-pivot contract is explicit; singular values come from LAPACK via
-``numpy.linalg.svd`` (the test suite cross-checks them against an independent
-eigendecomposition of A^T A).
+``lu_solve`` is LAPACK's LU with partial pivoting through ``numpy.linalg.solve``,
+the factorization ``ilu.preconditioned_system`` uses, so an exactly singular
+matrix raises ``numpy.linalg.LinAlgError`` on either path (the test suite
+cross-checks the solve against a row-by-row elimination). Singular values
+come from LAPACK via ``numpy.linalg.svd`` (cross-checked against an
+independent eigendecomposition of A^T A).
 """
 
 from __future__ import annotations
@@ -18,51 +20,27 @@ import numpy as np
 # sweeps never abort).
 SIGMA_FLOOR = 1e-300
 
-PIVOT_TOL = 1e-14
-
-
-class SingularMatrixError(ValueError):
-    """Raised when elimination meets a pivot below the tolerance."""
-
 
 def _as_square(A) -> np.ndarray:
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    if not np.all(np.isfinite(A)):
-        raise ValueError("matrix entries must be finite")
     return A
 
 
 def lu_solve(A, b) -> np.ndarray:
     """Solve A x = b by LU factorization with partial (row) pivoting.
 
-    Raises SingularMatrixError when the largest available pivot in a column
-    has magnitude below 1e-14.
+    Raises numpy.linalg.LinAlgError when LAPACK meets an exactly zero pivot.
     """
-    A = _as_square(A).copy()
+    A = _as_square(A)
     b = np.asarray(b, dtype=float)
     n = A.shape[0]
     if b.shape != (n,):
         raise ValueError(f"rhs shape {b.shape} does not match matrix size {n}")
-    if not np.all(np.isfinite(b)):
-        raise ValueError("rhs entries must be finite")
-
-    x = b.copy()
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(A[k:, k])))
-        if abs(A[p, k]) < PIVOT_TOL:
-            raise SingularMatrixError(f"pivot magnitude {abs(A[p, k]):.3e} in column {k}")
-        if p != k:
-            A[[k, p]] = A[[p, k]]
-            x[[k, p]] = x[[p, k]]
-        inv_piv = 1.0 / A[k, k]
-        A[k + 1:, k] *= inv_piv
-        A[k + 1:, k + 1:] -= np.outer(A[k + 1:, k], A[k, k + 1:])
-        x[k + 1:] -= A[k + 1:, k] * x[k]
-    for k in range(n - 1, -1, -1):
-        x[k] = (x[k] - A[k, k + 1:] @ x[k + 1:]) / A[k, k]
-    return x
+    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
+        raise ValueError("matrix and rhs entries must be finite")
+    return np.linalg.solve(A, b)
 
 
 def singular_values(A) -> np.ndarray:
@@ -81,12 +59,15 @@ def singular_values(A) -> np.ndarray:
 
 
 def condition_number(A) -> float:
-    """sigma_max / sigma_min of a square matrix.
+    """sigma_max / sigma_min of a non-empty square matrix.
 
     Returns math.inf when sigma_min < 1e-300 so that spectrum reports over
     many seeds never abort on a degenerate instance.
     """
-    sigma = singular_values(_as_square(A))
+    A = _as_square(A)
+    if not len(A):
+        raise ValueError("expected a non-empty matrix")
+    sigma = singular_values(A)
     if sigma[-1] < SIGMA_FLOOR:
         return math.inf
     return float(sigma[0] / sigma[-1])

@@ -273,9 +273,12 @@ def train(systems, cfg: VqlsConfig, seeds=None, labels=None):
                 f"{exc} at iteration {it} in {labels[exc.column]}") from exc
         # Each column's norm as one dot product of its contiguous copy, the
         # reduction np.linalg.norm makes, for all columns in one stacked call.
-        # A non-finite entry, or one whose square overflows, makes its norm non-finite.
+        # A non-finite entry, or one whose square overflows (numpy's warning
+        # silenced, so it reaches the check below), makes its norm non-finite.
         rows = grads.reshape(-1, n_cols).T.copy()
-        np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None]), out=grad_norms[it, :, None, None])
+        with np.errstate(over="ignore"):
+            np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None]),
+                    out=grad_norms[it, :, None, None])
         finite = np.isfinite(costs[it]) & np.isfinite(grad_norms[it])
         if not finite.all():
             raise DivergedError(f"non-finite cost or gradient at iteration {it} "
@@ -310,4 +313,6 @@ def residuals(x_vqls, x_exact) -> np.ndarray:
         raise ValueError("solution vectors must have equal length")
     if not np.any(x_exact):
         raise ValueError("exact solution is identically zero")
+    if not np.any(x_vqls):
+        raise ValueError("variational solution is identically zero")
     return np.abs(aligned(x_vqls, x_exact) - x_exact)

@@ -20,6 +20,12 @@ the one LAPACK solve of ``ilu.preconditioned_system`` replaced. It sums in a
 different order from LAPACK's pivoted LU of M = L U, so the two must agree
 to the tolerances the tests state, not bit for bit.
 
+Gaussian elimination. ``gauss_solve`` is the elimination with partial
+pivoting, one column at a time, that the LAPACK solve of ``dense.lu_solve``
+replaced. It updates the trailing block by outer products where LAPACK works
+in blocks, so the two agree to the tolerances the tests state, not bit for
+bit.
+
 Reshape-view gates. ``ry_reshape`` is the gate as the 2x2 matrix
 [[cos(a/2), -sin(a/2)], [sin(a/2), cos(a/2)]] applied to the amplitude
 pairs of a strided (2**q, 2, 2**(n-q-1), batch) view, and ``j_reshape``
@@ -447,6 +453,23 @@ def substitute(L: np.ndarray, U: np.ndarray, X: np.ndarray) -> np.ndarray:
         X[i] -= U[i, i + 1:] @ X[i + 1:]
         X[i] /= U[i, i]
     return X
+
+
+def gauss_solve(A, b) -> np.ndarray:
+    """A^-1 b by Gaussian elimination with partial (row) pivoting, column by column."""
+    A = np.array(A, dtype=float)
+    x = np.array(b, dtype=float)
+    n = len(A)
+    for k in range(n):
+        p = k + int(np.argmax(np.abs(A[k:, k])))
+        A[[k, p]] = A[[p, k]]
+        x[[k, p]] = x[[p, k]]
+        A[k + 1:, k] /= A[k, k]
+        A[k + 1:, k + 1:] -= np.outer(A[k + 1:, k], A[k, k + 1:])
+        x[k + 1:] -= A[k + 1:, k] * x[k]
+    for k in range(n - 1, -1, -1):
+        x[k] = (x[k] - A[k, k + 1:] @ x[k + 1:]) / A[k, k]
+    return x
 
 
 @dataclass

@@ -1,8 +1,9 @@
 """Dense kernel tests: solve, singular values, condition number.
 
-Oracle routes are kept independent of the implementation: lu_solve is
-checked against numpy.linalg.solve and by substitution, singular values
-against an eigendecomposition of A^T A.
+Oracle routes are kept independent of the implementation: lu_solve, which
+is numpy.linalg.solve, is checked against a row-by-row Gaussian elimination
+(oracles.gauss_solve) and by substitution, singular values against an
+eigendecomposition of A^T A.
 """
 
 import math
@@ -10,7 +11,8 @@ import math
 import numpy as np
 import pytest
 
-from vqls_precond.dense import SingularMatrixError, condition_number, lu_solve, singular_values
+from oracles import gauss_solve
+from vqls_precond.dense import condition_number, lu_solve, singular_values
 
 
 def test_lu_solve_identity():
@@ -33,11 +35,12 @@ def test_lu_solve_tridiagonal_closed_form():
 
 
 def test_lu_solve_matches_lapack_oracle():
+    # lu_solve is the LAPACK solve; the oracle is the elimination it replaced
     rng = np.random.default_rng(42)
     for _ in range(20):
         A = rng.normal(size=(9, 9)) + 3 * np.eye(9)
         b = rng.normal(size=9)
-        np.testing.assert_allclose(lu_solve(A, b), np.linalg.solve(A, b),
+        np.testing.assert_allclose(lu_solve(A, b), gauss_solve(A, b),
                                    rtol=1e-10, atol=1e-12)
 
 
@@ -54,8 +57,17 @@ def test_lu_solve_residual_property():
 
 def test_lu_solve_singular_raises():
     A = np.array([[1.0, 2.0], [2.0, 4.0]])
-    with pytest.raises(SingularMatrixError):
+    with pytest.raises(np.linalg.LinAlgError):
         lu_solve(A, np.ones(2))
+
+
+def test_lu_solve_takes_a_tiny_nonzero_pivot():
+    # The last pivot is the 1e-15 as stored, 5 * 2**-52. LAPACK stops only at
+    # an exact zero pivot, so the solve goes through and x fits exactly.
+    A = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]])
+    x = lu_solve(A, np.ones(2))
+    np.testing.assert_array_equal(x, [1.0, 0.0])
+    np.testing.assert_array_equal(A @ x, np.ones(2))
 
 
 def test_lu_solve_rejects_bad_shapes():
@@ -65,6 +77,8 @@ def test_lu_solve_rejects_bad_shapes():
         lu_solve(np.eye(3), np.ones(2))
     with pytest.raises(ValueError):
         lu_solve(np.array([[np.nan, 0], [0, 1.0]]), np.ones(2))
+    with pytest.raises(ValueError):
+        lu_solve(np.eye(2), np.array([1.0, np.inf]))
 
 
 def test_singular_values_trivial():
@@ -112,3 +126,12 @@ def test_condition_number_tridiagonal_against_oracle():
 
 def test_condition_number_singular_sentinel():
     assert condition_number(np.array([[1.0, 0.0], [0.0, 0.0]])) == math.inf
+
+
+def test_condition_number_rejects_empty_and_non_finite_matrices():
+    with pytest.raises(ValueError, match="non-empty"):
+        condition_number(np.zeros((0, 0)))
+    with pytest.raises(ValueError, match="square"):
+        condition_number(np.ones((2, 3)))
+    with pytest.raises(ValueError, match="finite"):
+        condition_number(np.array([[1.0, 0.0], [0.0, np.inf]]))

@@ -653,6 +653,15 @@ def test_cli_numerical_failure_exit_code(tmp_path, monkeypatch):
     assert main(["solve", "--config", str(cfg_path), "--out", str(tmp_path / "r")]) == 3
 
 
+def test_singular_exact_solve_exits_3_without_a_csv(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(exp, "lu_solve", lambda A, b: lu_solve(np.zeros_like(A), b))
+    out = tmp_path / "r"
+    code = main(["solve", "--config", str(_write_tiny_config(tmp_path)), "--out", str(out)])
+    assert code == 3
+    assert "numerical failure" in capsys.readouterr().err
+    assert not list(out.glob("*.csv"))
+
+
 def _write_tiny_config(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"n": 4, "density": 1.0, "seeds": [1],

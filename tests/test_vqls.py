@@ -213,14 +213,14 @@ def test_train_names_the_column_of_a_non_finite_gradient_or_cost(monkeypatch, ba
 
 def test_train_stops_where_a_finite_gradient_entry_squares_to_inf(monkeypatch):
     # 1e200 is finite, but its square overflows, so its column's gradient norm
-    # is inf: training stops there, after numpy's overflow warning, rather
-    # than hand Adam an infinite second moment.
+    # is inf: training stops there, rather than hand Adam an infinite second
+    # moment, and without numpy's overflow warning, which under -W error
+    # would end the run before DivergedError.
     monkeypatch.setattr(vqls, "cost_and_grad", _fake_cost_and_grad(None, (1, 1e200)))
     ok = make_system(np.eye(4), [1.0, 2.0, 3.0, 4.0])
     cfg = VqlsConfig(depth=1, iterations=5, mode="direct")
     with pytest.raises(DivergedError, match="iteration 0 in middle$"):
-        with pytest.warns(RuntimeWarning, match="overflow"):
-            train([ok, ok, ok], cfg, [7, 8, 9], ["left", "middle", "right"])
+        train([ok, ok, ok], cfg, [7, 8, 9], ["left", "middle", "right"])
 
 
 def test_train_rejects_columns_that_cannot_run_in_lockstep():
@@ -422,6 +422,11 @@ def test_residuals_orthogonal_projection():
 def test_residuals_zero_exact_raises():
     with pytest.raises(ValueError):
         residuals(np.array([1.0, 0.0]), np.zeros(2))
+
+
+def test_residuals_zero_variational_solution_raises():
+    with pytest.raises(ValueError, match="variational solution is identically zero"):
+        residuals(np.zeros(3), np.ones(3))
 
 
 def test_decomposition_path_matches_direct_cost():
