@@ -35,7 +35,7 @@ def test_lu_solve_tridiagonal_closed_form():
 
 
 def test_lu_solve_matches_lapack_oracle():
-    # lu_solve is the LAPACK solve; the oracle is the elimination it replaced
+    # lu_solve is the LAPACK solve, so the oracle is an independent elimination
     rng = np.random.default_rng(42)
     for _ in range(20):
         A = rng.normal(size=(9, 9)) + 3 * np.eye(9)
