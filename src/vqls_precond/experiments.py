@@ -362,22 +362,21 @@ def cmd_solve(cfg: ExperimentConfig, out: Path) -> tuple:
     x_exact = lu_solve(A.to_dense(), b)
     [results] = _train_arms(cfg, cfg.vqls.depth, [(status, systems)])
     # Every solution is extracted before the first write: a failure leaves no CSV.
-    solutions = {}     # arm name -> [final, best] unit-norm solution
+    solutions = {}     # arm name -> unit-norm solution of the final iterate
     for name, result in results.items():
         system = systems[name]
-        solutions[name] = [extract_solution(prepare_state(params, system.rhs_state), system, A.n)
-                           for params in (result.params, result.best_params)]
+        solutions[name] = extract_solution(prepare_state(result.params, system.rhs_state),
+                                           system, A.n)
 
     artifacts = [write_trace_csv(result, out / f"trace_{name}.csv")
                  for name, result in results.items()]
-    for fname, pick in (("solution.csv", 0), ("solution_best.csv", 1)):
-        columns = {"index": range(A.n), "x_exact": x_exact}
-        for name, x in solutions.items():
-            columns[f"x_vqls_{name}"] = aligned(x[pick], x_exact)
-        artifacts.append(_write_csv(out / fname, columns))
+    columns = {"index": range(A.n), "x_exact": x_exact}
+    for name, x in solutions.items():
+        columns[f"x_vqls_{name}"] = aligned(x, x_exact)
+    artifacts.append(_write_csv(out / "solution.csv", columns))
     columns = {"index": range(A.n)}
     for name, x in solutions.items():
-        columns[f"residual_{name}"] = residuals(x[0], x_exact)
+        columns[f"residual_{name}"] = residuals(x, x_exact)
     artifacts.append(_write_csv(out / "residuals.csv", columns))
     if cfg.dump_matrix:
         artifacts.append(_write_atomic(out / "instance.mtx", format_matrix_market(A)))

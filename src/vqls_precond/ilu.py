@@ -27,9 +27,9 @@ about density^2 n^3 / 3 of them.
 
 The preconditioner is applied once per instance, to A and b together: M =
 L @ U is formed once as a dense matrix, and one LAPACK solve of M X =
-[A | b] gives (M^-1 A, M^-1 b). Dense factors and M cost O(n^2) memory,
-which is small at workbench sizes (n <= 256), where M^-1 A is a dense n x n
-matrix anyway.
+[A | b] gives (M^-1 A, M^-1 b). Dense factors and M cost O(n^2) memory, as
+M^-1 A, a dense n x n matrix, does anyway: configs accept n up to
+``experiments.MAX_N`` = 4096, where each such array is 4096^2 doubles, 128 MB.
 """
 
 from __future__ import annotations

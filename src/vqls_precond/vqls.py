@@ -41,7 +41,8 @@ gradients, and names the column of a ``DegenerateOperatorError``.
 
 The protocol is fixed apart from what ``VqlsConfig`` carries: angles start
 uniform on [-INIT_SCALE, INIT_SCALE], Adam keeps the standard moments of
-Kingma & Ba (arXiv:1412.6980), and every step's cost is kept. This module
+Kingma & Ba (arXiv:1412.6980), and every step's cost is kept, but only the
+last step's angles: a run reports its final iterate. This module
 does no file IO: ``experiments`` writes the trace CSVs.
 """
 
@@ -124,10 +125,13 @@ class VqlsConfig:
 
 @dataclass
 class TrainResult:
-    """One column's run; row t of each history is the state after t Adam steps."""
+    """One column's run; row t of each history is the state after t Adam steps.
+
+    Only the final angles are kept; ``best_iteration`` and ``best_cost`` are
+    read off the cost history.
+    """
 
     params: AnsatzParams          # final iterate, (D+1, n)
-    best_params: AnsatzParams     # first minimum-cost iterate, (D+1, n)
     costs: np.ndarray             # (T+1,)
     grad_norms: np.ndarray        # (T+1,)
     elapsed: np.ndarray           # (T+1,) seconds since the start, shared by all columns
@@ -260,7 +264,6 @@ def train(systems, cfg: VqlsConfig, seeds=None, labels=None):
     costs = np.empty((cfg.iterations + 1, n_cols))
     grad_norms = np.empty((cfg.iterations + 1, n_cols))
     elapsed = np.empty(cfg.iterations + 1)
-    best_costs, best_theta = np.full(n_cols, np.inf), theta
 
     t0 = time.perf_counter()
     for it in range(cfg.iterations + 1):
@@ -283,14 +286,9 @@ def train(systems, cfg: VqlsConfig, seeds=None, labels=None):
         if not finite.all():
             raise DivergedError(f"non-finite cost or gradient at iteration {it} "
                                 f"in {labels[int(np.argmin(finite))]}")
-        better = costs[it] < best_costs
-        if np.count_nonzero(better):
-            best_costs = np.where(better, costs[it], best_costs)
-            best_theta = np.where(better, theta, best_theta)
         elapsed[it] = time.perf_counter() - t0
 
     return [TrainResult(params=AnsatzParams(theta[:, :, b].copy()),
-                        best_params=AnsatzParams(best_theta[:, :, b].copy()),
                         costs=costs[:, b], grad_norms=grad_norms[:, b], elapsed=elapsed)
             for b in range(n_cols)]
 

@@ -384,17 +384,14 @@ def train_serial(sys: QuantumSystem, cfg) -> TrainResult:
     t0 = time.perf_counter()
     c, grad = _checked_step_serial(params, sys, 0)
     costs, grad_norms, elapsed = [c], [float(np.linalg.norm(grad))], [time.perf_counter() - t0]
-    best_cost, best_params = c, params
 
     for it in range(1, cfg.iterations + 1):
         params = AnsatzParams(adam.step(params.theta, grad))
         c, grad = _checked_step_serial(params, sys, it)
-        if c < best_cost:
-            best_cost, best_params = c, params
         costs.append(c)
         grad_norms.append(float(np.linalg.norm(grad)))
         elapsed.append(time.perf_counter() - t0)
-    return TrainResult(params=params, best_params=best_params, costs=np.array(costs),
+    return TrainResult(params=params, costs=np.array(costs),
                        grad_norms=np.array(grad_norms), elapsed=np.array(elapsed))
 
 

@@ -51,6 +51,7 @@ STEADY = [1.00, 1.01, 1.02, 1.03, 1.04, 1.05, 1.06, 1.07, 1.08, 1.09]   # Q3 - Q
     ([p - 0.03 for p in STEADY], "neutral"),                # 10/10 wins, gap 0.03 < 0.045
     ([p + 0.2 for p in STEADY], "neutral"),                 # 19 % slower: inside the 24 % bound
     ([p + 0.3 for p in STEADY], "worse"),                   # 29 % slower
+    ([p - 0.1 for p in STEADY[:5]], "neutral"),             # 5/5 wins: too few pairs
 ])
 def test_verdict_of_a_lower_is_better_metric_on_a_steady_parent(change, verdict):
     pairs = [(record(p, 1.0), record(c, 1.0)) for p, c in zip(STEADY, change)]

@@ -49,12 +49,14 @@ def read_csv(path):
     return header, rows
 
 
+# The files README's outputs table lists for ``solve``, and the manifest.
+SOLVE_FILES = {"trace_plain.csv", "trace_precond.csv", "solution.csv", "residuals.csv",
+               "manifest.json"}
+
+
 def test_identity_smoke_solve(tmp_path, identity_instance):
     cfg = tiny_config(tmp_path, vqls={"iterations": 2000})
-    run(cfg)
-    for name in ("trace_plain.csv", "trace_precond.csv", "solution.csv",
-                 "solution_best.csv", "residuals.csv", "manifest.json"):
-        assert (tmp_path / name).exists()
+    assert set(run(cfg)) == SOLVE_FILES
     for trace in ("trace_plain.csv", "trace_precond.csv"):
         header, rows = read_csv(tmp_path / trace)
         assert header == ["iteration", "cost", "grad_norm", "elapsed_s"]
@@ -328,7 +330,7 @@ def test_spectrum_table_averages_the_raw_spectra_rank_by_rank(tmp_path):
 def test_heat_pipeline(tmp_path):
     cfg = ExperimentConfig(kind="heat", n=16, seeds=[1], output_dir=str(tmp_path),
                            vqls=VqlsConfig(depth=0, iterations=300, mode="direct"))
-    run(cfg)
+    assert set(run(cfg)) == SOLVE_FILES | {"parabola.csv"}
     header, rows = read_csv(tmp_path / "parabola.csv")
     assert header == ["index", "position", "u_exact"]
     A, b = poisson_1d(16)
@@ -838,7 +840,7 @@ def _trace(steps):
     rng = np.random.default_rng(steps)
     costs = rng.uniform(0, 1, steps) ** 7
     costs[::97] = np.inf
-    return TrainResult(params=None, best_params=None, costs=costs,
+    return TrainResult(params=None, costs=costs,
                        grad_norms=rng.standard_normal(steps) * 1e-9,
                        elapsed=np.cumsum(rng.uniform(0, 1e-3, steps)))
 

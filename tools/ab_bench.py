@@ -17,8 +17,9 @@ counting for neither side) and a verdict, the first of these that holds:
 - ``worse``: the change's median is worse than the parent's by more than
   the metric's relative ``bound`` in BENCHMARK.json;
 - ``unresolved``: the parent's Q3 - Q1 exceeds that bound of its median;
-- ``gain``: the change won at least 9 pairs in 10, and its median is better
-  than the parent's by more than the parent's Q3 - Q1;
+- ``gain``: there are at least 10 pairs, the change won at least 9 in 10 of
+  them, and its median is better than the parent's by more than the
+  parent's Q3 - Q1;
 - ``neutral``: none of these.
 
 With ``--json PATH`` it also appends the same
@@ -62,7 +63,8 @@ def verdict(row: dict, sign: int, bound: float, n_pairs: int) -> str:
         return "worse"
     if q3 - q1 > limit:
         return "unresolved"
-    if 10 * row["wins"] >= 9 * n_pairs and sign * (median - change) > q3 - q1:
+    if (n_pairs >= 10 and 10 * row["wins"] >= 9 * n_pairs
+            and sign * (median - change) > q3 - q1):
         return "gain"
     return "neutral"
 
