@@ -292,9 +292,7 @@ def _serial_oracle_agrees(result, oracle):
     1e-10.
 
     The Kronecker RY layer and the oracle's gate-by-gate reshape views round
-    differently, and Adam carries the difference from step to step. Where
-    costs tie, the first minimum may fall on another iterate, so the best
-    angles are not compared.
+    differently, and Adam carries the difference from step to step.
     """
     assert len(result.costs) == len(oracle.costs)
     assert np.abs(result.costs - oracle.costs).max() <= 1e-11
@@ -312,8 +310,8 @@ def _lockstep_runs(depth, mode):
     rng = np.random.default_rng(300 + depth)
     for n_qubits, batch, iterations in LOCKSTEP_CASES:
         dim = 2 ** n_qubits if mode == "direct" else 2 ** (n_qubits - 1)
-        # a large step makes the cost bounce, so the best iterate is not
-        # always the last
+        # a large step makes the cost bounce, so best_iteration is not
+        # always the last step
         cfg = VqlsConfig(depth=depth, iterations=iterations, mode=mode, learning_rate=0.2)
         systems, seeds = [], []
         for _ in range(batch):
